@@ -40,16 +40,6 @@ def data_dir() -> Path:
 
 
 @dataclass(frozen=True)
-class SphereSpec:
-    n: int
-    cutoff: QuadReal
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise InvariantViolation("sphere dimension must be at least 2")
-
-
-@dataclass(frozen=True)
 class ProductMarker:
     """Einstein product of two factors, dimensions n1 + n2, normalized.
 
@@ -122,7 +112,6 @@ def product_geometric_spectrum(marker: ProductMarker) -> GeometricSpectrum:
         spec1D=empty_spectrum(from_rational(Fraction(2 * n - 3, 2))),
         specE_TT=merge([(value, mult, ("product-tt", 1, 0))], tt_cutoff),
         normalized=True,
-        tags=("product", f"{marker.n1}x{marker.n2}"),
     )
 
 
@@ -141,7 +130,6 @@ def sphere_geometric_spectrum(n: int, cutoff: QuadReal) -> GeometricSpectrum:
         spec1D=empty_spectrum(UNKNOWN_CUTOFF),
         specE_TT=empty_spectrum(UNKNOWN_CUTOFF),
         normalized=True,
-        tags=("sphere",),
     )
 
 
@@ -164,27 +152,3 @@ def save_geometric_spectrum(gs: GeometricSpectrum, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(geometric_spectrum_to_json(gs), fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-#: Name-and-dimension stubs for the closed symmetric spaces whose sine-cones
-#: are flow-stable; spectra intentionally not included.
-SYMMETRIC_SPACE_STUBS: tuple[tuple[str, str], ...] = (
-    ("Spin(p), p>=6, p!=7", "p(p-1)/2"),
-    ("E6", "78"),
-    ("E7", "133"),
-    ("E8", "248"),
-    ("F4", "52"),
-    ("SO(2q+2p+1)/(SO(2q+1)xSO(2p)), p>=2, q>=1", "2p(2q+1)"),
-    ("SO(8)/(SO(5)xSO(3))", "15"),
-    ("SO(2p)/(SO(p)xSO(p)), p>=4", "p^2"),
-    ("SO(2p+2)/(SO(p+2)xSO(p)), p>=4", "p(p+2)"),
-    ("SO(2p)/(SO(2p-q)xSO(q)), p-2>=q>=3", "q(2p-q)"),
-    ("SU(2p)/SO(p) family, n>=6", "varies"),
-    ("E6/[Sp(4)/{+-I}]", "42"),
-    ("E6/(SU(2)SU(6))", "40"),
-    ("E7/[SU(8)/{+-I}]", "70"),
-    ("E7/(SO(12)SU(2))", "64"),
-    ("E8/SO(16)", "128"),
-    ("E8/(E7 SU(2))", "112"),
-    ("F4/(Sp(3)SU(2))", "28"),
-)

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import catalog, conemaps, radialoracle, rigidity, stability, symcheck
 from .errors import SineconeError
-from .exactreal import QuadReal, from_rational, quad_from_json, rational_ceiling, to_decimal
+from .exactreal import QuadReal, from_rational, quad_from_json, to_decimal
 from .spectra import GeometricSpectrum, Spectrum, geometric_spectrum_to_json
 
 
@@ -70,11 +70,6 @@ def _resolve_source(args, spec0_need: Fraction) -> GeometricSpectrum:
     return catalog.product_geometric_spectrum(catalog.ProductMarker(n1, n2))
 
 
-def _spec0_requirement(n: int, cutoff: QuadReal, shift: int) -> Fraction:
-    need = conemaps.required_source_cutoff(n, cutoff, shift)
-    return Fraction(-1) if need is None else rational_ceiling(need)
-
-
 def _emit(args, payload: dict, tables: list[str]) -> None:
     if args.output == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -84,13 +79,14 @@ def _emit(args, payload: dict, tables: list[str]) -> None:
 
 def _cmd_spectrum(args) -> int:
     cutoff = _parse_cutoff(args.cutoff)
-    n_guess = args.sphere if args.sphere is not None else 0
-    if args.operator == "laplace":
-        need = _spec0_requirement(max(n_guess, 2), cutoff, 0)
-    elif args.operator == "oneform":
-        need = _spec0_requirement(max(n_guess, 2), cutoff, max(n_guess, 2))
-    else:
-        need = _spec0_requirement(max(n_guess, 3), cutoff, 2 * max(n_guess, 3))
+    blocks = tuple(args.blocks.split(","))
+    # unknown block names are left for map_einstein to reject
+    parts = {"laplace": ("functions",), "oneform": ("exact", "coclosed")}.get(
+        args.operator, [b for b in blocks if b in conemaps.ALL_BLOCKS]
+    )
+    need = Fraction(0)
+    if args.sphere is not None:
+        need = conemaps.source_requirements(args.sphere, dict.fromkeys(parts, cutoff))[0]
     base = _resolve_source(args, need)
 
     if args.operator == "laplace":
@@ -110,7 +106,6 @@ def _cmd_spectrum(args) -> int:
             _spectrum_table(out.coclosed_part, "cone 1-form spectrum, coclosed part"),
         ]
     else:
-        blocks = tuple(args.blocks.split(","))
         out = conemaps.map_einstein(base, cutoff, blocks=blocks)
         payload = {
             "n": base.n,
@@ -250,13 +245,10 @@ def _cmd_verify_symbolic(args) -> int:
 def _cmd_iterate(args) -> int:
     cutoff = _parse_cutoff(args.cutoff)
     parts = tuple(args.parts.split(","))
+    need = Fraction(0)
     if args.sphere is not None:
-        reqs = conemaps.iterate_base_requirements(args.sphere, args.count, cutoff, parts)
-        base = catalog.sphere_geometric_spectrum(
-            args.sphere, from_rational(max(reqs[0], Fraction(0)))
-        )
-    else:
-        base = _resolve_source(args, Fraction(0))
+        need = conemaps.iterate_base_requirements(args.sphere, args.count, cutoff, parts)[0]
+    base = _resolve_source(args, need)
     out = conemaps.iterate(base, args.count, cutoff, parts=parts)
     payload = geometric_spectrum_to_json(out)
     tables = [

@@ -11,6 +11,11 @@ which converts between eigenvalues and homogeneity degrees of harmonic
 extensions: a base eigenvalue ``x`` feeds the cone ladder
 ``degree_eigenvalue(n+1, harmonic_degree(n, x) + j)`` for j = 0, 1, 2, ...
 
+Which base spectra feed which part of the cone, and with which shifts, is
+one table, :data:`FEEDS`.  The completeness checks of every transform, the
+backward requirements of :func:`source_requirements` and the forward windows
+of :func:`supported_window` are all read off it.
+
 All enumeration is exact and completeness-aware: a transform refuses to run
 (``InsufficientBaseCutoff``) when the base spectra are not known far enough to
 make the requested output window complete.
@@ -20,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .errors import (
     BelowHardyBound,
@@ -30,15 +35,15 @@ from .errors import (
     UnboundedBelow,
 )
 from .exactreal import (
+    ZERO,
     QuadReal,
     compare,
     from_rational,
     make_quad,
     rational_ceiling,
+    rational_floor,
 )
 from .spectra import GeometricSpectrum, Spectrum, empty_spectrum, merge
-
-ConeFunctionSpectrum = Spectrum
 
 
 def degree_eigenvalue(n: int, y: QuadReal | int | Fraction) -> QuadReal:
@@ -73,6 +78,35 @@ def harmonic_degree(n: int, x: QuadReal | int | Fraction) -> QuadReal:
     return make_quad(Fraction(-(n - 1), 2), 1, rad)
 
 
+#: The base spectra of a GeometricSpectrum, by attribute, with the names
+#: their completeness errors use.  A cone step produces them in this order.
+SOURCES = {
+    "spec0": "scalar spectrum",
+    "spec1D": "coclosed 1-form spectrum",
+    "specE_TT": "TT spectrum",
+}
+
+#: The feed of every part of the cone spectra, as (source, inner shift,
+#: output shift) entries: each line x of the source seeds the ladder
+#: degree_eigenvalue(n+1, harmonic_degree(n, x + inner) + j) - out.  An
+#: output shift (a, b) stands for a*n + b over a dim-n base.  A transform
+#: checks and enumerates a part's sources in the order listed.
+FEEDS = {
+    "functions": (("spec0", 0, (0, 0)),),
+    "exact": (("spec0", 0, (1, 0)),),
+    "coclosed": (("spec0", 0, (0, 1)), ("spec1D", 1, (0, 1))),
+    "conformal": (("spec0", 0, (2, 0)),),
+    "vector": (("spec0", 0, (1, 1)), ("spec1D", 1, (1, 1))),
+    "tt": (("spec0", 0, (0, 0)), ("spec1D", 1, (0, 0)), ("specE_TT", 0, (0, 0))),
+}
+
+
+def _feeds(part: str, n: int) -> list[tuple[str, int, int]]:
+    """The (source, inner shift, output shift) entries of ``part`` over a
+    dim-n base."""
+    return [(source, inner, a * n + b) for source, inner, (a, b) in FEEDS[part]]
+
+
 def required_source_cutoff(
     n: int, cutoff: QuadReal, out_shift: int | Fraction, inner_shift: int = 0
 ) -> Optional[QuadReal]:
@@ -93,18 +127,36 @@ def required_source_cutoff(
     return degree_eigenvalue(n, top_degree) - inner_shift
 
 
-def _check_source(
-    name: str, source: Spectrum, n: int, cutoff: QuadReal, out_shift, inner_shift=0
-) -> None:
-    need = required_source_cutoff(n, cutoff, out_shift, inner_shift)
-    if need is None:
-        return
-    if compare(source.cutoff, need) < 0:
-        raise InsufficientBaseCutoff(
-            f"{name} is complete only up to {source.cutoff} but the requested "
-            f"output window needs completeness up to {need}; refusing to "
-            "truncate silently"
-        )
+def source_requirements(
+    n: int, windows: Mapping[str, QuadReal]
+) -> tuple[Fraction, Fraction, Fraction]:
+    """Completeness (spec0, spec1D, TT), as rational upper bounds, that a
+    dim-n base must certify so that each part named in ``windows`` can be
+    enumerated up to its window; -1 where nothing is required."""
+    need = dict.fromkeys(SOURCES, Fraction(-1))
+    for part, window in windows.items():
+        for source, inner, out in _feeds(part, n):
+            bound = required_source_cutoff(n, window, out, inner)
+            if bound is not None:
+                need[source] = max(need[source], rational_ceiling(bound))
+    return need["spec0"], need["spec1D"], need["specE_TT"]
+
+
+def supported_window(gs: GeometricSpectrum, part: str) -> Fraction:
+    """Largest cone window (a rational lower bound) that the declared
+    completeness of ``gs`` fills for ``part``: the inverse of
+    :func:`source_requirements`, -1 when a source lies below the Hardy
+    bound."""
+    n = gs.n
+    windows = []
+    for source, inner, out in _feeds(part, n):
+        c = rational_floor(getattr(gs, source).cutoff) + inner
+        if c < Fraction(-((n - 1) ** 2), 4):
+            windows.append(Fraction(-1))
+            continue
+        top = degree_eigenvalue(n + 1, harmonic_degree(n, c)) - out
+        windows.append(rational_floor(top))
+    return min(windows)
 
 
 def _family(
@@ -116,9 +168,11 @@ def _family(
     block: str,
     i: int,
     skip_first: bool = False,
+    doubled_from: Optional[int] = None,
 ) -> list[tuple[QuadReal, int, tuple]]:
     """Enumerate one ladder degree+j, j=0,1,...; monotone in j, so stop at
-    the first value beyond the cutoff."""
+    the first value beyond the cutoff.  Rungs j >= ``doubled_from`` carry
+    ``2 * mult``: a conformal direction and its Hessian partner."""
     shift = from_rational(Fraction(out_shift))
     out = []
     j = 0
@@ -127,21 +181,44 @@ def _family(
         if compare(value, cutoff) > 0:
             break
         if not (skip_first and j == 0):
-            out.append((value, mult, (block, i, j)))
+            doubled = doubled_from is not None and j >= doubled_from
+            out.append((value, 2 * mult if doubled else mult, (block, i, j)))
         j += 1
     return out
 
 
-def map_functions(base: GeometricSpectrum, cutoff: QuadReal) -> ConeFunctionSpectrum:
+def _ladders(base: GeometricSpectrum, part: str, cutoff: QuadReal, blocks, rule=None) -> list:
+    """Check that every source feeding ``part`` is complete far enough for
+    ``cutoff``, then enumerate the ladders of their lines, tagged
+    (block, line index, rung) with one block name per feed.  ``rule(source,
+    value)`` returns the :func:`_family` options of a line's ladder, or None
+    to leave the line out."""
+    n = base.n
+    entries = _feeds(part, n)
+    for source, inner, out in entries:
+        have = getattr(base, source).cutoff
+        need = required_source_cutoff(n, cutoff, out, inner)
+        if need is not None and compare(have, need) < 0:
+            raise InsufficientBaseCutoff(
+                f"{SOURCES[source]} is complete only up to {have} but the requested "
+                f"output window needs completeness up to {need}; refusing to "
+                "truncate silently"
+            )
+    raw: list = []
+    for (source, inner, out), block in zip(entries, blocks):
+        for i, line in enumerate(getattr(base, source).lines):
+            options = {} if rule is None else rule(source, line.value)
+            if options is None:
+                continue
+            degree = harmonic_degree(n, line.value + inner)
+            raw.extend(_family(n, degree, out, cutoff, line.multiplicity, block, i, **options))
+    return raw
+
+
+def map_functions(base: GeometricSpectrum, cutoff: QuadReal) -> Spectrum:
     """Scalar Laplace spectrum of the sine-cone from the base scalar spectrum:
     the full ladder of every base line, multiplicities inherited."""
-    n = base.n
-    _check_source("scalar spectrum", base.spec0, n, cutoff, 0)
-    raw: list = []
-    for i, line in enumerate(base.spec0.lines):
-        degree = harmonic_degree(n, line.value)
-        raw.extend(_family(n, degree, 0, cutoff, line.multiplicity, "fun", i))
-    return merge(raw, cutoff)
+    return merge(_ladders(base, "functions", cutoff, ("fun",)), cutoff)
 
 
 @dataclass(frozen=True)
@@ -156,22 +233,13 @@ class ConeOneFormSpectrum:
 def map_coclosed_one_forms(base: GeometricSpectrum, cutoff: QuadReal) -> Spectrum:
     """Coclosed part of the cone 1-form spectrum: scalar ladders (positive
     lines only) shifted down by 1, plus 1-form ladders seeded at degree
-    harmonic_degree(n, mu+1), also shifted down by 1."""
-    n = base.n
-    if n < 2:
-        raise InvariantViolation("one-form transform needs base dimension >= 2")
-    _check_source("scalar spectrum", base.spec0, n, cutoff, 1)
-    _check_source("coclosed 1-form spectrum", base.spec1D, n, cutoff, 1, inner_shift=1)
-    raw_co: list = []
-    for i, line in enumerate(base.spec0.lines):
-        if line.value == from_rational(0):
-            continue  # the constant family produces no coclosed forms
-        degree = harmonic_degree(n, line.value)
-        raw_co.extend(_family(n, degree, 1, cutoff, line.multiplicity, "1f-co-scalar", i))
-    for i, line in enumerate(base.spec1D.lines):
-        degree = harmonic_degree(n, line.value + 1)
-        raw_co.extend(_family(n, degree, 1, cutoff, line.multiplicity, "1f-co-form", i))
-    return merge(raw_co, cutoff)
+    harmonic_degree(n, mu+1), also shifted down by 1.  The constant family
+    produces no coclosed forms."""
+    raw = _ladders(
+        base, "coclosed", cutoff, ("1f-co-scalar", "1f-co-form"),
+        lambda source, value: None if source == "spec0" and value == ZERO else {},
+    )
+    return merge(raw, cutoff)
 
 
 def map_one_forms(base: GeometricSpectrum, cutoff: QuadReal) -> ConeOneFormSpectrum:
@@ -181,21 +249,19 @@ def map_one_forms(base: GeometricSpectrum, cutoff: QuadReal) -> ConeOneFormSpect
     rung (i=0, j=0) absent.  Coclosed part: see
     :func:`map_coclosed_one_forms`.
     """
-    n = base.n
-    if n < 2:
-        raise InvariantViolation("one-form transform needs base dimension >= 2")
-    _check_source("scalar spectrum", base.spec0, n, cutoff, n)
-    raw_exact: list = []
-    for i, line in enumerate(base.spec0.lines):
-        degree = harmonic_degree(n, line.value)
-        raw_exact.extend(
-            _family(n, degree, n, cutoff, line.multiplicity, "1f-exact", i,
-                    skip_first=line.value == from_rational(0))
-        )
+    raw_exact = _ladders(
+        base, "exact", cutoff, ("1f-exact",), lambda source, value: {"skip_first": value == ZERO}
+    )
     return ConeOneFormSpectrum(merge(raw_exact, cutoff), map_coclosed_one_forms(base, cutoff))
 
 
 ALL_BLOCKS = ("conformal", "vector", "tt")
+
+_BLOCK_TAGS = {
+    "conformal": ("E-conf",),
+    "vector": ("E-vec-scalar", "E-vec-form"),
+    "tt": ("E-tt-scalar", "E-tt-form", "E-tt-tensor"),
+}
 
 
 @dataclass(frozen=True)
@@ -213,18 +279,6 @@ class ConeEinsteinSpectrum:
     tt_block: Spectrum
     scalar_boundary_case: bool
     oneform_boundary_case: bool
-    outside_hypotheses: bool = False
-
-
-def _hardy_check(base: GeometricSpectrum) -> None:
-    bound = from_rational(Fraction(-((base.n - 1) ** 2), 4))
-    for line in base.specE_TT.lines:
-        if compare(line.value, bound) < 0:
-            raise UnboundedBelow(
-                f"TT eigenvalue {line.value} lies below -(n-1)^2/4 = {bound}: "
-                "the cone Einstein operator is unbounded below (shrinking "
-                "radial bump profiles drive the Rayleigh quotient to -infinity)"
-            )
 
 
 def map_einstein(
@@ -243,91 +297,78 @@ def map_einstein(
     unknown = set(blocks) - set(ALL_BLOCKS)
     if unknown:
         raise ValueError(f"unknown blocks {sorted(unknown)}")
-    _hardy_check(base)
+    hardy = from_rational(Fraction(-((n - 1) ** 2), 4))
+    for line in base.specE_TT.lines:
+        if compare(line.value, hardy) < 0:
+            raise UnboundedBelow(
+                f"TT eigenvalue {line.value} lies below -(n-1)^2/4 = {hardy}: "
+                "the cone Einstein operator is unbounded below (shrinking "
+                "radial bump profiles drive the Rayleigh quotient to -infinity)"
+            )
 
     dim_line = from_rational(n)
     killing_line = from_rational(n - 1)
-    scalar_boundary = any(l.value == dim_line for l in base.spec0.lines)
-    oneform_boundary = any(l.value == killing_line for l in base.spec1D.lines)
 
-    conformal = empty_spectrum(cutoff)
-    vector = empty_spectrum(cutoff)
-    tt = empty_spectrum(cutoff)
+    def conformal(source, value):
+        # a single copy where the Hessian partner vanishes: rungs 0 and 1 of
+        # the zero line, rung 0 of the dimension line
+        if value == ZERO:
+            return {"doubled_from": 2}
+        return {"doubled_from": 1 if value == dim_line else 0}
 
-    if "conformal" in blocks:
-        _check_source("scalar spectrum", base.spec0, n, cutoff, 2 * n)
-        raw: list = []
-        for i, line in enumerate(base.spec0.lines):
-            degree = harmonic_degree(n, line.value)
-            is_zero_line = line.value == from_rational(0)
-            shift = from_rational(2 * n)
-            j = 0
-            while True:
-                value = degree_eigenvalue(n + 1, degree + j) - shift
-                if compare(value, cutoff) > 0:
-                    break
-                mult = 2 * line.multiplicity
-                if is_zero_line and j in (0, 1):
-                    mult = line.multiplicity  # single copy: Hessian partner vanishes
-                if line.value == dim_line and j == 0:
-                    mult = line.multiplicity  # single copy: Hessian partner vanishes
-                raw.append((value, mult, ("E-conf", i, j)))
-                j += 1
-        conformal = merge(raw, cutoff)
+    def vector(source, value):
+        if source == "spec0":
+            if value == ZERO:
+                return None
+            return {"skip_first": value == dim_line}
+        return {"skip_first": value == killing_line}
 
-    if "vector" in blocks:
-        _check_source("scalar spectrum", base.spec0, n, cutoff, n + 1)
-        _check_source("coclosed 1-form spectrum", base.spec1D, n, cutoff, n + 1, inner_shift=1)
-        raw = []
-        for i, line in enumerate(base.spec0.lines):
-            if line.value == from_rational(0):
-                continue
-            degree = harmonic_degree(n, line.value)
-            raw.extend(
-                _family(n, degree, n + 1, cutoff, line.multiplicity, "E-vec-scalar", i,
-                        skip_first=line.value == dim_line)
-            )
-        for i, line in enumerate(base.spec1D.lines):
-            degree = harmonic_degree(n, line.value + 1)
-            raw.extend(
-                _family(n, degree, n + 1, cutoff, line.multiplicity, "E-vec-form", i,
-                        skip_first=line.value == killing_line)
-            )
-        vector = merge(raw, cutoff)
+    def tt(source, value):
+        if source == "spec0" and (value == ZERO or value == dim_line):
+            return None  # whole scalar ladder absent at the boundary case
+        if source == "spec1D" and value == killing_line:
+            return None  # whole 1-form ladder absent at the Killing boundary
+        return {}
 
-    if "tt" in blocks:
-        _check_source("scalar spectrum", base.spec0, n, cutoff, 0)
-        _check_source("coclosed 1-form spectrum", base.spec1D, n, cutoff, 0, inner_shift=1)
-        _check_source("TT spectrum", base.specE_TT, n, cutoff, 0)
-        raw = []
-        for i, line in enumerate(base.spec0.lines):
-            if line.value == from_rational(0):
-                continue
-            if line.value == dim_line:
-                continue  # whole scalar ladder absent at the boundary case
-            degree = harmonic_degree(n, line.value)
-            raw.extend(_family(n, degree, 0, cutoff, line.multiplicity, "E-tt-scalar", i))
-        for i, line in enumerate(base.spec1D.lines):
-            if line.value == killing_line:
-                continue  # whole 1-form ladder absent at the Killing boundary
-            degree = harmonic_degree(n, line.value + 1)
-            raw.extend(_family(n, degree, 0, cutoff, line.multiplicity, "E-tt-form", i))
-        for i, line in enumerate(base.specE_TT.lines):
-            degree = harmonic_degree(n, line.value)
-            raw.extend(_family(n, degree, 0, cutoff, line.multiplicity, "E-tt-tensor", i))
-        tt = merge(raw, cutoff)
-
+    rules = {"conformal": conformal, "vector": vector, "tt": tt}
+    out = {
+        block: merge(_ladders(base, block, cutoff, _BLOCK_TAGS[block], rules[block]), cutoff)
+        if block in blocks
+        else empty_spectrum(cutoff)
+        for block in ALL_BLOCKS
+    }
     return ConeEinsteinSpectrum(
-        conformal_block=conformal,
-        vector_block=vector,
-        tt_block=tt,
-        scalar_boundary_case=scalar_boundary,
-        oneform_boundary_case=oneform_boundary,
-        outside_hypotheses=base.hypothesis_override,
+        conformal_block=out["conformal"],
+        vector_block=out["vector"],
+        tt_block=out["tt"],
+        scalar_boundary_case=any(l.value == dim_line for l in base.spec0.lines),
+        oneform_boundary_case=any(l.value == killing_line for l in base.spec1D.lines),
     )
 
 
+#: The parts a cone step carries, producing the cone's spec0, spec1D and
+#: specE_TT in that order.
 ITERATE_PARTS = ("functions", "coclosed", "tt")
+
+
+def cone_step(
+    gs: GeometricSpectrum,
+    cutoffs: Sequence[QuadReal],
+    parts: Sequence[str] = ITERATE_PARTS,
+) -> GeometricSpectrum:
+    """One sine-cone step: the cone's scalar, coclosed 1-form and TT spectra,
+    complete up to the matching entry of ``cutoffs``.  A part left out of
+    ``parts`` comes back empty and unknown."""
+    c0, c1, c2 = cutoffs
+    return GeometricSpectrum(
+        n=gs.n + 1,
+        spec0=map_functions(gs, c0) if "functions" in parts else empty_spectrum(),
+        spec1D=map_coclosed_one_forms(gs, c1) if "coclosed" in parts else empty_spectrum(),
+        specE_TT=(
+            map_einstein(gs, c2, blocks=("tt",)).tt_block if "tt" in parts else empty_spectrum()
+        ),
+        hypothesis_override=gs.hypothesis_override,
+    )
 
 
 def _closure_of_parts(parts: Sequence[str]) -> tuple[str, ...]:
@@ -342,30 +383,20 @@ def _closure_of_parts(parts: Sequence[str]) -> tuple[str, ...]:
     return tuple(p for p in ITERATE_PARTS if p in parts)
 
 
-def _step_requirements(
-    m: int, req: tuple[Fraction, Fraction, Fraction], parts: Sequence[str]
-) -> tuple[Fraction, Fraction, Fraction]:
-    """Input completeness (spec0, spec1D, TT) a dim-m base needs so one cone
-    step can emit the three output spectra complete to ``req``."""
-    c0_out, c1_out, c2_out = req
-
-    def bound(target: Fraction, out_shift: int) -> Fraction:
-        need = required_source_cutoff(m, from_rational(target), out_shift)
-        return Fraction(-1) if need is None else rational_ceiling(need)
-
-    t0 = [Fraction(-1)]
-    t1 = [Fraction(-1)]
-    t2 = [Fraction(-1)]
-    if "functions" in parts:
-        t0.append(bound(c0_out, 0))
-    if "coclosed" in parts:
-        t0.append(bound(c1_out, 1))
-        t1.append(bound(c1_out, 1) - 1)
-    if "tt" in parts:
-        t0.append(bound(c2_out, 0))
-        t1.append(bound(c2_out, 0) - 1)
-        t2.append(bound(c2_out, 0))
-    return max(t0), max(t1), max(t2)
+def _requirement_chain(
+    n: int, k: int, cutoff: QuadReal, parts: Sequence[str]
+) -> list[tuple[Fraction, Fraction, Fraction]]:
+    """Completeness (spec0, spec1D, TT) that the dim-n base and each of its
+    cones up to the k-fold one must carry so that the k-fold cone is complete
+    up to ``cutoff`` in ``parts``; entry s is for the s-fold cone."""
+    final = rational_ceiling(cutoff)
+    chain = [(final, final, final)]
+    for m in range(n + k - 1, n - 1, -1):
+        windows = {
+            part: from_rational(c) for part, c in zip(ITERATE_PARTS, chain[0]) if part in parts
+        }
+        chain.insert(0, source_requirements(m, windows))
+    return chain
 
 
 def iterate_base_requirements(
@@ -373,12 +404,7 @@ def iterate_base_requirements(
 ) -> tuple[Fraction, Fraction, Fraction]:
     """Completeness (spec0, spec1D, TT) a dim-n base must certify so that
     ``iterate(base, k, cutoff, parts)`` can run."""
-    parts = _closure_of_parts(parts)
-    final = cutoff.as_fraction() if cutoff.is_rational() else rational_ceiling(cutoff)
-    req = (final, final, final)
-    for step in range(k, 0, -1):
-        req = _step_requirements(n + step - 1, req, parts)
-    return req
+    return _requirement_chain(n, k, cutoff, _closure_of_parts(parts))[0]
 
 
 def _require_rational_lines(gs: GeometricSpectrum) -> None:
@@ -407,45 +433,14 @@ def iterate(
     if k == 0:
         return base
     parts = _closure_of_parts(parts)
-    final = rational_ceiling(cutoff) if not cutoff.is_rational() else cutoff.as_fraction()
-
-    reqs: list[tuple[Fraction, Fraction, Fraction]] = [None] * (k + 1)  # type: ignore
-    reqs[k] = (final, final, final)
-    for step in range(k, 0, -1):
-        m = base.n + step - 1
-        reqs[step - 1] = _step_requirements(m, reqs[step], parts)
-
+    chain = _requirement_chain(base.n, k, cutoff, parts)
     gs = base
     for step in range(k):
         if step > 0:
             _require_rational_lines(gs)
-        c0, c1, c2 = reqs[step + 1]
-        want_final = step == k - 1
-        out_cut0 = cutoff if want_final else from_rational(c0)
-        out_cut1 = cutoff if want_final else from_rational(c1)
-        out_cut2 = cutoff if want_final else from_rational(c2)
-        spec0 = (
-            map_functions(gs, out_cut0)
-            if "functions" in parts
-            else empty_spectrum()
-        )
-        spec1d = (
-            map_coclosed_one_forms(gs, out_cut1)
-            if "coclosed" in parts
-            else empty_spectrum()
-        )
-        tt = (
-            map_einstein(gs, out_cut2, blocks=("tt",)).tt_block
-            if "tt" in parts
-            else empty_spectrum()
-        )
-        gs = GeometricSpectrum(
-            n=gs.n + 1,
-            spec0=spec0,
-            spec1D=spec1d,
-            specE_TT=tt,
-            normalized=True,
-            hypothesis_override=gs.hypothesis_override,
-            tags=gs.tags + (f"cone-of-{gs.n}",),
-        )
+        if step == k - 1:
+            cutoffs = (cutoff, cutoff, cutoff)
+        else:
+            cutoffs = tuple(from_rational(c) for c in chain[step + 1])
+        gs = cone_step(gs, cutoffs, parts)
     return gs

@@ -212,10 +212,6 @@ def make_quad(a: RationalLike, b: RationalLike, d: RationalLike) -> QuadReal:
     return QuadReal(a, b, s)
 
 
-def sqrt_rational(d: RationalLike) -> QuadReal:
-    return make_quad(0, 1, d)
-
-
 def add_same_field(x: QuadReal, y: QuadReal) -> QuadReal:
     """Exact sum; both operands must live in one quadratic field."""
     if x.s == y.s:

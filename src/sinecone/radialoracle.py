@@ -136,6 +136,10 @@ def verify_line(
     """Compare numerics against the exact ladder (or explicit ``targets``);
     relative error below ``tol`` per mode (absolute when the target
     vanishes)."""
+    if targets is not None and len(targets) != modes:
+        raise InvariantViolation(
+            f"{len(targets)} explicit targets given for {modes} modes; every mode needs one"
+        )
     problem = RadialProblem(n, Fraction(coupling), block, grid_points, boundary_offset)
     computed = solve_radial(problem, modes)
     if targets is None:

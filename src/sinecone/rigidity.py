@@ -25,7 +25,12 @@ from typing import Optional
 
 from .catalog import ProductMarker, product_geometric_spectrum, product_tt_marker
 from .conemaps import degree_eigenvalue, harmonic_degree
-from .errors import SolverDisagreement, UnboundedBelow
+from .errors import (
+    InsufficientBaseCutoff,
+    InvariantViolation,
+    SolverDisagreement,
+    UnboundedBelow,
+)
 from .exactreal import QuadReal, compare, from_rational, sign
 from .spectra import GeometricSpectrum
 
@@ -114,7 +119,9 @@ def _detect_zero_by_degree(n: int, kappa: QuadReal) -> Optional[int]:
 
 def find_ieds(gs: GeometricSpectrum) -> list[IEDCertificate]:
     """All certified zeros of the cone TT block generated by the base TT
-    spectrum, with both detection routes asserted to agree."""
+    spectrum, with both detection routes asserted to agree.  The zeros come
+    only from TT lines in [-(n-1)^2/4, 0], so the TT spectrum must be
+    declared complete up to 0."""
     n = gs.n
     hardy = _hardy_bound(n)
     for line in gs.specE_TT.lines:
@@ -123,6 +130,12 @@ def find_ieds(gs: GeometricSpectrum) -> list[IEDCertificate]:
                 f"TT eigenvalue {line.value} below {hardy}: the cone Einstein "
                 "operator is unbounded below and has no zero-mode classification"
             )
+    if sign(gs.specE_TT.cutoff) < 0:
+        raise InsufficientBaseCutoff(
+            f"TT spectrum is complete only up to {gs.specE_TT.cutoff} but the "
+            "zero modes of the cone TT block need completeness up to 0; "
+            "refusing to report none"
+        )
     certs = []
     for line in gs.specE_TT.lines:
         j_direct = _detect_zero_by_degree(n, line.value)
@@ -135,7 +148,10 @@ def find_ieds(gs: GeometricSpectrum) -> list[IEDCertificate]:
         if j_direct is None:
             continue
         value = degree_eigenvalue(n + 1, harmonic_degree(n, line.value) + j_direct)
-        assert sign(value) == 0, "certificate does not actually vanish"
+        if sign(value) != 0:
+            raise InvariantViolation(
+                f"certificate for kappa={line.value}, j={j_direct} does not vanish: {value}"
+            )
         certs.append(
             IEDCertificate(
                 kappa=line.value,

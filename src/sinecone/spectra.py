@@ -11,9 +11,8 @@ families are merged, but the per-family counts stay recoverable through the
 from __future__ import annotations
 
 import functools
-import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from . import exactreal
@@ -87,15 +86,6 @@ class Spectrum:
                 return line.multiplicity
         return 0
 
-    def total_multiplicity(self) -> int:
-        return sum(line.multiplicity for line in self.lines)
-
-    def restrict(self, bound: QuadReal) -> "Spectrum":
-        if compare(bound, self.cutoff) > 0:
-            raise CutoffTooSmall("cannot extend a spectrum beyond its cutoff")
-        kept = tuple(l for l in self.lines if compare(l.value, bound) <= 0)
-        return Spectrum(kept, bound)
-
     def to_json(self) -> list:
         return [{"value": l.value.to_json(), "mult": l.multiplicity} for l in self.lines]
 
@@ -167,7 +157,6 @@ class GeometricSpectrum:
     specE_TT: Spectrum
     normalized: bool = True
     hypothesis_override: bool = False
-    tags: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
         validate_geometric_spectrum(self)
@@ -265,7 +254,3 @@ def geometric_spectrum_from_json(obj: dict, *, hypothesis_override: bool = False
         normalized=normalized,
         hypothesis_override=hypothesis_override,
     )
-
-
-def dumps(gs: GeometricSpectrum) -> str:
-    return json.dumps(geometric_spectrum_to_json(gs), indent=2, sort_keys=True)

@@ -36,13 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .conemaps import (
-    degree_eigenvalue,
-    harmonic_degree,
-    map_coclosed_one_forms,
-    map_einstein,
-    map_functions,
-)
+from .conemaps import ITERATE_PARTS, cone_step, map_einstein, supported_window
 from .errors import UnboundedBelow
 from .exactreal import (
     QuadReal,
@@ -52,7 +46,7 @@ from .exactreal import (
     rational_floor,
     sign,
 )
-from .spectra import GeometricSpectrum, Spectrum
+from .spectra import GeometricSpectrum
 
 Verdict = Optional[bool]  # None: undecidable from the declared completeness
 
@@ -243,49 +237,17 @@ def predict_cone(gs: GeometricSpectrum) -> StabilityReport:
     )
 
 
-def _supported_window(n: int, source: Spectrum, inner: int, out: int) -> Fraction:
-    """Largest cone window the declared source completeness can fill for one
-    ladder family (rational lower bound, conservative)."""
-    c = rational_floor(source.cutoff) + inner
-    if c < Fraction(-((n - 1) ** 2), 4):
-        return Fraction(-1)
-    top = degree_eigenvalue(n + 1, harmonic_degree(n, c)) - out
-    return rational_floor(top)
-
-
-def cone_spectra_windows(gs: GeometricSpectrum) -> tuple[Fraction, Fraction, Fraction]:
-    """Windows up to which the base data determines the cone's scalar,
-    coclosed 1-form and TT spectra."""
-    n = gs.n
-    w0 = _supported_window(n, gs.spec0, 0, 0)
-    w1 = min(
-        _supported_window(n, gs.spec0, 0, 1),
-        _supported_window(n, gs.spec1D, 1, 1),
-    )
-    w2 = min(
-        _supported_window(n, gs.spec0, 0, 0),
-        _supported_window(n, gs.spec1D, 1, 0),
-        _supported_window(n, gs.specE_TT, 0, 0),
-    )
-    return w0, w1, w2
-
-
 def compute_cone(gs: GeometricSpectrum, cutoff: Optional[QuadReal] = None) -> GeometricSpectrum:
     """One sine-cone step with per-spectrum windows clamped to what the base
-    supports (and to ``cutoff`` when given)."""
-    w0, w1, w2 = cone_spectra_windows(gs)
+    supports (and to ``cutoff`` when given).  The Einstein transform needs a
+    base of dimension >= 3, so the cone over a surface keeps its TT spectrum
+    unknown."""
+    windows = [supported_window(gs, part) for part in ITERATE_PARTS]
     if cutoff is not None:
         cap = rational_floor(cutoff)
-        w0, w1, w2 = min(w0, cap), min(w1, cap), min(w2, cap)
-    return GeometricSpectrum(
-        n=gs.n + 1,
-        spec0=map_functions(gs, from_rational(w0)),
-        spec1D=map_coclosed_one_forms(gs, from_rational(w1)),
-        specE_TT=map_einstein(gs, from_rational(w2), blocks=("tt",)).tt_block,
-        normalized=True,
-        hypothesis_override=gs.hypothesis_override,
-        tags=gs.tags + (f"cone-of-{gs.n}",),
-    )
+        windows = [min(w, cap) for w in windows]
+    parts = ITERATE_PARTS if gs.n >= 3 else ("functions", "coclosed")
+    return cone_step(gs, [from_rational(w) for w in windows], parts)
 
 
 @dataclass(frozen=True)

@@ -129,22 +129,6 @@ def v_field(f: LaurentPoly2) -> LaurentPoly2:
     return mul_monomial(d_z(f), 1, 0) + mul_monomial(d_r(f), 0, 1).scale(-1)
 
 
-def apply(op, f: LaurentPoly2) -> LaurentPoly2:
-    """String dispatch for the operator set: 'd_r', 'd_z', 'v_field',
-    ('hat_laplacian', n), ('mul_monomial', p, q)."""
-    if op == "d_r":
-        return d_r(f)
-    if op == "d_z":
-        return d_z(f)
-    if op == "v_field":
-        return v_field(f)
-    if isinstance(op, tuple) and op and op[0] == "hat_laplacian":
-        return hat_laplacian(int(op[1]), f)
-    if isinstance(op, tuple) and op and op[0] == "mul_monomial":
-        return mul_monomial(f, int(op[1]), int(op[2]))
-    raise ValueError(f"unknown operator {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # commutator identities
 

@@ -207,3 +207,34 @@ def test_cutoff_parsing(capsys):
     )
     assert code == 0
     assert [e["value"]["a"] for e in json.loads(out)["spectrum"]] == ["0", "3", "8"]
+
+
+def test_rigidity_needs_tt_data(tmp_path, capsys):
+    # cone zero modes come only from TT lines in [-(n-1)^2/4, 0]: a base
+    # whose TT spectrum is not known up to 0 cannot be answered with "none"
+    base = {
+        "n": 9,
+        "spec0": [{"value": 0, "mult": 1}],
+        "specE_TT": [],
+        "cutoff": {"spec0": 9, "spec1D": -1, "specE_TT": -30},
+    }
+    path = tmp_path / "no_tt.json"
+    path.write_text(json.dumps(base))
+    for source in (["--sphere", "4"], ["--input", str(path)]):
+        code, out, err = _capture(capsys, ["rigidity", *source])
+        assert code == 4
+        assert out == ""
+        assert json.loads(err)["error"] == "InsufficientBaseCutoff"
+
+
+def test_stability_cross_check_on_a_surface(capsys):
+    # the Einstein transform needs n >= 3, so the cone over S^2 keeps its TT
+    # spectrum unknown and the TT-decided verdicts stay undecided
+    code, out, _ = _capture(
+        capsys, ["--output", "json", "stability", "--sphere", "2", "--cross-check"]
+    )
+    assert code == 0
+    result = json.loads(out)["cross_check"]
+    assert result["consistent"] is True
+    for notion in ("eh", "physical"):
+        assert result["direct"][notion]["verdict"] is None

@@ -20,6 +20,8 @@ from sinecone.conemaps import (
     map_functions,
     map_one_forms,
     required_source_cutoff,
+    source_requirements,
+    supported_window,
 )
 from sinecone.errors import (
     BelowHardyBound,
@@ -282,6 +284,26 @@ def test_tt_block_lower_bound(rng):
         bound = from_rational(Fraction(-(gs.n * gs.n - 1), 4))
         for line in out.tt_block.lines:
             assert compare(line.value, bound) >= 0
+
+
+# -- windows -----------------------------------------------------------------
+
+
+def test_window_round_trip(rng):
+    # the forward window of a part is the largest one the declared
+    # completeness supports: its backward requirement fits every source,
+    # and the requirement one past it does not
+    from tests.conftest import synthetic_base
+
+    for _ in range(300):
+        gs = synthetic_base(rng)
+        declared = (gs.spec0.cutoff, gs.spec1D.cutoff, gs.specE_TT.cutoff)
+        for part in ("functions", "coclosed", "tt"):
+            w = supported_window(gs, part)
+            fits = source_requirements(gs.n, {part: q(w)})
+            beyond = source_requirements(gs.n, {part: q(w + 1)})
+            assert all(compare(q(r), c) <= 0 for r, c in zip(fits, declared)), (gs, part, w)
+            assert any(compare(q(r), c) > 0 for r, c in zip(beyond, declared)), (gs, part, w)
 
 
 # -- iteration ---------------------------------------------------------------

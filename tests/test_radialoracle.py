@@ -71,6 +71,13 @@ def test_negative_control_wrong_target():
         )
 
 
+
+def test_verify_line_needs_a_target_per_mode():
+    # a short target list must not shrink the check to fewer modes
+    for targets in ([4.0], [0.0, 4.0, 10.0]):
+        with pytest.raises(InvariantViolation):
+            verify_line(3, "function", Fraction(3), modes=2, targets=targets)
+
 def test_tt_block_n10_contains_zero_mode():
     # dimension-10 product line: ladder (j-3)(j+7), zero at index 3
     got = solve_radial(RadialProblem(10, Fraction(-18), block="tt"), 5)

@@ -9,7 +9,6 @@ from sinecone.exactreal import from_rational
 from sinecone.radialoracle import RadialProblem, solve_radial
 from sinecone.symcheck import (
     LaurentPoly2,
-    apply,
     build_harmonic_family,
     check_commutators,
     d_r,
@@ -36,15 +35,6 @@ def test_operator_examples():
         out = hat_laplacian(n, mono(2, 0))
         assert out == mono(0, 0, -2 - 2 * n)
     assert v_field(mono(1, 1)) == mono(2, 0) + mono(0, 2, -1)  # V(rz) = r^2 - z^2
-
-
-def test_apply_dispatch():
-    f = mono(2, 1)
-    assert apply("d_r", f) == d_r(f)
-    assert apply("d_z", f) == d_z(f)
-    assert apply("v_field", f) == v_field(f)
-    assert apply(("hat_laplacian", 4), f) == hat_laplacian(4, f)
-    assert apply(("mul_monomial", -2, 0), f) == mul_monomial(f, -2, 0)
 
 
 @given(
