@@ -2,20 +2,15 @@
 
 The scalar sphere spectrum is constructed from first principles (harmonic
 polynomial dimensions).  Coclosed 1-form and TT spectra of model spaces are
-*not* hardcoded; they may be supplied as data files under the directory named
-by ``SINECONE_DATA_DIR`` (defaulting to ``./data``), layout::
-
-    data/spheres/sphere<n>.json     full GeometricSpectrum for S^n (optional)
-    data/user/...                   arbitrary user-supplied spectra
-
-Pipelines that need the missing parts fail fast with a clear message.
+*not* hardcoded; full spectra come in as geometric-spectrum JSON files
+(``--input``).  Pipelines that need the missing parts fail fast with a clear
+message.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -31,13 +26,6 @@ from .spectra import (
     geometric_spectrum_to_json,
     merge,
 )
-
-DATA_DIR_ENV = "SINECONE_DATA_DIR"
-
-
-def data_dir() -> Path:
-    return Path(os.environ.get(DATA_DIR_ENV, "data"))
-
 
 @dataclass(frozen=True)
 class ProductMarker:
@@ -111,25 +99,17 @@ def product_geometric_spectrum(marker: ProductMarker) -> GeometricSpectrum:
         spec0=merge([(from_rational(0), 1, ("const", 0, 0))], from_rational(n)),
         spec1D=empty_spectrum(from_rational(Fraction(2 * n - 3, 2))),
         specE_TT=merge([(value, mult, ("product-tt", 1, 0))], tt_cutoff),
-        normalized=True,
     )
 
 
 def sphere_geometric_spectrum(n: int, cutoff: QuadReal) -> GeometricSpectrum:
-    """GeometricSpectrum of S^n: scalar part built in, 1-form/TT parts loaded
-    from the data directory when present, otherwise left unknown."""
-    path = data_dir() / "spheres" / f"sphere{n}.json"
-    if path.exists():
-        gs = load_geometric_spectrum(path)
-        if gs.n != n:
-            raise InvariantViolation(f"{path} declares n={gs.n}, expected {n}")
-        return gs
+    """GeometricSpectrum of S^n: the scalar part built in up to ``cutoff``,
+    the 1-form and TT parts left unknown."""
     return GeometricSpectrum(
         n=n,
         spec0=sphere_functions(n, cutoff),
         spec1D=empty_spectrum(UNKNOWN_CUTOFF),
         specE_TT=empty_spectrum(UNKNOWN_CUTOFF),
-        normalized=True,
     )
 
 

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
 from . import catalog, conemaps, radialoracle, rigidity, stability, symcheck
-from .errors import SineconeError
+from .errors import ParseError, SineconeError
 from .exactreal import QuadReal, from_rational, quad_from_json, to_decimal
 from .spectra import GeometricSpectrum, Spectrum, geometric_spectrum_to_json
 
@@ -66,7 +67,10 @@ def _resolve_source(args, spec0_need: Fraction) -> GeometricSpectrum:
         return catalog.sphere_geometric_spectrum(
             args.sphere, from_rational(max(spec0_need, Fraction(0)))
         )
-    n1, n2 = (int(x) for x in args.product.replace("x", ",").split(","))
+    match = re.fullmatch(r"(-?\d+)[,x](-?\d+)", args.product)
+    if match is None:
+        raise ParseError(f"--product needs two integers N1,N2 (or N1xN2), got {args.product!r}")
+    n1, n2 = (int(x) for x in match.groups())
     return catalog.product_geometric_spectrum(catalog.ProductMarker(n1, n2))
 
 
@@ -137,7 +141,7 @@ def _verdict_row(name: str, v) -> str:
 
 
 def _cmd_stability(args) -> int:
-    need = Fraction(2 * (args.sphere + 1)) if args.sphere is not None else Fraction(0)
+    need = stability.scalar_window(args.sphere) if args.sphere is not None else Fraction(0)
     base = _resolve_source(args, need)
     report = stability.classify(base)
     predicted = stability.predict_cone(base)
@@ -204,8 +208,7 @@ def _cmd_scan_products(args) -> int:
 
 def _cmd_verify_radial(args) -> int:
     coupling = Fraction(args.coupling)
-    hardy = Fraction(-((args.n - 1) ** 2), 4)
-    if args.block == "tt" and coupling < hardy:
+    if args.block == "tt" and coupling < conemaps.hardy_bound(args.n):
         epsilons = [float(x) for x in args.epsilons.split(",")]
         quotients = radialoracle.rayleigh_unbounded_demo(args.n, float(coupling), epsilons)
         if args.csv:

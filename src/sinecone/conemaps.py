@@ -54,13 +54,32 @@ def degree_eigenvalue(n: int, y: QuadReal | int | Fraction) -> QuadReal:
     return y * (y + (n - 1))
 
 
+def hardy_bound(n: int) -> Fraction:
+    """-(n-1)^2/4, the sharp lower bound of the radial quadratic form over a
+    dim-n base: below it :func:`harmonic_degree` has no value, and a TT line
+    below it makes the cone Einstein operator unbounded below."""
+    return Fraction(-((n - 1) ** 2), 4)
+
+
+def require_bounded_below(gs: GeometricSpectrum) -> None:
+    """Raise UnboundedBelow when a TT line of ``gs`` lies below the Hardy
+    bound: the one check that the cone Einstein operator is bounded below."""
+    hardy = from_rational(hardy_bound(gs.n))
+    for line in gs.specE_TT.lines:
+        if compare(line.value, hardy) < 0:
+            raise UnboundedBelow(
+                f"TT eigenvalue {line.value} lies below -(n-1)^2/4 = {hardy}: "
+                "the cone Einstein operator is unbounded below (shrinking "
+                "radial bump profiles drive the Rayleigh quotient to -infinity)"
+            )
+
+
 def harmonic_degree(n: int, x: QuadReal | int | Fraction) -> QuadReal:
     """Right branch of the inverse of :func:`degree_eigenvalue`.
 
     Only rational inputs stay inside the quadratic-irrational system; an
     irrational input would need a nested radical and raises NotRepresentable.
-    Inputs below -(n-1)^2/4 (the sharp lower bound of the radial quadratic
-    form) raise BelowHardyBound.
+    Inputs below :func:`hardy_bound` raise BelowHardyBound.
     """
     if isinstance(x, QuadReal):
         if not x.is_rational():
@@ -70,12 +89,10 @@ def harmonic_degree(n: int, x: QuadReal | int | Fraction) -> QuadReal:
             )
         x = x.as_fraction()
     x = Fraction(x)
-    rad = Fraction((n - 1) ** 2, 4) + x
-    if rad < 0:
-        raise BelowHardyBound(
-            f"eigenvalue {x} lies below -(n-1)^2/4 = {-Fraction((n - 1) ** 2, 4)}"
-        )
-    return make_quad(Fraction(-(n - 1), 2), 1, rad)
+    hardy = hardy_bound(n)
+    if x < hardy:
+        raise BelowHardyBound(f"eigenvalue {x} lies below -(n-1)^2/4 = {hardy}")
+    return make_quad(Fraction(-(n - 1), 2), 1, x - hardy)
 
 
 #: The base spectra of a GeometricSpectrum, by attribute, with the names
@@ -148,10 +165,11 @@ def supported_window(gs: GeometricSpectrum, part: str) -> Fraction:
     :func:`source_requirements`, -1 when a source lies below the Hardy
     bound."""
     n = gs.n
+    hardy = hardy_bound(n)
     windows = []
     for source, inner, out in _feeds(part, n):
         c = rational_floor(getattr(gs, source).cutoff) + inner
-        if c < Fraction(-((n - 1) ** 2), 4):
+        if c < hardy:
             windows.append(Fraction(-1))
             continue
         top = degree_eigenvalue(n + 1, harmonic_degree(n, c)) - out
@@ -297,14 +315,7 @@ def map_einstein(
     unknown = set(blocks) - set(ALL_BLOCKS)
     if unknown:
         raise ValueError(f"unknown blocks {sorted(unknown)}")
-    hardy = from_rational(Fraction(-((n - 1) ** 2), 4))
-    for line in base.specE_TT.lines:
-        if compare(line.value, hardy) < 0:
-            raise UnboundedBelow(
-                f"TT eigenvalue {line.value} lies below -(n-1)^2/4 = {hardy}: "
-                "the cone Einstein operator is unbounded below (shrinking "
-                "radial bump profiles drive the Rayleigh quotient to -infinity)"
-            )
+    require_bounded_below(base)
 
     dim_line = from_rational(n)
     killing_line = from_rational(n - 1)

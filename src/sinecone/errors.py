@@ -2,9 +2,9 @@
 
 
 class SineconeError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; exit code 4 unless overridden."""
 
-    exit_code = 1
+    exit_code = 4
 
 
 class NegativeRadicand(SineconeError, ValueError):
@@ -20,22 +20,20 @@ class NotRepresentable(SineconeError, ValueError):
 
 
 class ParseError(SineconeError, ValueError):
-    exit_code = 4
+    """Input that does not parse as the documented schema."""
 
 
 class InvariantViolation(SineconeError, ValueError):
-    exit_code = 4
+    """Input or intermediate data that breaks a stated invariant."""
 
 
 class CutoffTooSmall(SineconeError, ValueError):
-    exit_code = 4
+    """A comparison bound lies beyond a spectrum's declared completeness."""
 
 
 class InsufficientBaseCutoff(SineconeError, ValueError):
     """The input spectrum is not known to be complete far enough to enumerate
     the requested output window."""
-
-    exit_code = 4
 
 
 class BelowHardyBound(SineconeError, ValueError):

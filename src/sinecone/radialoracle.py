@@ -34,7 +34,7 @@ import numpy as np
 from scipy.sparse import diags
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
 
-from .conemaps import degree_eigenvalue, harmonic_degree
+from .conemaps import degree_eigenvalue, hardy_bound, harmonic_degree
 from .errors import ConvergenceFailure, IllPosed, InvariantViolation, VerificationFailed
 from .exactreal import QuadReal
 
@@ -56,7 +56,7 @@ class RadialProblem:
             raise InvariantViolation("need at least 100 grid points")
         if not 0 < self.boundary_offset < math.pi / (4 * self.grid_points):
             raise InvariantViolation("boundary offset must lie in (0, pi/(4N))")
-        hardy = Fraction(-((self.n - 1) ** 2), 4)
+        hardy = hardy_bound(self.n)
         if self.block == "tt" and self.coupling < hardy:
             raise IllPosed(
                 f"coupling {self.coupling} below the Hardy bound {hardy}: the "

@@ -24,13 +24,8 @@ from math import isqrt
 from typing import Optional
 
 from .catalog import ProductMarker, product_geometric_spectrum, product_tt_marker
-from .conemaps import degree_eigenvalue, harmonic_degree
-from .errors import (
-    InsufficientBaseCutoff,
-    InvariantViolation,
-    SolverDisagreement,
-    UnboundedBelow,
-)
+from .conemaps import degree_eigenvalue, hardy_bound, harmonic_degree, require_bounded_below
+from .errors import InsufficientBaseCutoff, InvariantViolation, SolverDisagreement
 from .exactreal import QuadReal, compare, from_rational, sign
 from .spectra import GeometricSpectrum
 
@@ -57,10 +52,6 @@ class IEDCertificate:
             "bounded": self.bounded,
             "multiplicity": self.multiplicity,
         }
-
-
-def _hardy_bound(n: int) -> QuadReal:
-    return from_rational(Fraction(-((n - 1) ** 2), 4))
 
 
 def _sqrt_exact(x: Fraction) -> Optional[Fraction]:
@@ -123,13 +114,7 @@ def find_ieds(gs: GeometricSpectrum) -> list[IEDCertificate]:
     only from TT lines in [-(n-1)^2/4, 0], so the TT spectrum must be
     declared complete up to 0."""
     n = gs.n
-    hardy = _hardy_bound(n)
-    for line in gs.specE_TT.lines:
-        if compare(line.value, hardy) < 0:
-            raise UnboundedBelow(
-                f"TT eigenvalue {line.value} below {hardy}: the cone Einstein "
-                "operator is unbounded below and has no zero-mode classification"
-            )
+    require_bounded_below(gs)
     if sign(gs.specE_TT.cutoff) < 0:
         raise InsufficientBaseCutoff(
             f"TT spectrum is complete only up to {gs.specE_TT.cutoff} but the "
@@ -168,8 +153,12 @@ class ProductScanRow:
     n: int
     kappa: QuadReal
     unbounded_below: bool
-    has_ied: bool
     certificates: tuple[IEDCertificate, ...]
+
+    @property
+    def has_ied(self) -> bool:
+        """Whether the scan certified a zero mode of the cone TT block."""
+        return bool(self.certificates)
 
     def to_json(self) -> dict:
         return {
@@ -195,10 +184,9 @@ def product_rigidity_scan(n_min: int, n_max: int) -> list[ProductScanRow]:
     for n in range(n_min, n_max + 1):
         marker = ProductMarker(2, n - 2)
         kappa, _ = product_tt_marker(marker)
-        if compare(kappa, _hardy_bound(n)) < 0:
-            rows.append(ProductScanRow(n, kappa, True, False, ()))
+        if compare(kappa, from_rational(hardy_bound(n))) < 0:
+            rows.append(ProductScanRow(n, kappa, True, ()))
             continue
         gs = product_geometric_spectrum(marker)
-        certs = tuple(find_ieds(gs))
-        rows.append(ProductScanRow(n, kappa, False, bool(certs), certs))
+        rows.append(ProductScanRow(n, kappa, False, tuple(find_ieds(gs))))
     return rows

@@ -155,7 +155,6 @@ class GeometricSpectrum:
     spec0: Spectrum
     spec1D: Spectrum
     specE_TT: Spectrum
-    normalized: bool = True
     hypothesis_override: bool = False
 
     def __post_init__(self):
@@ -166,8 +165,6 @@ def validate_geometric_spectrum(gs: GeometricSpectrum) -> None:
     n = gs.n
     if n < 2:
         raise InvariantViolation(f"dimension n={n} below 2")
-    if not gs.normalized:
-        raise InvariantViolation("spectra must be stated for the Ric = (n-1)g scaling")
     zero_mult = gs.spec0.multiplicity_of(exactreal.ZERO)
     if compare(gs.spec0.cutoff, exactreal.ZERO) >= 0:
         if zero_mult == 0:
@@ -207,7 +204,7 @@ def validate_geometric_spectrum(gs: GeometricSpectrum) -> None:
 def geometric_spectrum_to_json(gs: GeometricSpectrum) -> dict:
     return {
         "n": gs.n,
-        "normalized": gs.normalized,
+        "normalized": True,
         "spec0": gs.spec0.to_json(),
         "spec1D": gs.spec1D.to_json(),
         "specE_TT": gs.specE_TT.to_json(),
@@ -234,9 +231,10 @@ def _spectrum_from_json(entries, cutoff, block: str) -> Spectrum:
 def geometric_spectrum_from_json(obj: dict, *, hypothesis_override: bool = False) -> GeometricSpectrum:
     try:
         n = int(obj["n"])
-        normalized = bool(obj.get("normalized", True))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError("geometric spectrum JSON needs an integer 'n'") from exc
+    if obj.get("normalized", True) is not True:
+        raise InvariantViolation("spectra must be stated for the Ric = (n-1)g scaling")
     cut_obj = obj.get("cutoff", 0)
     if isinstance(cut_obj, dict) and {"spec0", "spec1D", "specE_TT"} & set(cut_obj):
         cuts = {
@@ -251,6 +249,5 @@ def geometric_spectrum_from_json(obj: dict, *, hypothesis_override: bool = False
         spec0=_spectrum_from_json(obj.get("spec0", []), cuts["spec0"], "input0"),
         spec1D=_spectrum_from_json(obj.get("spec1D", []), cuts["spec1D"], "input1"),
         specE_TT=_spectrum_from_json(obj.get("specE_TT", []), cuts["specE_TT"], "inputE"),
-        normalized=normalized,
         hypothesis_override=hypothesis_override,
     )

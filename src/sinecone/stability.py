@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .conemaps import ITERATE_PARTS, cone_step, map_einstein, supported_window
+from .conemaps import ITERATE_PARTS, cone_step, hardy_bound, map_einstein, supported_window
 from .errors import UnboundedBelow
 from .exactreal import (
     QuadReal,
@@ -77,8 +77,12 @@ class StabilityReport:
     linear: NotionVerdict
     tangential: NotionVerdict
     physical: NotionVerdict
-    bounded_below: Verdict
     thresholds: tuple[tuple[str, QuadReal], ...]
+
+    @property
+    def bounded_below(self) -> Verdict:
+        """The physical verdict: whether the cone Einstein operator is bounded below."""
+        return self.physical.holds
 
     def to_json(self) -> dict:
         return {
@@ -96,6 +100,13 @@ def linear_transfer_threshold(n: int) -> QuadReal:
     """Scalar-spectrum bound a base must clear so its sine-cone stays
     entropy-linearly stable: 5n/2 - sqrt(n^2 + 8n)/2, exactly."""
     return make_quad(Fraction(5 * n, 2), Fraction(-1, 2), n * n + 8 * n)
+
+
+def scalar_window(m: int) -> Fraction:
+    """Scalar completeness that decides every verdict of :func:`classify`
+    and :func:`predict_cone` on a dim-m space: the tangential gap's upper end
+    2(m+1), above the linear bound 2(m-1) and the transfer threshold."""
+    return Fraction(2 * (m + 1))
 
 
 def _positive_scalars(gs: GeometricSpectrum) -> list[QuadReal]:
@@ -121,9 +132,9 @@ def classify(gs: GeometricSpectrum) -> StabilityReport:
     thresholds lie beyond the declared completeness come back undecided."""
     m = gs.n
     zero = from_rational(0)
-    hardy = from_rational(Fraction(-((m - 1) ** 2), 4))
+    hardy = from_rational(hardy_bound(m))
     lin_bound = from_rational(2 * (m - 1))
-    gap_hi = from_rational(2 * (m + 1))
+    gap_hi = from_rational(scalar_window(m))
     dim_value = from_rational(m)
 
     tt_known = compare(gs.specE_TT.cutoff, zero) >= 0
@@ -141,39 +152,33 @@ def classify(gs: GeometricSpectrum) -> StabilityReport:
 
     scalars = _positive_scalars(gs)
 
-    if compare(gs.spec0.cutoff, lin_bound) < 0:
-        linear = _UNDECIDED
-    else:
-        viol = [v for v in scalars if compare(v, lin_bound) < 0]
-        viol_strict = [v for v in scalars if compare(v, lin_bound) <= 0]
+    def scalar_verdict(threshold, violates, breaks_strictness) -> NotionVerdict:
+        # undecided below the threshold's completeness, EH's verdict when EH
+        # fails, otherwise the first violating scalar line as witness
+        if compare(gs.spec0.cutoff, threshold) < 0:
+            return _UNDECIDED
+        if eh.holds is False:
+            return NotionVerdict(False, False, eh.witness_value, eh.witness_origin)
+        breaking = [v for v in scalars if breaks_strictness(v)]
+        viol = [v for v in breaking if violates(v)]  # a violation breaks strictness too
         witness = viol[0] if viol else (scalars[0] if scalars else tt_min)
-        if eh.holds is False:
-            linear = NotionVerdict(False, False, eh.witness_value, eh.witness_origin)
-        else:
-            linear = NotionVerdict(
-                _and3(eh.holds, not viol),
-                _and3(eh.strict, not viol_strict),
-                witness,
-                "scalar" if scalars else "tt-min",
-            )
+        return NotionVerdict(
+            _and3(eh.holds, not viol),
+            _and3(eh.strict, not breaking),
+            witness,
+            "scalar" if scalars else "tt-min",
+        )
 
-    if compare(gs.spec0.cutoff, gap_hi) < 0:
-        tangential = _UNDECIDED
-    else:
-        gap_viol = [
-            v for v in scalars
-            if compare(v, dim_value) > 0 and compare(v, gap_hi) < 0
-        ]
-        witness = gap_viol[0] if gap_viol else (scalars[0] if scalars else tt_min)
-        if eh.holds is False:
-            tangential = NotionVerdict(False, False, eh.witness_value, eh.witness_origin)
-        else:
-            tangential = NotionVerdict(
-                _and3(eh.holds, not gap_viol),
-                _and3(eh.strict, not gap_viol),
-                witness,
-                "scalar" if scalars else "tt-min",
-            )
+    linear = scalar_verdict(
+        lin_bound,
+        lambda v: compare(v, lin_bound) < 0,
+        lambda v: compare(v, lin_bound) <= 0,
+    )
+
+    def in_gap(v):
+        return compare(v, dim_value) > 0 and compare(v, gap_hi) < 0
+
+    tangential = scalar_verdict(gap_hi, in_gap, in_gap)
 
     return StabilityReport(
         n=m,
@@ -181,7 +186,6 @@ def classify(gs: GeometricSpectrum) -> StabilityReport:
         linear=linear,
         tangential=tangential,
         physical=physical,
-        bounded_below=physical.holds,
         thresholds=(
             ("eh", zero),
             ("linear", lin_bound),
@@ -232,7 +236,6 @@ def predict_cone(gs: GeometricSpectrum) -> StabilityReport:
         linear=linear,
         tangential=base.tangential,
         physical=cone_physical,
-        bounded_below=base.physical.holds,
         thresholds=base.thresholds + (("linear-transfer", t),),
     )
 

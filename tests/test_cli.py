@@ -1,6 +1,9 @@
 import json
 
+import pytest
+
 from sinecone.cli import run
+from sinecone.errors import SineconeError
 
 
 def _capture(capsys, argv):
@@ -238,3 +241,34 @@ def test_stability_cross_check_on_a_surface(capsys):
     assert result["consistent"] is True
     for notion in ("eh", "physical"):
         assert result["direct"][notion]["verdict"] is None
+
+
+def test_every_error_has_a_documented_exit_code():
+    def walk(cls):
+        yield cls
+        for sub in cls.__subclasses__():
+            yield from walk(sub)
+
+    codes = {cls.__name__: cls.exit_code for cls in walk(SineconeError)}
+    assert {name for name, code in codes.items() if code not in {2, 3, 4}} == set()
+
+
+@pytest.mark.parametrize("product", ["4", "4,x5", "4,5,6"])
+def test_malformed_product_is_a_parse_error(capsys, product):
+    code, out, err = _capture(capsys, ["spectrum", "--product", product, "--cutoff", "3"])
+    assert code == 4
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "ParseError"
+    assert "--product" in error["message"]
+
+
+@pytest.mark.parametrize("normalized", [False, "yes"])
+def test_input_normalized_is_checked_not_coerced(tmp_path, capsys, normalized):
+    base = {"n": 3, "normalized": normalized, "spec0": [{"value": 0, "mult": 1}], "cutoff": 0}
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps(base))
+    code, out, err = _capture(capsys, ["spectrum", "--input", str(path), "--cutoff", "0"])
+    assert code == 4
+    assert out == ""
+    assert json.loads(err)["message"] == "spectra must be stated for the Ric = (n-1)g scaling"

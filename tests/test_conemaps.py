@@ -12,6 +12,7 @@ from sinecone.catalog import (
 )
 from sinecone.conemaps import (
     degree_eigenvalue,
+    hardy_bound,
     harmonic_degree,
     iterate,
     iterate_base_requirements,
@@ -25,12 +26,16 @@ from sinecone.conemaps import (
 )
 from sinecone.errors import (
     BelowHardyBound,
+    IllPosed,
     InsufficientBaseCutoff,
     NotRepresentable,
     UnboundedBelow,
 )
 from sinecone.exactreal import compare, from_rational, make_quad, rational_ceiling
+from sinecone.radialoracle import RadialProblem
+from sinecone.rigidity import find_ieds
 from sinecone.spectra import GeometricSpectrum, equal_up_to, merge
+from sinecone.stability import classify
 
 
 def q(x):
@@ -208,6 +213,33 @@ def test_map_einstein_unbounded_below():
     gs = product_geometric_spectrum(ProductMarker(4, 4))  # n=8, tt line -14 < -49/4
     with pytest.raises(UnboundedBelow):
         map_einstein(gs, q(0), blocks=("tt",))
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_hardy_bound_is_one_boundary_across_modules(n):
+    # a TT line exactly at the bound passes every layer; a quarter below it
+    # is refused by the transform and the zero-mode finder with one message,
+    # classified as physically unstable, and rejected by the radial oracle
+    def tt_base(kappa):
+        return _simple_base(n, [(0, 1)], [], [(kappa, 1)], (n, n - 1, 0))
+
+    hardy = hardy_bound(n)
+    at = tt_base(hardy)
+    map_einstein(at, q(0), blocks=("tt",))
+    find_ieds(at)
+    assert classify(at).physical.holds is True
+    RadialProblem(n, hardy, "tt")
+
+    below = hardy - Fraction(1, 4)
+    gs = tt_base(below)
+    with pytest.raises(UnboundedBelow) as transform:
+        map_einstein(gs, q(0), blocks=("tt",))
+    with pytest.raises(UnboundedBelow) as finder:
+        find_ieds(gs)
+    assert str(transform.value) == str(finder.value)
+    assert classify(gs).physical.holds is False
+    with pytest.raises(IllPosed):
+        RadialProblem(n, below, "tt")
 
 
 def test_map_einstein_scalar_boundary_drops_tt_ladder():

@@ -9,6 +9,7 @@ from sinecone.stability import (
     cross_check,
     linear_transfer_threshold,
     predict_cone,
+    scalar_window,
 )
 
 from tests.conftest import synthetic_base
@@ -110,6 +111,19 @@ def test_threshold_exactness_at_the_threshold():
     pred = predict_cone(gs)
     assert pred.linear.holds
     assert not pred.linear.strict
+
+
+def test_scalar_window_decides_every_verdict():
+    # scalar completeness up to scalar_window(m) decides the linear, the
+    # tangential and the transferred linear verdict; just below it the
+    # tangential verdict stays open
+    for m in range(2, 30):
+        decided = base_with(m, [(0, 1)], [], [(1, 1)], cut=scalar_window(m))
+        for report in (classify(decided), predict_cone(decided)):
+            assert report.linear.holds is True
+            assert report.tangential.holds is True
+        short = base_with(m, [(0, 1)], [], [(1, 1)], cut=scalar_window(m) - Fraction(1, 2))
+        assert classify(short).tangential.holds is None
 
 
 def test_predict_cone_examples():
