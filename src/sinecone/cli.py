@@ -5,17 +5,19 @@ iterate, scan-products.  Exit codes: 0 success / verification pass; 2
 verification failure; 3 unbounded-below regime; 4 invalid input or invariant
 violation.  All errors are also emitted as structured JSON on stderr, and all
 output ordering is deterministic (ascending eigenvalues, then block order).
+Only verify-radial loads numpy and scipy; every other command starts without them.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from fractions import Fraction
 
-from . import catalog, conemaps, radialoracle, rigidity, stability, symcheck
+from . import catalog, conemaps, rigidity, stability, symcheck
 from .errors import ParseError, SineconeError
 from .exactreal import QuadReal, from_rational, quad_from_json, to_decimal
 from .spectra import GeometricSpectrum, Spectrum, geometric_spectrum_to_json
@@ -206,10 +208,31 @@ def _cmd_scan_products(args) -> int:
     return 0
 
 
+def _parse_flag(flag: str, parse, text: str, expected: str):
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"{flag} needs {expected}, got {text!r}") from None
+
+
+def _support_sizes(text: str) -> list[float]:
+    sizes = [float(x) for x in text.split(",")]
+    if not all(0 < e < math.pi for e in sizes):  # also rejects nan and inf
+        raise ValueError(text)
+    return sizes
+
+
 def _cmd_verify_radial(args) -> int:
-    coupling = Fraction(args.coupling)
-    if args.block == "tt" and coupling < conemaps.hardy_bound(args.n):
-        epsilons = [float(x) for x in args.epsilons.split(",")]
+    coupling = _parse_flag("--coupling", Fraction, args.coupling, "a rational p/q")
+    demo = args.block == "tt" and coupling < conemaps.hardy_bound(args.n)
+    if demo:
+        epsilons = _parse_flag(
+            "--epsilons", _support_sizes, args.epsilons, "comma-separated support sizes in (0, pi)"
+        )
+    # the one numerical command: numpy and scipy load here, after its flags parse
+    from . import radialoracle
+
+    if demo:
         quotients = radialoracle.rayleigh_unbounded_demo(args.n, float(coupling), epsilons)
         if args.csv:
             radialoracle.quotients_to_csv(args.csv, epsilons, quotients)
@@ -301,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("verify-radial", help="numerically verify radial eigenvalue ladders")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--block", choices=radialoracle.BLOCKS, default="function")
+    # radialoracle.BLOCKS spelled out, so that parsing loads no scipy (a test pins them equal)
+    p.add_argument("--block", choices=("function", "tt"), default="function")
     p.add_argument("--coupling", required=True, help="rational coupling (p/q)")
     p.add_argument("--modes", type=int, default=4)
     p.add_argument("--tol", type=float, default=1e-3)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import MixedField, NegativeRadicand, NotRepresentable
+from .errors import MixedField, NegativeRadicand, NotRepresentable, ParseError
 
 #: Rational numbers are plain ``fractions.Fraction`` values: arbitrary
 #: precision, always reduced, denominator always positive.
@@ -342,12 +342,18 @@ def rational_floor(x: QuadReal) -> Fraction:
     return Fraction(_floor_scaled(x, 6), 10 ** 6)
 
 
+def json_int(obj, field: str) -> int:
+    """An integer field of the JSON schema: an int and not a bool, never
+    truncated or coerced from a float or a string."""
+    if isinstance(obj, bool) or not isinstance(obj, int):
+        raise ParseError(f"{field!r} must be an integer, got {obj!r}")
+    return obj
+
+
 def quad_from_json(obj) -> QuadReal:
     """Parse the {"a": "p/q", "b": "p/q", "s": N} rendering; integers and
     bare numeric strings are accepted as rational shorthand."""
-    from .errors import ParseError
-
-    if isinstance(obj, int):
+    if isinstance(obj, int) and not isinstance(obj, bool):
         return from_rational(obj)
     if isinstance(obj, str):
         try:
@@ -358,9 +364,9 @@ def quad_from_json(obj) -> QuadReal:
         try:
             a = Fraction(str(obj.get("a", 0)))
             b = Fraction(str(obj.get("b", 0)))
-            s = int(obj.get("s", 1))
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad QuadReal object {obj!r}") from exc
+        s = json_int(obj.get("s", 1), "s")
         if s < 0:
             raise ParseError(f"negative radicand in {obj!r}")
         return make_quad(a, b, s)

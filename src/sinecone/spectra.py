@@ -17,7 +17,7 @@ from typing import Iterable, Optional
 
 from . import exactreal
 from .errors import CutoffTooSmall, InvariantViolation, ParseError
-from .exactreal import QuadReal, compare, from_rational, quad_from_json
+from .exactreal import QuadReal, compare, from_rational, json_int, quad_from_json
 
 #: Sentinel cutoff for "no information": a spectrum complete up to -1 only.
 #: Empty spectra of operators that are nonnegative (or whose window of
@@ -221,18 +221,17 @@ def _spectrum_from_json(entries, cutoff, block: str) -> Spectrum:
     for k, entry in enumerate(entries):
         try:
             value = quad_from_json(entry["value"])
-            mult = int(entry["mult"])
+            mult = json_int(entry["mult"], "mult")
         except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad spectrum entry {entry!r}") from exc
+            raise ParseError(f"bad spectrum entry {entry!r}: {exc}") from exc
         raw.append((value, mult, (block, k, 0)))
     return merge(raw, cutoff)
 
 
 def geometric_spectrum_from_json(obj: dict, *, hypothesis_override: bool = False) -> GeometricSpectrum:
-    try:
-        n = int(obj["n"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError("geometric spectrum JSON needs an integer 'n'") from exc
+    if "n" not in obj:
+        raise ParseError("geometric spectrum JSON needs an integer 'n'")
+    n = json_int(obj["n"], "n")
     if obj.get("normalized", True) is not True:
         raise InvariantViolation("spectra must be stated for the Ric = (n-1)g scaling")
     cut_obj = obj.get("cutoff", 0)

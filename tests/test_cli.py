@@ -1,9 +1,17 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from sinecone.cli import run
+from sinecone import radialoracle
+from sinecone.cli import build_parser, run
 from sinecone.errors import SineconeError
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _capture(capsys, argv):
@@ -272,3 +280,97 @@ def test_input_normalized_is_checked_not_coerced(tmp_path, capsys, normalized):
     assert code == 4
     assert out == ""
     assert json.loads(err)["message"] == "spectra must be stated for the Ric = (n-1)g scaling"
+
+
+@pytest.mark.parametrize(
+    "flags, flag",
+    [
+        (["--n", "3", "--coupling", "1/0"], "--coupling"),
+        (["--n", "3", "--coupling", "x"], "--coupling"),
+        (["--n", "3", "--block", "tt", "--coupling", "-5", "--epsilons", "0.1,a"], "--epsilons"),
+        (["--n", "8", "--block", "tt", "--coupling", "-14", "--epsilons", "0,0.1"], "--epsilons"),
+        (["--n", "8", "--block", "tt", "--coupling", "-14", "--epsilons", "nan"], "--epsilons"),
+    ],
+)
+def test_verify_radial_bad_flag_is_a_parse_error(capsys, flags, flag):
+    code, out, err = _capture(capsys, ["verify-radial", *flags])
+    assert code == 4
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "ParseError"
+    assert error["message"].startswith(flag + " needs")
+
+
+def _input_base(n=3, mult=4, s=1):
+    return {
+        "n": n,
+        "spec0": [
+            {"value": 0, "mult": 1},
+            {"value": {"a": "3", "b": "0", "s": s}, "mult": mult},
+        ],
+        "cutoff": 3,
+    }
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("n", 3.7), ("n", True), ("n", "3"), ("mult", 2.9), ("mult", True), ("mult", "4"),
+     ("s", 2.7), ("s", True)],
+)
+def test_input_integer_fields_are_checked_not_coerced(tmp_path, capsys, field, value):
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps(_input_base()))
+    argv = ["spectrum", "--input", str(path), "--cutoff", "0"]
+    assert _capture(capsys, argv)[0] == 0
+    path.write_text(json.dumps(_input_base(**{field: value})))
+    code, out, err = _capture(capsys, argv)
+    assert code == 4
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "ParseError"
+    assert f"{field!r} must be an integer, got {value!r}" in error["message"]
+
+
+def _fresh_python(*args):
+    """Run a fresh interpreter on the source tree: the in-process suite has
+    numpy and scipy loaded already."""
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *args],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "statement",
+    [
+        "pass",
+        "cli.run(['spectrum', '--sphere', '3', '--cutoff', '20'])",
+        "cli.run(['verify-radial', '--n', '3', '--coupling', '1/0'])",
+    ],
+)
+def test_exact_commands_do_not_load_numpy_or_scipy(statement):
+    script = (
+        "import sys; import sinecone.cli as cli; " + statement + "; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))"
+    )
+    proc = _fresh_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_verify_radial_loads_its_engine_in_a_fresh_process():
+    proc = _fresh_python(
+        "-m", "sinecone.cli", "verify-radial", "--n", "3", "--coupling", "3", "--modes", "2"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["passed"] is True
+
+
+def test_verify_radial_block_choices_are_the_engine_blocks():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    block = next(a for a in sub.choices["verify-radial"]._actions if a.dest == "block")
+    assert tuple(block.choices) == radialoracle.BLOCKS

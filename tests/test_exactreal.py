@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sinecone.errors import MixedField, NegativeRadicand
+from sinecone.errors import MixedField, NegativeRadicand, ParseError
 from sinecone.exactreal import (
     QuadReal,
     add_same_field,
@@ -151,6 +151,12 @@ def test_json_round_trip():
     assert quad_from_json(q.to_json()) == q
     assert quad_from_json(7) == from_rational(7)
     assert quad_from_json("5/3") == from_rational(Fraction(5, 3))
+
+
+@pytest.mark.parametrize("obj", [True, False, 2.5, {"a": "1", "b": "1", "s": 2.0}, {"b": "1", "s": True}])
+def test_json_booleans_and_floats_are_not_integers(obj):
+    with pytest.raises(ParseError):
+        quad_from_json(obj)
 
 
 def test_order_trichotomy_and_transitivity():
