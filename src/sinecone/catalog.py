@@ -32,15 +32,14 @@ class ProductMarker:
     """Einstein product of two factors, dimensions n1 + n2, normalized.
 
     Carries the single distinguished TT eigenvalue -2(n-1) coming from the
-    trace-free combination of the factor metrics.  When
-    ``factors_strictly_stable`` is set, that line is certified as the unique
-    nonpositive TT eigenvalue (an input assertion about the factors), which
-    is what makes the marker's TT spectrum complete up to 0.
+    trace-free combination of the factor metrics.  The factors are taken to
+    be strictly stable (an input assertion about them), which certifies that
+    line as the unique nonpositive TT eigenvalue and so makes the marker's
+    TT spectrum complete up to 0.
     """
 
     n1: int
     n2: int
-    factors_strictly_stable: bool = True
 
     def __post_init__(self):
         if self.n1 < 2 or self.n2 < 2:
@@ -87,18 +86,16 @@ def product_geometric_spectrum(marker: ProductMarker) -> GeometricSpectrum:
     normalization has no positive scalar eigenvalue below n, and equality at
     n forces the round sphere, which a product never is.  The coclosed
     1-form spectrum is unknown but vacuously complete below its n-1 bound.
-    With strictly stable factors the TT marker -2(n-1) is the unique
-    nonpositive TT eigenvalue, making the TT spectrum complete up to 0;
-    otherwise only the marker value itself is asserted.
+    The factors being strictly stable, the TT marker -2(n-1) is the unique
+    nonpositive TT eigenvalue, making the TT spectrum complete up to 0.
     """
     n = marker.n
     value, mult = product_tt_marker(marker)
-    tt_cutoff = from_rational(0) if marker.factors_strictly_stable else value
     return GeometricSpectrum(
         n=n,
         spec0=merge([(from_rational(0), 1, ("const", 0, 0))], from_rational(n)),
         spec1D=empty_spectrum(from_rational(Fraction(2 * n - 3, 2))),
-        specE_TT=merge([(value, mult, ("product-tt", 1, 0))], tt_cutoff),
+        specE_TT=merge([(value, mult, ("product-tt", 1, 0))], from_rational(0)),
     )
 
 

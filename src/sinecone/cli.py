@@ -25,9 +25,13 @@ from .spectra import GeometricSpectrum, Spectrum, geometric_spectrum_to_json
 
 def _parse_cutoff(text: str) -> QuadReal:
     text = text.strip()
-    if text.startswith("{"):
-        return quad_from_json(json.loads(text))
-    return quad_from_json(text)
+    if not text.startswith("{"):
+        return quad_from_json(text)
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError:
+        raise ParseError(f"--cutoff needs p/q or QuadReal JSON, got {text!r}") from None
+    return quad_from_json(obj)
 
 
 def _fmt_value(v: QuadReal) -> tuple[str, str]:
@@ -192,6 +196,8 @@ def _cmd_rigidity(args) -> int:
 
 
 def _cmd_scan_products(args) -> int:
+    if not 4 <= args.start <= args.end:
+        raise ParseError(f"--from and --to need 4 <= FROM <= TO, got {args.start} and {args.end}")
     rows = rigidity.product_rigidity_scan(args.start, args.end)
     payload = {"rows": [r.to_json() for r in rows]}
     table = ["product sine-cone scan:", f"  {'n':>4} {'tt-line':>10}  status"]
@@ -223,6 +229,8 @@ def _support_sizes(text: str) -> list[float]:
 
 
 def _cmd_verify_radial(args) -> int:
+    if args.modes < 1:
+        raise ParseError(f"--modes needs a positive integer, got {args.modes}")
     coupling = _parse_flag("--coupling", Fraction, args.coupling, "a rational p/q")
     demo = args.block == "tt" and coupling < conemaps.hardy_bound(args.n)
     if demo:
@@ -254,6 +262,8 @@ def _cmd_verify_radial(args) -> int:
 
 
 def _cmd_verify_symbolic(args) -> int:
+    if args.n < 2:
+        raise ParseError(f"--n needs a base dimension of at least 2, got {args.n}")
     reports = [symcheck.check_commutators(args.n)]
     for j in range(args.jmax + 1):
         symcheck.build_harmonic_family(args.n, args.k, j)
@@ -269,6 +279,8 @@ def _cmd_verify_symbolic(args) -> int:
 
 
 def _cmd_iterate(args) -> int:
+    if args.count < 0:
+        raise ParseError(f"--count needs a nonnegative integer, got {args.count}")
     cutoff = _parse_cutoff(args.cutoff)
     parts = tuple(args.parts.split(","))
     need = Fraction(0)

@@ -32,6 +32,7 @@ from .errors import (
     InsufficientBaseCutoff,
     InvariantViolation,
     NotRepresentable,
+    ParseError,
     UnboundedBelow,
 )
 from .exactreal import (
@@ -104,24 +105,29 @@ SOURCES = {
 }
 
 #: The feed of every part of the cone spectra, as (source, inner shift,
-#: output shift) entries: each line x of the source seeds the ladder
-#: degree_eigenvalue(n+1, harmonic_degree(n, x + inner) + j) - out.  An
-#: output shift (a, b) stands for a*n + b over a dim-n base.  A transform
-#: checks and enumerates a part's sources in the order listed.
+#: output shift, block) entries: each line x of the source seeds the ladder
+#: degree_eigenvalue(n+1, harmonic_degree(n, x + inner) + j) - out, whose
+#: rungs are tagged (block, line index, j).  An output shift (a, b) stands
+#: for a*n + b over a dim-n base.  A transform checks and enumerates a
+#: part's sources in the order listed.
 FEEDS = {
-    "functions": (("spec0", 0, (0, 0)),),
-    "exact": (("spec0", 0, (1, 0)),),
-    "coclosed": (("spec0", 0, (0, 1)), ("spec1D", 1, (0, 1))),
-    "conformal": (("spec0", 0, (2, 0)),),
-    "vector": (("spec0", 0, (1, 1)), ("spec1D", 1, (1, 1))),
-    "tt": (("spec0", 0, (0, 0)), ("spec1D", 1, (0, 0)), ("specE_TT", 0, (0, 0))),
+    "functions": (("spec0", 0, (0, 0), "fun"),),
+    "exact": (("spec0", 0, (1, 0), "1f-exact"),),
+    "coclosed": (("spec0", 0, (0, 1), "1f-co-scalar"), ("spec1D", 1, (0, 1), "1f-co-form")),
+    "conformal": (("spec0", 0, (2, 0), "E-conf"),),
+    "vector": (("spec0", 0, (1, 1), "E-vec-scalar"), ("spec1D", 1, (1, 1), "E-vec-form")),
+    "tt": (
+        ("spec0", 0, (0, 0), "E-tt-scalar"),
+        ("spec1D", 1, (0, 0), "E-tt-form"),
+        ("specE_TT", 0, (0, 0), "E-tt-tensor"),
+    ),
 }
 
 
-def _feeds(part: str, n: int) -> list[tuple[str, int, int]]:
-    """The (source, inner shift, output shift) entries of ``part`` over a
-    dim-n base."""
-    return [(source, inner, a * n + b) for source, inner, (a, b) in FEEDS[part]]
+def _feeds(part: str, n: int) -> list[tuple[str, int, int, str]]:
+    """The (source, inner shift, output shift, block) entries of ``part``
+    over a dim-n base."""
+    return [(source, inner, a * n + b, block) for source, inner, (a, b), block in FEEDS[part]]
 
 
 def required_source_cutoff(
@@ -152,7 +158,7 @@ def source_requirements(
     enumerated up to its window; -1 where nothing is required."""
     need = dict.fromkeys(SOURCES, Fraction(-1))
     for part, window in windows.items():
-        for source, inner, out in _feeds(part, n):
+        for source, inner, out, _ in _feeds(part, n):
             bound = required_source_cutoff(n, window, out, inner)
             if bound is not None:
                 need[source] = max(need[source], rational_ceiling(bound))
@@ -167,7 +173,7 @@ def supported_window(gs: GeometricSpectrum, part: str) -> Fraction:
     n = gs.n
     hardy = hardy_bound(n)
     windows = []
-    for source, inner, out in _feeds(part, n):
+    for source, inner, out, _ in _feeds(part, n):
         c = rational_floor(getattr(gs, source).cutoff) + inner
         if c < hardy:
             windows.append(Fraction(-1))
@@ -205,15 +211,15 @@ def _family(
     return out
 
 
-def _ladders(base: GeometricSpectrum, part: str, cutoff: QuadReal, blocks, rule=None) -> list:
+def _ladders(base: GeometricSpectrum, part: str, cutoff: QuadReal, rule=None) -> list:
     """Check that every source feeding ``part`` is complete far enough for
     ``cutoff``, then enumerate the ladders of their lines, tagged
-    (block, line index, rung) with one block name per feed.  ``rule(source,
-    value)`` returns the :func:`_family` options of a line's ladder, or None
-    to leave the line out."""
+    (block, line index, rung) with the feed's block.  ``rule(source, value)``
+    returns the :func:`_family` options of a line's ladder, or None to leave
+    the line out."""
     n = base.n
     entries = _feeds(part, n)
-    for source, inner, out in entries:
+    for source, inner, out, _ in entries:
         have = getattr(base, source).cutoff
         need = required_source_cutoff(n, cutoff, out, inner)
         if need is not None and compare(have, need) < 0:
@@ -223,7 +229,7 @@ def _ladders(base: GeometricSpectrum, part: str, cutoff: QuadReal, blocks, rule=
                 "truncate silently"
             )
     raw: list = []
-    for (source, inner, out), block in zip(entries, blocks):
+    for source, inner, out, block in entries:
         for i, line in enumerate(getattr(base, source).lines):
             options = {} if rule is None else rule(source, line.value)
             if options is None:
@@ -236,7 +242,7 @@ def _ladders(base: GeometricSpectrum, part: str, cutoff: QuadReal, blocks, rule=
 def map_functions(base: GeometricSpectrum, cutoff: QuadReal) -> Spectrum:
     """Scalar Laplace spectrum of the sine-cone from the base scalar spectrum:
     the full ladder of every base line, multiplicities inherited."""
-    return merge(_ladders(base, "functions", cutoff, ("fun",)), cutoff)
+    return merge(_ladders(base, "functions", cutoff), cutoff)
 
 
 @dataclass(frozen=True)
@@ -254,7 +260,7 @@ def map_coclosed_one_forms(base: GeometricSpectrum, cutoff: QuadReal) -> Spectru
     harmonic_degree(n, mu+1), also shifted down by 1.  The constant family
     produces no coclosed forms."""
     raw = _ladders(
-        base, "coclosed", cutoff, ("1f-co-scalar", "1f-co-form"),
+        base, "coclosed", cutoff,
         lambda source, value: None if source == "spec0" and value == ZERO else {},
     )
     return merge(raw, cutoff)
@@ -267,19 +273,11 @@ def map_one_forms(base: GeometricSpectrum, cutoff: QuadReal) -> ConeOneFormSpect
     rung (i=0, j=0) absent.  Coclosed part: see
     :func:`map_coclosed_one_forms`.
     """
-    raw_exact = _ladders(
-        base, "exact", cutoff, ("1f-exact",), lambda source, value: {"skip_first": value == ZERO}
-    )
+    raw_exact = _ladders(base, "exact", cutoff, lambda source, value: {"skip_first": value == ZERO})
     return ConeOneFormSpectrum(merge(raw_exact, cutoff), map_coclosed_one_forms(base, cutoff))
 
 
 ALL_BLOCKS = ("conformal", "vector", "tt")
-
-_BLOCK_TAGS = {
-    "conformal": ("E-conf",),
-    "vector": ("E-vec-scalar", "E-vec-form"),
-    "tt": ("E-tt-scalar", "E-tt-form", "E-tt-tensor"),
-}
 
 
 @dataclass(frozen=True)
@@ -314,7 +312,9 @@ def map_einstein(
         raise InvariantViolation("Einstein transform needs base dimension >= 3")
     unknown = set(blocks) - set(ALL_BLOCKS)
     if unknown:
-        raise ValueError(f"unknown blocks {sorted(unknown)}")
+        raise ParseError(
+            f"unknown blocks {sorted(unknown)}; the blocks are {', '.join(ALL_BLOCKS)}"
+        )
     require_bounded_below(base)
 
     dim_line = from_rational(n)
@@ -343,7 +343,7 @@ def map_einstein(
 
     rules = {"conformal": conformal, "vector": vector, "tt": tt}
     out = {
-        block: merge(_ladders(base, block, cutoff, _BLOCK_TAGS[block], rules[block]), cutoff)
+        block: merge(_ladders(base, block, cutoff, rules[block]), cutoff)
         if block in blocks
         else empty_spectrum(cutoff)
         for block in ALL_BLOCKS
@@ -386,7 +386,9 @@ def _closure_of_parts(parts: Sequence[str]) -> tuple[str, ...]:
     parts = set(parts)
     unknown = parts - set(ITERATE_PARTS)
     if unknown:
-        raise ValueError(f"unknown iterate parts {sorted(unknown)}")
+        raise ParseError(
+            f"unknown iterate parts {sorted(unknown)}; the parts are {', '.join(ITERATE_PARTS)}"
+        )
     if "tt" in parts:
         parts |= {"functions", "coclosed"}
     if "coclosed" in parts:
@@ -441,9 +443,9 @@ def iterate(
     representable exactly)."""
     if k < 0:
         raise ValueError("iteration count must be nonnegative")
+    parts = _closure_of_parts(parts)
     if k == 0:
         return base
-    parts = _closure_of_parts(parts)
     chain = _requirement_chain(base.n, k, cutoff, parts)
     gs = base
     for step in range(k):

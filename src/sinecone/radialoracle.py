@@ -52,6 +52,11 @@ class RadialProblem:
     def __post_init__(self):
         if self.block not in BLOCKS:
             raise InvariantViolation(f"unknown block {self.block!r}")
+        least = 3 if self.block == "tt" else 2
+        if self.n < least:
+            raise InvariantViolation(
+                f"the {self.block} block needs base dimension n >= {least}, got {self.n}"
+            )
         if self.grid_points < 100:
             raise InvariantViolation("need at least 100 grid points")
         if not 0 < self.boundary_offset < math.pi / (4 * self.grid_points):
@@ -181,9 +186,9 @@ def _simpson(y: np.ndarray, x: np.ndarray) -> float:
     return float(h / 3 * (y[0] + y[-1] + 4 * y[1:-1:2].sum() + 2 * y[2:-2:2].sum()))
 
 
-def rayleigh_quotient(n: int, kappa: float, eps: float, points: int = 10 ** 4) -> float:
+def rayleigh_quotient(n: int, kappa: float, eps: float) -> float:
     """Quadratic-form Rayleigh quotient of the rescaled profile supported on
-    (0, eps); composite Simpson quadrature.
+    (0, eps); composite Simpson quadrature on 10^4 intervals.
 
     With the profile psi(u) = u^-p (1-u)^(p+1), p = (n-2)/2, the singular
     u-powers cancel against the sin-weights exactly, leaving bounded
@@ -198,10 +203,8 @@ def rayleigh_quotient(n: int, kappa: float, eps: float, points: int = 10 ** 4) -
     """
     if n < 3:
         raise InvariantViolation("the demonstrator profile needs n >= 3")
-    if points % 2:
-        points += 1
     p = _profile_exponent(n)
-    u = np.linspace(0.0, 1.0, points + 1)
+    u = np.linspace(0.0, 1.0, 10 ** 4 + 1)
     r = np.sinc(eps * u / math.pi)  # sin(eps u)/(eps u), exact 1 at u = 0
     one_minus = 1.0 - u
     i_stiff = _simpson((p + u) ** 2 * one_minus ** (2 * p) * r ** n, u)
@@ -210,16 +213,14 @@ def rayleigh_quotient(n: int, kappa: float, eps: float, points: int = 10 ** 4) -
     return (i_stiff + kappa * i_coupling) / (eps * eps * i_mass)
 
 
-def rayleigh_unbounded_demo(
-    n: int, kappa: float, epsilons: Sequence[float], points: int = 10 ** 4
-) -> list[float]:
+def rayleigh_unbounded_demo(n: int, kappa: float, epsilons: Sequence[float]) -> list[float]:
     """Quotient sequence on shrinking supports.
 
     For couplings strictly below -(n-1)^2/4 the sequence decreases without
     bound like a negative constant times eps^-2; at or above the bound no
     blow-down occurs (and for kappa >= 0 every quotient is nonnegative).
     """
-    return [rayleigh_quotient(n, kappa, e, points) for e in epsilons]
+    return [rayleigh_quotient(n, kappa, e) for e in epsilons]
 
 
 def quotients_to_csv(path, epsilons: Sequence[float], quotients: Sequence[float]) -> None:

@@ -94,29 +94,21 @@ def empty_spectrum(cutoff: QuadReal = UNKNOWN_CUTOFF) -> Spectrum:
     return Spectrum((), cutoff)
 
 
-def merge(
-    raw: Iterable[tuple[QuadReal, int, Origin]] | Iterable[tuple[QuadReal, int, tuple]],
-    cutoff: QuadReal,
-) -> Spectrum:
-    """Combine raw family contributions into a Spectrum.
+def merge(raw: Iterable[tuple[QuadReal, int, tuple[str, int, int]]], cutoff: QuadReal) -> Spectrum:
+    """Combine raw family contributions, each tagged (block, i, j), into a
+    Spectrum complete up to ``cutoff``.
 
     Coincident values (exact equality, which is representation equality) are
-    merged with multiplicities summed and origins concatenated; values above
-    the cutoff are dropped; the result is sorted ascending.  Order-insensitive
-    up to origin bookkeeping order, which is normalized by sorting tags.
+    merged with multiplicities summed and origins concatenated; the result is
+    sorted ascending.  A value above the cutoff is refused, not dropped:
+    :class:`Spectrum` raises InvariantViolation.  Order-insensitive up to
+    origin bookkeeping order, which is normalized by sorting tags.
     """
     groups: dict[QuadReal, list[Origin]] = {}
-    for value, mult, tag in raw:
+    for value, mult, (block, i, j) in raw:
         if mult <= 0:
             raise InvariantViolation("raw multiplicities must be positive")
-        if compare(value, cutoff) > 0:
-            continue
-        if not isinstance(tag, Origin):
-            block, i, j = tag
-            tag = Origin(str(block), int(i), int(j), mult)
-        elif tag.mult != mult:
-            tag = Origin(tag.block, tag.i, tag.j, mult)
-        groups.setdefault(value, []).append(tag)
+        groups.setdefault(value, []).append(Origin(block, i, j, mult))
     lines = []
     for value in _sort_values(groups):
         origins = tuple(sorted(groups[value], key=lambda o: (o.block, o.i, o.j)))
@@ -216,7 +208,12 @@ def geometric_spectrum_to_json(gs: GeometricSpectrum) -> dict:
     }
 
 
-def _spectrum_from_json(entries, cutoff, block: str) -> Spectrum:
+def _spectrum_from_json(obj: dict, key: str, cutoff: QuadReal) -> Spectrum:
+    """The spectrum listed under ``key``, each line tagged input0, input1 or
+    inputE (the key's fifth letter)."""
+    entries = obj.get(key, [])
+    if not isinstance(entries, list):
+        raise ParseError(f"{key} must be a list of value/mult entries, got {entries!r}")
     raw = []
     for k, entry in enumerate(entries):
         try:
@@ -224,7 +221,9 @@ def _spectrum_from_json(entries, cutoff, block: str) -> Spectrum:
             mult = json_int(entry["mult"], "mult")
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad spectrum entry {entry!r}: {exc}") from exc
-        raw.append((value, mult, (block, k, 0)))
+        if compare(value, cutoff) > 0:
+            raise ParseError(f"{key} line {value} lies above its declared cutoff {cutoff}")
+        raw.append((value, mult, ("input" + key[4], k, 0)))
     return merge(raw, cutoff)
 
 
@@ -245,8 +244,8 @@ def geometric_spectrum_from_json(obj: dict, *, hypothesis_override: bool = False
         cuts = {"spec0": shared, "spec1D": shared, "specE_TT": shared}
     return GeometricSpectrum(
         n=n,
-        spec0=_spectrum_from_json(obj.get("spec0", []), cuts["spec0"], "input0"),
-        spec1D=_spectrum_from_json(obj.get("spec1D", []), cuts["spec1D"], "input1"),
-        specE_TT=_spectrum_from_json(obj.get("specE_TT", []), cuts["specE_TT"], "inputE"),
+        spec0=_spectrum_from_json(obj, "spec0", cuts["spec0"]),
+        spec1D=_spectrum_from_json(obj, "spec1D", cuts["spec1D"]),
+        specE_TT=_spectrum_from_json(obj, "specE_TT", cuts["specE_TT"]),
         hypothesis_override=hypothesis_override,
     )

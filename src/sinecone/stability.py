@@ -38,14 +38,7 @@ from typing import Optional
 
 from .conemaps import ITERATE_PARTS, cone_step, hardy_bound, map_einstein, supported_window
 from .errors import UnboundedBelow
-from .exactreal import (
-    QuadReal,
-    compare,
-    from_rational,
-    make_quad,
-    rational_floor,
-    sign,
-)
+from .exactreal import QuadReal, compare, from_rational, make_quad, sign
 from .spectra import GeometricSpectrum
 
 Verdict = Optional[bool]  # None: undecidable from the declared completeness
@@ -240,15 +233,11 @@ def predict_cone(gs: GeometricSpectrum) -> StabilityReport:
     )
 
 
-def compute_cone(gs: GeometricSpectrum, cutoff: Optional[QuadReal] = None) -> GeometricSpectrum:
-    """One sine-cone step with per-spectrum windows clamped to what the base
-    supports (and to ``cutoff`` when given).  The Einstein transform needs a
-    base of dimension >= 3, so the cone over a surface keeps its TT spectrum
-    unknown."""
+def compute_cone(gs: GeometricSpectrum) -> GeometricSpectrum:
+    """One sine-cone step with per-spectrum windows as far as the base
+    supports.  The Einstein transform needs a base of dimension >= 3, so the
+    cone over a surface keeps its TT spectrum unknown."""
     windows = [supported_window(gs, part) for part in ITERATE_PARTS]
-    if cutoff is not None:
-        cap = rational_floor(cutoff)
-        windows = [min(w, cap) for w in windows]
     parts = ITERATE_PARTS if gs.n >= 3 else ("functions", "coclosed")
     return cone_step(gs, [from_rational(w) for w in windows], parts)
 
@@ -271,7 +260,7 @@ class CrossCheckResult:
         }
 
 
-def cross_check(gs: GeometricSpectrum, cutoff: Optional[QuadReal] = None) -> CrossCheckResult:
+def cross_check(gs: GeometricSpectrum) -> CrossCheckResult:
     """Compute the cone spectra, classify them directly, and compare every
     mutually decidable verdict with the base-data prediction."""
     pred = predict_cone(gs)
@@ -290,7 +279,7 @@ def cross_check(gs: GeometricSpectrum, cutoff: Optional[QuadReal] = None) -> Cro
             False,
         )
 
-    cone = compute_cone(gs, cutoff)
+    cone = compute_cone(gs)
     direct = classify(cone)
 
     problems = []

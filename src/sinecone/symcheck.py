@@ -139,10 +139,9 @@ def _check_identity(name: str, lhs: LaurentPoly2, rhs: LaurentPoly2, witness) ->
         raise IdentityFailed(f"{name} failed on {witness}: residual {residual}")
 
 
-def check_commutators(
-    n: int, p_range: tuple[int, int] = (-6, 6), q_range: tuple[int, int] = (0, 6)
-) -> dict:
-    """Verify the five two-variable identities on every monomial in the box.
+def check_commutators(n: int) -> dict:
+    """Verify the five two-variable identities on every monomial r^p z^q of
+    the box -6 <= p <= 6, 0 <= q <= 6.
 
     (1) [V, L_n] f        = n r^-2 V f
     (2) [V, r^-2] f       = 2 z r^-3 f
@@ -151,8 +150,8 @@ def check_commutators(
     (5) r dz f + r dr(-z r^-1 f) = V f - (-z r^-1 f)
     """
     count = 0
-    for p in range(p_range[0], p_range[1] + 1):
-        for q in range(q_range[0], q_range[1] + 1):
+    for p in range(-6, 7):
+        for q in range(7):
             f = LaurentPoly2.monomial(p, q)
             witness = f"r^{p} z^{q} (n={n})"
             lap = lambda g: hat_laplacian(n, g)

@@ -253,7 +253,7 @@ def test_criterion_7_unboundedness_demonstrator():
 def test_criterion_8_symbolic_suite():
     started = time.monotonic()
     for n in (3, 4, 5):
-        check_commutators(n, (-6, 6), (0, 6))
+        check_commutators(n)
         for k in range(0, 4):
             for j in range(0, 6):
                 build_harmonic_family(n, k, j)

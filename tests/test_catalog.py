@@ -76,8 +76,6 @@ def test_product_geometric_spectrum_completeness():
     assert gs.n == 9
     assert gs.specE_TT.cutoff == q(0)  # strictly stable factors: complete to 0
     assert gs.specE_TT.values() == [q(-16)]
-    loose = product_geometric_spectrum(ProductMarker(4, 5, factors_strictly_stable=False))
-    assert loose.specE_TT.cutoff == q(-16)
 
 
 def test_save_load_round_trip(tmp_path):

@@ -290,6 +290,7 @@ def test_input_normalized_is_checked_not_coerced(tmp_path, capsys, normalized):
         (["--n", "3", "--block", "tt", "--coupling", "-5", "--epsilons", "0.1,a"], "--epsilons"),
         (["--n", "8", "--block", "tt", "--coupling", "-14", "--epsilons", "0,0.1"], "--epsilons"),
         (["--n", "8", "--block", "tt", "--coupling", "-14", "--epsilons", "nan"], "--epsilons"),
+        (["--n", "3", "--coupling", "3", "--modes", "0"], "--modes"),
     ],
 )
 def test_verify_radial_bad_flag_is_a_parse_error(capsys, flags, flag):
@@ -299,6 +300,69 @@ def test_verify_radial_bad_flag_is_a_parse_error(capsys, flags, flag):
     error = json.loads(err)
     assert error["error"] == "ParseError"
     assert error["message"].startswith(flag + " needs")
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--n", "-2", "--coupling", "3", "--modes", "2"],
+        ["--n", "0", "--coupling", "3", "--modes", "2"],
+        ["--n", "1", "--coupling", "3", "--modes", "2"],
+        ["--n", "2", "--block", "tt", "--coupling", "0", "--modes", "2"],
+    ],
+)
+def test_verify_radial_refuses_dimensions_below_its_block(capsys, flags):
+    code, out, err = _capture(capsys, ["verify-radial", *flags])
+    assert code == 4
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "InvariantViolation"
+    assert "needs base dimension" in error["message"]
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["spectrum", "--sphere", "4", "--operator", "einstein", "--blocks", "bogus",
+          "--cutoff", "10"], "blocks"),
+        (["iterate", "--sphere", "3", "--count", "1", "--cutoff", "10", "--parts", "bogus"],
+         "parts"),
+        (["iterate", "--product", "4,5", "--count", "0", "--cutoff", "0", "--parts", "bogus"],
+         "parts"),
+        (["iterate", "--sphere", "3", "--count", "-1", "--cutoff", "10"], "--count"),
+        (["scan-products", "--from", "3", "--to", "5"], "--from"),
+        (["scan-products", "--from", "6", "--to", "5"], "--from"),
+        (["spectrum", "--sphere", "3", "--cutoff", "{bad"], "--cutoff"),
+        (["verify-symbolic", "--n", "0", "--k", "1"], "--n"),
+        (["verify-symbolic", "--n", "1", "--k", "2"], "--n"),
+    ],
+)
+def test_flag_errors_are_parse_errors_naming_the_flag(capsys, argv, name):
+    code, out, err = _capture(capsys, argv)
+    assert code == 4
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "ParseError"
+    assert name in error["message"]
+
+
+@pytest.mark.parametrize("key", ["spec0", "spec1D", "specE_TT"])
+@pytest.mark.parametrize("above", [False, True], ids=["not-a-list", "line-above-cutoff"])
+def test_input_spectrum_is_a_list_within_its_cutoff(tmp_path, capsys, key, above):
+    # every spectrum of base4 is declared complete up to 30
+    base = json.loads((Path(__file__).with_name("golden") / "base4.json").read_text())
+    base[key] = base[key] + [{"value": 40, "mult": 1}] if above else 5
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps(base))
+    code, out, err = _capture(capsys, ["spectrum", "--input", str(path), "--cutoff", "10"])
+    assert code == 4
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "ParseError"
+    assert error["message"] == (
+        f"{key} line 40 lies above its declared cutoff 30" if above
+        else f"{key} must be a list of value/mult entries, got 5"
+    )
 
 
 def _input_base(n=3, mult=4, s=1):
@@ -350,6 +414,7 @@ def _fresh_python(*args):
         "pass",
         "cli.run(['spectrum', '--sphere', '3', '--cutoff', '20'])",
         "cli.run(['verify-radial', '--n', '3', '--coupling', '1/0'])",
+        "cli.run(['verify-radial', '--n', '3', '--coupling', '3', '--modes', '0'])",
     ],
 )
 def test_exact_commands_do_not_load_numpy_or_scipy(statement):

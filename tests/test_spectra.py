@@ -30,9 +30,9 @@ def test_merge_combines_coincident_values():
     assert len(s.lines[0].origins) == 2
 
 
-def test_merge_drops_values_above_cutoff():
-    s = merge([(q(4), 1, ("A", 0, 0)), (q(11), 2, ("A", 1, 0))], q(10))
-    assert s.values() == [q(4)]
+def test_merge_refuses_values_above_cutoff():
+    with pytest.raises(InvariantViolation, match="exceeds its cutoff"):
+        merge([(q(4), 1, ("A", 0, 0)), (q(11), 2, ("A", 1, 0))], q(10))
 
 
 def test_merge_empty():
@@ -71,7 +71,8 @@ def test_merge_round_trip_idempotent(rng):
         for i in range(20)
     ]
     s = merge(entries, q(50))
-    again = merge([(l.value, l.multiplicity, l.origins[0]) for l in s.lines], q(50))
+    firsts = [(l, l.origins[0]) for l in s.lines]
+    again = merge([(l.value, l.multiplicity, (o.block, o.i, o.j)) for l, o in firsts], q(50))
     assert [(l.value, l.multiplicity) for l in again.lines] == [
         (l.value, l.multiplicity) for l in s.lines
     ]

@@ -72,7 +72,7 @@ def test_operators_are_linear_derivations(terms_f, terms_g):
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_commutator_box(n):
-    report = check_commutators(n, (-6, 6), (0, 6))
+    report = check_commutators(n)
     assert report["passed"] and report["monomials"] == 13 * 7
 
 
