@@ -88,8 +88,12 @@ def _emit(args, payload: dict, tables: list[str]) -> None:
 
 
 def _cmd_spectrum(args) -> int:
+    if args.blocks is not None and args.operator != "einstein":
+        raise ParseError(
+            f"--blocks selects Einstein-operator blocks; --operator {args.operator} has none"
+        )
     cutoff = _parse_cutoff(args.cutoff)
-    blocks = tuple(args.blocks.split(","))
+    blocks = conemaps.ALL_BLOCKS if args.blocks is None else tuple(args.blocks.split(","))
     # unknown block names are left for map_einstein to reject
     parts = {"laplace": ("functions",), "oneform": ("exact", "coclosed")}.get(
         args.operator, [b for b in blocks if b in conemaps.ALL_BLOCKS]
@@ -317,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source_args(p)
     p.add_argument("--operator", choices=("laplace", "oneform", "einstein"), default="laplace")
     p.add_argument("--cutoff", required=True, help="integer, p/q, or QuadReal JSON")
-    p.add_argument("--blocks", default="conformal,vector,tt")
+    p.add_argument("--blocks", help="Einstein blocks, comma-separated (default: all)")
     p.set_defaults(func=_cmd_spectrum)
 
     p = add_parser("stability", help="classify a base and predict its cone")

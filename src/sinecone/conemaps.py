@@ -18,11 +18,14 @@ of :func:`supported_window` are all read off it.
 
 All enumeration is exact and completeness-aware: a transform refuses to run
 (``InsufficientBaseCutoff``) when the base spectra are not known far enough to
-make the requested output window complete.
+make the requested output window complete.  Each ladder is counted once, from
+an integer square-root bound refined by exact comparisons, and its rungs are
+then written in closed form in the field of its degree (:func:`_family`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
@@ -194,20 +197,49 @@ def _family(
     skip_first: bool = False,
     doubled_from: Optional[int] = None,
 ) -> list[tuple[QuadReal, int, tuple]]:
-    """Enumerate one ladder degree+j, j=0,1,...; monotone in j, so stop at
-    the first value beyond the cutoff.  Rungs j >= ``doubled_from`` carry
-    ``2 * mult``: a conformal direction and its Hessian partner."""
-    shift = from_rational(Fraction(out_shift))
+    """The rungs of one ladder, degree_eigenvalue(n+1, degree + j) - out_shift
+    for j = 0, 1, ..., that lie at or below ``cutoff``.  Rungs j >=
+    ``doubled_from`` carry ``2 * mult``: a conformal direction and its
+    Hessian partner.
+
+    A harmonic degree is at least -(n-1)/2, so the ladder increases in j.
+    Count, then fill: integer square roots give a certified lower bound on
+    the last rung index, exact comparisons step it up to the last rung at or
+    below the cutoff, and each rung is written in closed form in the
+    degree's field, Q(sqrt(s)) for degree = p + q sqrt(s):
+
+        (p+j)(p+j+n) + q^2 s - out_shift  +  q (2(p+j) + n) sqrt(s)
+    """
+    shift = Fraction(out_shift)
+    # over the integers, p = P/d, q = Qn/Qd and q^2 s - shift = Cn/Cd, so that
+    # each coefficient costs one Fraction normalization (half the time of
+    # Fraction arithmetic per rung)
+    big_p, d = degree.a.numerator, degree.a.denominator
+    qn, qd = degree.b.numerator, degree.b.denominator
+    const = degree.b * degree.b * degree.s - shift
+    cn, cd = const.numerator, const.denominator
+    s = degree.s
+
+    def rung(j: int) -> QuadReal:
+        y = big_p + j * d  # (p + j) d
+        a = Fraction(y * (y + n * d) * cd + cn * d * d, d * d * cd)
+        b = qn * (2 * y + n * d)
+        if b == 0:
+            return QuadReal(a, Fraction(0), 1)
+        return QuadReal(a, Fraction(b, qd * d), s)
+
+    # y (y + n) <= c  holds for  -n/2 <= y <= (isqrt(4c + n^2) - n)/2
+    c = math.floor(rational_floor(cutoff) + shift)
+    last = -1
+    if 4 * c + n * n >= 0:
+        top = Fraction(math.isqrt(4 * c + n * n) - n, 2)
+        last = max(last, math.floor(top - rational_ceiling(degree)))
+    while compare(rung(last + 1), cutoff) <= 0:
+        last += 1
     out = []
-    j = 0
-    while True:
-        value = degree_eigenvalue(n + 1, degree + j) - shift
-        if compare(value, cutoff) > 0:
-            break
-        if not (skip_first and j == 0):
-            doubled = doubled_from is not None and j >= doubled_from
-            out.append((value, 2 * mult if doubled else mult, (block, i, j)))
-        j += 1
+    for j in range(1 if skip_first else 0, last + 1):
+        doubled = doubled_from is not None and j >= doubled_from
+        out.append((rung(j), 2 * mult if doubled else mult, (block, i, j)))
     return out
 
 

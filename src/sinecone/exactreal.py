@@ -23,15 +23,19 @@ Rational = Fraction
 RationalLike = Union[int, Fraction]
 
 _TRIAL_LIMIT = 10 ** 6
+#: Cube of the trial limit: below it a cofactor with no prime factor up to
+#: the limit has at most two prime factors.
+_COFACTOR_LIMIT = _TRIAL_LIMIT ** 3
 
 
 def squarefree_decompose(m: int) -> tuple[int, int]:
     """Write ``m = t**2 * s`` with ``s`` squarefree and return ``(t, s)``.
 
-    Trial division up to 10**6 followed by a perfect-square check on the
-    remainder.  Any m < 10**12 is handled exactly; a larger remainder with no
-    small prime factor is 1, p, p*q or p**2 and all but a hidden p**2*q case
-    (never produced by the desk-scale radicands used here) are decided.
+    Trial division up to 10**6 leaves a cofactor with no prime factor up to
+    10**6.  A cofactor that is a perfect square, or below 10**18, is decided
+    exactly: it is 1, p, p**2 or p*q.  A larger cofactor that is not a
+    square could be p**2*q as well as p*q*r, so it raises NotRepresentable
+    rather than return a radicand that may not be squarefree.
     """
     if m <= 0:
         raise ValueError("squarefree_decompose expects a positive integer")
@@ -52,6 +56,11 @@ def squarefree_decompose(m: int) -> tuple[int, int]:
         r = math.isqrt(m)
         if r * r == m:
             t *= r
+        elif m >= _COFACTOR_LIMIT:
+            raise NotRepresentable(
+                f"radicand cofactor {m} has no prime factor up to 10**6 and is "
+                "at least 10**18: its squarefree part cannot be certified"
+            )
         else:
             s *= m
     return t, s
@@ -250,6 +259,8 @@ def compare(x: QuadReal, y: QuadReal) -> int:
     Returns -1, 0 or +1.  The difference A + B*sqrt(u) - C*sqrt(v) is decided
     by sign-case analysis and repeated squaring over the rationals.
     """
+    if x.b == 0 and y.b == 0:
+        return (x.a > y.a) - (x.a < y.a)
     if x.s == y.s:
         return _sign_a_plus_b_sqrt(x.a - y.a, x.b - y.b, x.s)
     if x.b == 0:

@@ -64,9 +64,9 @@ class Spectrum:
         for prev, cur in zip(self.lines, self.lines[1:]):
             if compare(prev.value, cur.value) >= 0:
                 raise InvariantViolation("spectrum lines must be strictly ascending")
-        for line in self.lines:
-            if compare(line.value, self.cutoff) > 0:
-                raise InvariantViolation("spectrum line exceeds its cutoff")
+        # ascending, so the last line is the largest
+        if self.lines and compare(self.lines[-1].value, self.cutoff) > 0:
+            raise InvariantViolation("spectrum line exceeds its cutoff")
 
     def __iter__(self):
         return iter(self.lines)
@@ -210,11 +210,13 @@ def geometric_spectrum_to_json(gs: GeometricSpectrum) -> dict:
 
 def _spectrum_from_json(obj: dict, key: str, cutoff: QuadReal) -> Spectrum:
     """The spectrum listed under ``key``, each line tagged input0, input1 or
-    inputE (the key's fifth letter)."""
+    inputE (the key's fifth letter).  Each value is listed once: a repeat is
+    refused, not merged."""
     entries = obj.get(key, [])
     if not isinstance(entries, list):
         raise ParseError(f"{key} must be a list of value/mult entries, got {entries!r}")
     raw = []
+    seen = set()
     for k, entry in enumerate(entries):
         try:
             value = quad_from_json(entry["value"])
@@ -223,6 +225,11 @@ def _spectrum_from_json(obj: dict, key: str, cutoff: QuadReal) -> Spectrum:
             raise ParseError(f"bad spectrum entry {entry!r}: {exc}") from exc
         if compare(value, cutoff) > 0:
             raise ParseError(f"{key} line {value} lies above its declared cutoff {cutoff}")
+        if value in seen:
+            raise ParseError(
+                f"{key} lists the value {value} twice; list it once with its full multiplicity"
+            )
+        seen.add(value)
         raw.append((value, mult, ("input" + key[4], k, 0)))
     return merge(raw, cutoff)
 

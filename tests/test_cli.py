@@ -10,6 +10,7 @@ import pytest
 from sinecone import radialoracle
 from sinecone.cli import build_parser, run
 from sinecone.errors import SineconeError
+from sinecone.exactreal import quad_from_json
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -363,6 +364,41 @@ def test_input_spectrum_is_a_list_within_its_cutoff(tmp_path, capsys, key, above
         f"{key} line 40 lies above its declared cutoff 30" if above
         else f"{key} must be a list of value/mult entries, got 5"
     )
+
+
+@pytest.mark.parametrize("key", ["spec0", "spec1D", "specE_TT"])
+def test_input_value_listed_twice_is_a_parse_error(tmp_path, capsys, key):
+    base = json.loads((Path(__file__).with_name("golden") / "base4.json").read_text())
+    # the last value again, spelled as a QuadReal object
+    value = quad_from_json(base[key][-1]["value"])
+    base[key] = base[key] + [{"value": value.to_json(), "mult": 2}]
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps(base))
+    code, out, err = _capture(capsys, ["spectrum", "--input", str(path), "--cutoff", "10"])
+    assert code == 4
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "ParseError"
+    assert error["message"] == (
+        f"{key} lists the value {value} twice; list it once with its full multiplicity"
+    )
+
+
+@pytest.mark.parametrize("operator", [[], ["--operator", "laplace"], ["--operator", "oneform"]],
+                         ids=["default", "laplace", "oneform"])
+@pytest.mark.parametrize("blocks", ["bogus", "tt"])
+def test_blocks_is_refused_for_a_non_einstein_operator(capsys, operator, blocks):
+    base = str(Path(__file__).with_name("golden") / "base4.json")
+    argv = ["spectrum", "--input", base, *operator, "--blocks", blocks, "--cutoff", "10"]
+    code, out, err = _capture(capsys, argv)
+    assert code == 4
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "ParseError"
+    assert "--blocks" in error["message"]
+    # the same command without --blocks answers
+    code, out, _ = _capture(capsys, [a for a in argv if a not in ("--blocks", blocks)])
+    assert code == 0 and out
 
 
 def _input_base(n=3, mult=4, s=1):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from sinecone.catalog import (
     sphere_geometric_spectrum,
 )
 from sinecone.conemaps import (
+    _family,
     degree_eigenvalue,
     hardy_bound,
     harmonic_degree,
@@ -100,6 +102,81 @@ def test_ladder_monotone_in_j():
     deg = harmonic_degree(5, Fraction(7, 2))
     values = [degree_eigenvalue(6, deg + j) for j in range(8)]
     assert all(compare(a, b) < 0 for a, b in zip(values, values[1:]))
+
+
+def _family_by_steps(n, degree, out_shift, cutoff, mult, block, i,
+                     skip_first=False, doubled_from=None):
+    """The reference ladder: one QuadReal product and one exact comparison
+    per rung, stopping at the first rung above the cutoff."""
+    shift = from_rational(Fraction(out_shift))
+    out = []
+    j = 0
+    while True:
+        value = degree_eigenvalue(n + 1, degree + j) - shift
+        if compare(value, cutoff) > 0:
+            break
+        if not (skip_first and j == 0):
+            doubled = doubled_from is not None and j >= doubled_from
+            out.append((value, 2 * mult if doubled else mult, (block, i, j)))
+        j += 1
+    return out
+
+
+def _random_degree(r: random.Random, n: int, irrational: bool):
+    """harmonic_degree(n, x) for a random x at or above the Hardy bound,
+    rational or irrational as asked."""
+    hardy = hardy_bound(n)
+    while True:
+        if irrational:
+            x = hardy + Fraction(r.randint(0, 4000), r.choice((1, 2, 3, 4, 7)))
+        else:
+            y = Fraction(-(n - 1), 2) + Fraction(r.randint(0, 120), r.choice((1, 2, 3, 4, 6)))
+            x = y * (y + n - 1)
+        degree = harmonic_degree(n, x)
+        if degree.is_rational() != irrational:
+            return degree
+
+
+def _random_cutoff(r: random.Random, kind: str, n: int, degree, shift: int):
+    """A cutoff of the given kind for the ladder of ``degree``."""
+    rung = lambda j: degree_eigenvalue(n + 1, degree + j) - shift  # noqa: E731
+    if kind == "rational":
+        return q(Fraction(r.randint(-400, 40000), r.choice((1, 2, 3, 10**6))))
+    if kind == "same-field":  # irrational in the degree's field, or Q(sqrt(2))
+        return make_quad(r.randint(-100, 4000), Fraction(r.randint(1, 300), r.randint(1, 9)),
+                         degree.s if degree.s > 1 else 2)
+    if kind == "other-field":
+        s = r.choice([m for m in (3, 5, 6, 7, 11, 13) if m != degree.s])
+        b = Fraction(r.choice((-1, 1)) * r.randint(1, 30), r.randint(1, 9))
+        return make_quad(r.randint(-100, 4000), b, s)
+    if kind == "on-rung":
+        return rung(r.randint(0, 60))
+    if kind == "below-rung":
+        return rung(r.randint(0, 60)) - Fraction(1, r.choice((1, 10**3, 10**9)))
+    # below rung 0, sometimes far below -(n+1)^2/4 - shift
+    return rung(0) - r.choice((Fraction(1, 10**9), 1, 10**4))
+
+
+CUTOFF_KINDS = ("rational", "same-field", "other-field", "on-rung", "below-rung", "below-first")
+
+
+@pytest.mark.parametrize("irrational", [False, True], ids=["rational-degree", "irrational-degree"])
+@pytest.mark.parametrize("kind", CUTOFF_KINDS)
+def test_family_matches_the_per_rung_loop(irrational, kind):
+    r = random.Random(f"family-{irrational}-{kind}")
+    for _ in range(40):
+        n = r.randint(2, 9)
+        degree = _random_degree(r, n, irrational)
+        shift = r.choice((0, 1, n, n + 1, 2 * n))
+        cutoff = _random_cutoff(r, kind, n, degree, shift)
+        options = {"skip_first": r.random() < 0.5, "doubled_from": r.choice((None, 0, 1, 2, 5))}
+        args = (n, degree, shift, cutoff, r.randint(1, 5), "blk", r.randint(0, 3))
+        got = _family(*args, **options)
+        assert got == _family_by_steps(*args, **options)
+        if kind == "on-rung":  # empty only when the cutoff is the skipped rung 0
+            assert compare(got[-1][0], cutoff) == 0 if got else options["skip_first"]
+        if kind == "below-first":
+            assert got == []
 
 
 # -- scalar map --------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sinecone.errors import MixedField, NegativeRadicand, ParseError
+from sinecone.errors import MixedField, NegativeRadicand, NotRepresentable, ParseError
 from sinecone.exactreal import (
     QuadReal,
     add_same_field,
@@ -26,6 +26,41 @@ def test_squarefree_decompose():
     assert squarefree_decompose(36) == (6, 1)
     assert squarefree_decompose(12 * 49) == (14, 3)
     assert squarefree_decompose(10**12 + 39) == (1, 10**12 + 39)  # prime
+
+
+# primes above the trial-division limit of 10**6
+P1, P2 = 999999937, 1000000007  # P1 * P2 < 10**18
+P3 = 1000000009  # P2 * P3 > 10**18
+
+
+@pytest.mark.parametrize(
+    "m, expected",
+    [
+        (P1 * P2, (1, P1 * P2)),  # a cofactor just below 10**18 is decided
+        (12 * P1 * P2, (2, 3 * P1 * P2)),
+        (1000003**2 * 7, (1000003, 7)),
+        (P2**2 * P3**2, (P2 * P3, 1)),  # a square cofactor is decided at any size
+    ],
+)
+def test_squarefree_decompose_below_the_cofactor_bound(m, expected):
+    t, s = squarefree_decompose(m)
+    assert (t, s) == expected and t * t * s == m
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        1000003**2 * 998244353,  # p**2 q: returned (1, p**2 q) before
+        P2 * P3,  # p q, not told apart from p**2 r at this size
+        5 * 1000003**2 * 998244353,
+    ],
+)
+def test_squarefree_decompose_refuses_an_uncertified_cofactor(m):
+    with pytest.raises(NotRepresentable, match="10\\*\\*18"):
+        squarefree_decompose(m)
+    assert NotRepresentable.exit_code == 4
+    with pytest.raises(NotRepresentable):
+        make_quad(0, 1, m)
 
 
 def test_make_quad_examples():
