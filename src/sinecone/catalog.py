@@ -116,6 +116,8 @@ def load_geometric_spectrum(path, *, hypothesis_override: bool = False) -> Geome
             obj = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):

@@ -232,9 +232,17 @@ def _support_sizes(text: str) -> list[float]:
     return sizes
 
 
+def _tolerance(text: str) -> float:
+    tol = float(text)
+    if not 0 < tol < 1:  # also rejects nan and inf
+        raise ValueError(text)
+    return tol
+
+
 def _cmd_verify_radial(args) -> int:
     if args.modes < 1:
         raise ParseError(f"--modes needs a positive integer, got {args.modes}")
+    tol = _parse_flag("--tol", _tolerance, args.tol, "a finite tolerance 0 < tol < 1")
     coupling = _parse_flag("--coupling", Fraction, args.coupling, "a rational p/q")
     demo = args.block == "tt" and coupling < conemaps.hardy_bound(args.n)
     if demo:
@@ -259,7 +267,7 @@ def _cmd_verify_radial(args) -> int:
         _emit(args, payload, [json.dumps(payload, indent=2, sort_keys=True)])
         return 0
     report = radialoracle.verify_line(
-        args.n, args.block, coupling, args.modes, args.tol, args.grid, args.eps
+        args.n, args.block, coupling, args.modes, tol, args.grid, args.eps
     )
     _emit(args, {"report": report}, [json.dumps(report, indent=2, sort_keys=True)])
     return 0
@@ -344,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--block", choices=("function", "tt"), default="function")
     p.add_argument("--coupling", required=True, help="rational coupling (p/q)")
     p.add_argument("--modes", type=int, default=4)
-    p.add_argument("--tol", type=float, default=1e-3)
+    p.add_argument("--tol", default="1e-3")
     p.add_argument("--grid", type=int, default=4000, metavar="N")
     p.add_argument("--eps", type=float, default=1e-6)
     p.add_argument("--epsilons", default="0.4,0.2,0.1,0.05",

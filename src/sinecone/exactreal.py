@@ -104,6 +104,13 @@ class QuadReal:
     b: Fraction
     s: int
 
+    def __hash__(self) -> int:
+        # canonical form and reduced Fractions: equal values have equal
+        # integer tuples, so this agrees with the dataclass __eq__ without
+        # paying Fraction.__hash__
+        a, b = self.a, self.b
+        return hash((a.numerator, a.denominator, b.numerator, b.denominator, self.s))
+
     # -- queries ---------------------------------------------------------
 
     def is_rational(self) -> bool:

@@ -10,10 +10,9 @@ families are merged, but the per-family counts stay recoverable through the
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from . import exactreal
 from .errors import CutoffTooSmall, InvariantViolation, ParseError
@@ -26,8 +25,7 @@ from .exactreal import QuadReal, compare, from_rational, json_int, quad_from_jso
 UNKNOWN_CUTOFF = from_rational(-1)
 
 
-@dataclass(frozen=True)
-class Origin:
+class Origin(NamedTuple):
     """One generating family's contribution to a spectral line."""
 
     block: str
@@ -47,10 +45,6 @@ class SpectralLine:
             raise InvariantViolation("multiplicity must be positive")
         if self.origins and sum(o.mult for o in self.origins) != self.multiplicity:
             raise InvariantViolation("multiplicity must equal the sum over origins")
-
-
-def _sort_values(values: Iterable[QuadReal]) -> list[QuadReal]:
-    return sorted(values, key=functools.cmp_to_key(compare))
 
 
 @dataclass(frozen=True)
@@ -98,21 +92,39 @@ def merge(raw: Iterable[tuple[QuadReal, int, tuple[str, int, int]]], cutoff: Qua
     """Combine raw family contributions, each tagged (block, i, j), into a
     Spectrum complete up to ``cutoff``.
 
-    Coincident values (exact equality, which is representation equality) are
-    merged with multiplicities summed and origins concatenated; the result is
-    sorted ascending.  A value above the cutoff is refused, not dropped:
-    :class:`Spectrum` raises InvariantViolation.  Order-insensitive up to
-    origin bookkeeping order, which is normalized by sorting tags.
+    Coincident values are merged with multiplicities summed and origins
+    sorted by tag, so the result does not depend on the order of ``raw``.
+    Values are grouped on the integers
+    ``(a.numerator, a.denominator, b.numerator, b.denominator, s)``:
+    ``QuadReal`` is canonical and its ``Fraction``s reduced, so equal keys
+    are equal values.  The distinct values are sorted on
+    ``(floor(1000 v), v)``; the floor is exact integer arithmetic and
+    monotone, so ``compare`` (through ``QuadReal.__lt__``) runs only for
+    two values with one floor.  A value above the cutoff is refused, not
+    dropped: :class:`Spectrum` raises InvariantViolation.
     """
-    groups: dict[QuadReal, list[Origin]] = {}
+    groups: dict[tuple[int, int, int, int, int], tuple[QuadReal, list]] = {}
     for value, mult, (block, i, j) in raw:
         if mult <= 0:
             raise InvariantViolation("raw multiplicities must be positive")
-        groups.setdefault(value, []).append(Origin(block, i, j, mult))
+        a, b = value.a, value.b
+        key = (a.numerator, a.denominator, b.numerator, b.denominator, value.s)
+        group = groups.get(key)
+        if group is None:
+            groups[key] = (value, [(block, i, j, mult)])
+        else:
+            group[1].append((block, i, j, mult))
+    # (floor, value, tags): values are distinct, so the tags are never compared
+    entries = [
+        (an * 1000 // ad if bn == 0 else exactreal._floor_scaled(value, 3), value, tags)
+        for (an, ad, bn, _, _), (value, tags) in groups.items()
+    ]
+    entries.sort()
     lines = []
-    for value in _sort_values(groups):
-        origins = tuple(sorted(groups[value], key=lambda o: (o.block, o.i, o.j)))
-        lines.append(SpectralLine(value, sum(o.mult for o in origins), origins))
+    for _, value, tags in entries:
+        tags.sort()
+        lines.append(SpectralLine(value, sum(t[3] for t in tags), tuple(map(Origin._make, tags))))
+        tags.clear()  # free each line's tag tuples once its Origins exist: lower peak memory
     return Spectrum(tuple(lines), cutoff)
 
 

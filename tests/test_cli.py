@@ -139,6 +139,17 @@ def test_exit_code_bad_input(tmp_path, capsys):
     assert json.loads(err)["error"] == "ParseError"
 
 
+def test_input_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes('{"n": 3, "note": "caf\u00e9"}'.encode("latin-1"))
+    code, out, err = _capture(capsys, ["rigidity", "--input", str(bad)])
+    assert code == 4
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "ParseError"
+    assert str(bad) in error["message"] and "UTF-8" in error["message"]
+
+
 def test_verify_radial_pass(capsys):
     code, out, _ = _capture(
         capsys,
@@ -292,6 +303,13 @@ def test_input_normalized_is_checked_not_coerced(tmp_path, capsys, normalized):
         (["--n", "8", "--block", "tt", "--coupling", "-14", "--epsilons", "0,0.1"], "--epsilons"),
         (["--n", "8", "--block", "tt", "--coupling", "-14", "--epsilons", "nan"], "--epsilons"),
         (["--n", "3", "--coupling", "3", "--modes", "0"], "--modes"),
+        (["--n", "3", "--coupling", "3", "--tol", "nan"], "--tol"),
+        (["--n", "3", "--coupling", "3", "--tol", "inf"], "--tol"),
+        (["--n", "3", "--coupling", "3", "--tol", "1e300"], "--tol"),
+        (["--n", "3", "--coupling", "3", "--tol", "0"], "--tol"),
+        (["--n", "3", "--coupling", "3", "--tol", "-1"], "--tol"),
+        (["--n", "3", "--coupling", "3", "--tol", "1"], "--tol"),
+        (["--n", "3", "--coupling", "3", "--tol", "x"], "--tol"),
     ],
 )
 def test_verify_radial_bad_flag_is_a_parse_error(capsys, flags, flag):

@@ -1,12 +1,24 @@
+import functools
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
+from sinecone import exactreal
 from sinecone.errors import CutoffTooSmall, InvariantViolation
-from sinecone.exactreal import from_rational, make_quad
+from sinecone.exactreal import (
+    QuadReal,
+    compare,
+    from_rational,
+    make_quad,
+    rational_ceiling,
+    rational_floor,
+)
 from sinecone.spectra import (
     GeometricSpectrum,
+    Origin,
+    SpectralLine,
     Spectrum,
     empty_spectrum,
     equal_up_to,
@@ -76,6 +88,125 @@ def test_merge_round_trip_idempotent(rng):
     assert [(l.value, l.multiplicity) for l in again.lines] == [
         (l.value, l.multiplicity) for l in s.lines
     ]
+
+
+def _merge_by_value_keys(raw, cutoff):
+    """merge as it was before integer keys: a QuadReal-keyed dict and a
+    cmp_to_key(compare) sort, the reference the integer-keyed merge must
+    reproduce object for object."""
+    groups = {}
+    for value, mult, (block, i, j) in raw:
+        groups.setdefault(value, []).append(Origin(block, i, j, mult))
+    lines = []
+    for value in sorted(groups, key=functools.cmp_to_key(compare)):
+        origins = tuple(sorted(groups[value], key=lambda o: (o.block, o.i, o.j)))
+        lines.append(SpectralLine(value, sum(o.mult for o in origins), origins))
+    return Spectrum(tuple(lines), cutoff)
+
+
+def _rational(rng, size=60):
+    return Fraction(rng.randint(-size, size), rng.randint(1, 9))
+
+
+def _mixed_fields(rng):
+    """Rationals, negative values included, beside values of Q(√2), Q(√3)
+    and Q(√5)."""
+    return [
+        from_rational(_rational(rng)) if rng.random() < 0.4
+        else make_quad(_rational(rng), _rational(rng, 9), rng.choice((2, 3, 5, 8, 12, 20)))
+        for _ in range(40)
+    ]
+
+
+def _floor_key_ties(rng):
+    """Values closer than 10**-3, so that many share floor(1000 v): steps of
+    10**-5 around one point, in several fields, and rationals within 10**-6
+    of an irrational."""
+    centre = _rational(rng, 20)
+    out = []
+    for _ in range(30):
+        x = make_quad(centre + Fraction(rng.randint(-50, 50), 10 ** 5),
+                      Fraction(rng.randint(-3, 3), 10 ** 4), rng.choice((1, 2, 3, 7)))
+        out.append(x)
+        if x.b != 0:
+            out += [from_rational(rational_floor(x)), from_rational(rational_ceiling(x))]
+    return out
+
+
+def _beyond_float_range(rng):
+    """Values around 10**400, where a float key would overflow, at distances
+    a float could not resolve."""
+    big = 10 ** 400
+    return [
+        make_quad(big * rng.choice((1, -1)) + rng.randint(-5, 5),
+                  rng.choice((0, 1, -1, big // 10 ** 5)), rng.choice((2, 3, 6)))
+        for _ in range(30)
+    ]
+
+
+def _many_families(rng):
+    """Few distinct values, each spelled several ways."""
+    spellings = [
+        [make_quad(0, 1, 8), make_quad(0, 2, 2), make_quad(0, Fraction(1, 2), 32)],
+        [from_rational(Fraction(1, 2)), from_rational(Fraction(2, 4)), make_quad(0, 1, Fraction(1, 4))],
+        [make_quad(1, 1, 3), make_quad(1, 0, 3) + make_quad(0, 1, 3)],
+        [from_rational(-7), make_quad(-7, 0, 11), make_quad(-8, 1, 1)],
+    ]
+    return [rng.choice(rng.choice(spellings)) for _ in range(40)]
+
+
+@pytest.mark.parametrize(
+    "draw", [_mixed_fields, _floor_key_ties, _beyond_float_range, _many_families]
+)
+def test_merge_matches_the_value_keyed_reference(draw):
+    rng = random.Random(0x3E26E)
+    cutoff = from_rational(10 ** 401)
+    for _ in range(25):
+        values = draw(rng)
+        blocks = ("A", "B", "C")
+        raw = [
+            (v, rng.randint(1, 4), (rng.choice(blocks), k, rng.randint(0, 2)))
+            for k, v in enumerate(values)
+        ]
+        rng.shuffle(raw)
+        got = merge(raw, cutoff)
+        assert got == _merge_by_value_keys(raw, cutoff)
+        assert all(type(o) is Origin for line in got for o in line.origins)
+
+
+def test_merge_compares_only_values_that_share_a_floor_key(monkeypatch):
+    calls = []
+
+    def counted(x, y):
+        calls.append((x, y))
+        return compare(x, y)
+
+    # QuadReal.__lt__ looks compare up in exactreal at call time
+    monkeypatch.setattr(exactreal, "compare", counted)
+    apart = [q(Fraction(k, 7)) for k in range(50)] + [make_quad(k, 1, 2) for k in range(50)]
+    merge([(v, 1, ("A", k, 0)) for k, v in enumerate(apart)], q(100))
+    assert calls == []
+    close = [q(Fraction(141421, 10 ** 5)), make_quad(0, 1, 2), q(Fraction(141422, 10 ** 5))]
+    s = merge([(v, 1, ("A", k, 0)) for k, v in enumerate(close)], q(2))
+    assert calls
+    assert s.values() == [close[0], close[1], close[2]]
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        (make_quad(0, 1, 8), make_quad(0, 2, 2)),
+        (from_rational(Fraction(2, 4)), from_rational(Fraction(1, 2))),
+        (make_quad(0, 1, Fraction(1, 2)), make_quad(0, Fraction(1, 2), 2)),
+        (make_quad(1, 1, 2) * make_quad(1, -1, 2), from_rational(-1)),
+        (make_quad(3, 2, 5) + make_quad(-3, -2, 5), from_rational(0)),
+        (QuadReal(1, 0, 1), from_rational(1)),
+    ],
+)
+def test_equal_values_hash_equal(x, y):
+    assert x == y
+    assert hash(x) == hash(y)
+    assert len({x, y}) == 1
 
 
 def test_spectrum_rejects_disorder_and_overflow():
