@@ -41,11 +41,14 @@ from .errors import (
 from .exactreal import (
     ZERO,
     QuadReal,
+    _floor_scaled,
+    _norm,
+    _ratio,
     compare,
     from_rational,
-    make_quad,
     rational_ceiling,
     rational_floor,
+    squarefree_decompose,
 )
 from .spectra import GeometricSpectrum, Spectrum, empty_spectrum, merge
 
@@ -54,7 +57,7 @@ def degree_eigenvalue(n: int, y: QuadReal | int | Fraction) -> QuadReal:
     """y (y + n - 1): the eigenvalue of a degree-y homogeneous harmonic
     restricted to the unit n-sphere of its cone."""
     if not isinstance(y, QuadReal):
-        y = from_rational(Fraction(y))
+        y = from_rational(y)
     return y * (y + (n - 1))
 
 
@@ -85,18 +88,25 @@ def harmonic_degree(n: int, x: QuadReal | int | Fraction) -> QuadReal:
     irrational input would need a nested radical and raises NotRepresentable.
     Inputs below :func:`hardy_bound` raise BelowHardyBound.
     """
-    if isinstance(x, QuadReal):
-        if not x.is_rational():
-            raise NotRepresentable(
-                f"harmonic degree of irrational eigenvalue {x} leaves the "
-                "quadratic-irrational system"
-            )
-        x = x.as_fraction()
-    x = Fraction(x)
-    hardy = hardy_bound(n)
-    if x < hardy:
-        raise BelowHardyBound(f"eigenvalue {x} lies below -(n-1)^2/4 = {hardy}")
-    return make_quad(Fraction(-(n - 1), 2), 1, x - hardy)
+    if not isinstance(x, QuadReal):
+        x = from_rational(x)
+    if not x.is_rational():
+        raise NotRepresentable(
+            f"harmonic degree of irrational eigenvalue {x} leaves the "
+            "quadratic-irrational system"
+        )
+    # x = xn/xd; x - hardy_bound(n) = r/(4 xd), whose square root is
+    # sqrt(r xd)/(2 xd) = t sqrt(s)/(2 xd)
+    xn, xd = x.p, x.d
+    r = 4 * xn + (n - 1) ** 2 * xd
+    if r < 0:
+        raise BelowHardyBound(f"eigenvalue {x} lies below -(n-1)^2/4 = {hardy_bound(n)}")
+    if r == 0:
+        return _norm(-(n - 1), 0, 2, 1)
+    t, s = squarefree_decompose(r * xd)
+    if s == 1:
+        return _norm(t - (n - 1) * xd, 0, 2 * xd, 1)
+    return _norm(-(n - 1) * xd, t, 2 * xd, s)
 
 
 #: The base spectra of a GeometricSpectrum, by attribute, with the names
@@ -145,7 +155,7 @@ def required_source_cutoff(
     cutoffs are replaced by a rational upper bound, which can only demand
     slightly more completeness than strictly necessary.
     """
-    x = cutoff + from_rational(Fraction(out_shift))
+    x = cutoff + from_rational(out_shift)
     if compare(x, from_rational(Fraction(-(n * n - 1), 4))) < 0:
         return None
     x_rat = x.as_fraction() if x.is_rational() else rational_ceiling(x)
@@ -203,37 +213,35 @@ def _family(
     Hessian partner.
 
     A harmonic degree is at least -(n-1)/2, so the ladder increases in j.
-    Count, then fill: integer square roots give a certified lower bound on
-    the last rung index, exact comparisons step it up to the last rung at or
-    below the cutoff, and each rung is written in closed form in the
-    degree's field, Q(sqrt(s)) for degree = p + q sqrt(s):
+    Count, then fill: an integer square root and one exact floor give a
+    lower bound on the last rung index, exact comparisons step it up to the
+    last rung at or below the cutoff, and each rung is written in closed
+    form in the degree's field, Q(sqrt(s)) for degree = p + q sqrt(s):
 
         (p+j)(p+j+n) + q^2 s - out_shift  +  q (2(p+j) + n) sqrt(s)
+
+    as one :func:`exactreal._norm` of integer numerators.
     """
-    shift = Fraction(out_shift)
-    # over the integers, p = P/d, q = Qn/Qd and q^2 s - shift = Cn/Cd, so that
-    # each coefficient costs one Fraction normalization (half the time of
-    # Fraction arithmetic per rung)
-    big_p, d = degree.a.numerator, degree.a.denominator
-    qn, qd = degree.b.numerator, degree.b.denominator
-    const = degree.b * degree.b * degree.s - shift
-    cn, cd = const.numerator, const.denominator
-    s = degree.s
+    # degree = (P + Q sqrt(s))/D and out_shift = sn/sd; with Y = P + j D the
+    # rung is ((Y (Y + n D) + Q^2 s) sd - sn D^2 + Q (2Y + n D) sd sqrt(s)) / (D^2 sd)
+    big_p, big_q, dd, s = degree.p, degree.q, degree.d, degree.s
+    sn, sd = _ratio(out_shift)
+    const = big_q * big_q * s * sd - sn * dd * dd
+    den = dd * dd * sd
+    nd = n * dd
 
     def rung(j: int) -> QuadReal:
-        y = big_p + j * d  # (p + j) d
-        a = Fraction(y * (y + n * d) * cd + cn * d * d, d * d * cd)
-        b = qn * (2 * y + n * d)
-        if b == 0:
-            return QuadReal(a, Fraction(0), 1)
-        return QuadReal(a, Fraction(b, qd * d), s)
+        y = big_p + j * dd
+        return _norm(y * (y + nd) * sd + const, big_q * (2 * y + nd) * sd, den, s)
 
-    # y (y + n) <= c  holds for  -n/2 <= y <= (isqrt(4c + n^2) - n)/2
-    c = math.floor(rational_floor(cutoff) + shift)
+    # y (y + n) <= c  holds for  -n/2 <= y <= top = (isqrt(4c + n^2) - n)/2,
+    # with c = floor(cutoff) + floor(out_shift) <= cutoff + out_shift
+    c = _floor_scaled(cutoff, 0) + sn // sd
     last = -1
     if 4 * c + n * n >= 0:
-        top = Fraction(math.isqrt(4 * c + n * n) - n, 2)
-        last = max(last, math.floor(top - rational_ceiling(degree)))
+        top2 = math.isqrt(4 * c + n * n) - n
+        # floor(top - degree) = floor((top2 D - 2P - 2Q sqrt(s)) / (2D))
+        last = max(last, _floor_scaled(_norm(top2 * dd - 2 * big_p, -2 * big_q, 2 * dd, s), 0))
     while compare(rung(last + 1), cutoff) <= 0:
         last += 1
     out = []

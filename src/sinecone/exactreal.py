@@ -1,17 +1,22 @@
 """Exact arithmetic in real quadratic fields Q(sqrt(s)).
 
 Every eigenvalue, threshold and zero test in this package is carried out on
-``QuadReal`` values ``a + b*sqrt(s)`` with rational ``a``, ``b`` and squarefree
-integer radicand ``s``.  The representation is canonical, so value equality is
-field equality and hashing works; ordering is decided by exact sign analysis
-(isolate-and-square), never by floating point.
+``QuadReal`` values ``(p + q*sqrt(s))/d``: four integers, the rational and
+the irrational part over one positive denominator ``d``, with a squarefree
+radicand ``s``.  The representation is canonical, so value equality is
+equality of the four integers and hashing works; ordering is decided by
+exact sign analysis in integers (isolate-and-square), never by floating
+point.  Every result is reduced by one function, :func:`_norm`; no
+``Fraction`` is built on the way.  ``Fraction`` stays the type of plain
+rationals at the edges: the coefficients ``a`` and ``b``, and the bounds of
+:func:`rational_ceiling` and :func:`rational_floor`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Union
 
 from .errors import MixedField, NegativeRadicand, NotRepresentable, ParseError
@@ -66,80 +71,104 @@ def squarefree_decompose(m: int) -> tuple[int, int]:
     return t, s
 
 
-def _sgn(x: Fraction) -> int:
-    if x > 0:
+def _sign(p: int, q: int, s: int) -> int:
+    """Exact sign of p + q*sqrt(s) for integers, s squarefree >= 2 when q != 0."""
+    if q == 0:
+        return (p > 0) - (p < 0)
+    if p >= 0 and q > 0:
         return 1
-    if x < 0:
+    if p <= 0 and q < 0:
         return -1
-    return 0
+    # opposite signs: |p| vs |q|sqrt(s), squared (never equal: sqrt(s) is irrational)
+    if p * p > q * q * s:
+        return 1 if p > 0 else -1
+    return 1 if q > 0 else -1
 
 
-def _sign_a_plus_b_sqrt(a: Fraction, b: Fraction, s: int) -> int:
-    """Exact sign of a + b*sqrt(s) for squarefree s >= 1."""
-    if b == 0 or s == 1:
-        return _sgn(a + b)
-    if a == 0:
-        return _sgn(b)
-    if a > 0 and b > 0:
-        return 1
-    if a < 0 and b < 0:
-        return -1
-    # opposite signs: |a| vs |b|sqrt(s), squared
-    d = a * a - b * b * s
-    if d == 0:
-        return 0  # unreachable for squarefree s >= 2, kept for safety
-    return _sgn(a) if d > 0 else _sgn(b)
+def _ratio_str(n: int, d: int) -> str:
+    """``str(Fraction(n, d))`` for d > 0, without building the Fraction."""
+    g = gcd(n, d)
+    if g != 1:
+        n //= g
+        d //= g
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
-@dataclass(frozen=True)
 class QuadReal:
-    """Canonical real quadratic irrational ``a + b*sqrt(s)``.
+    """Canonical real quadratic irrational ``(p + q*sqrt(s))/d``.
 
-    Invariants: if ``b == 0`` then ``s == 1``; otherwise ``s`` is squarefree
-    and >= 2.  Construct through :func:`make_quad` (or the coercion helpers),
-    which enforce canonical form; then equal values compare equal as tuples.
+    Invariants: ``d > 0`` and ``gcd(p, q, d) == 1``; if ``q == 0`` then
+    ``s == 1``, otherwise ``s`` is squarefree and >= 2.  So equal values have
+    equal integers, and equality and hashing use them.  Instances are
+    immutable; ``a`` and ``b``, the coefficients of ``a + b*sqrt(s)``, are
+    ``Fraction``s computed on demand.
+
+    ``QuadReal(a, b, s)`` is the canonical form of ``a + b*sqrt(s)`` for int
+    or ``Fraction`` coefficients, as :func:`make_quad` builds it.  Inside
+    this module every result is reduced by :func:`_norm`.
     """
 
-    a: Fraction
-    b: Fraction
-    s: int
+    __slots__ = ("p", "q", "d", "s")
+
+    def __new__(cls, a: RationalLike = 0, b: RationalLike = 0, s: RationalLike = 1) -> "QuadReal":
+        return make_quad(a, b, s)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"QuadReal is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"QuadReal is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return _make, (self.p, self.q, self.d, self.s)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not QuadReal:
+            return NotImplemented
+        return self.p == other.p and self.q == other.q and self.d == other.d and self.s == other.s
 
     def __hash__(self) -> int:
-        # canonical form and reduced Fractions: equal values have equal
-        # integer tuples, so this agrees with the dataclass __eq__ without
-        # paying Fraction.__hash__
-        a, b = self.a, self.b
-        return hash((a.numerator, a.denominator, b.numerator, b.denominator, self.s))
+        return hash((self.p, self.q, self.d, self.s))
+
+    def __repr__(self) -> str:
+        return f"QuadReal(a={self.a!r}, b={self.b!r}, s={self.s!r})"
 
     # -- queries ---------------------------------------------------------
 
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.p, self.d)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.q, self.d)
+
     def is_rational(self) -> bool:
-        return self.b == 0
+        return self.q == 0
 
     def is_integer(self) -> bool:
-        return self.b == 0 and self.a.denominator == 1
+        return self.q == 0 and self.d == 1
 
     def as_fraction(self) -> Fraction:
-        if self.b != 0:
+        if self.q != 0:
             raise NotRepresentable(f"{self} is irrational")
-        return self.a
+        return Fraction(self.p, self.d)
 
     def __float__(self) -> float:
-        return float(self.a) + float(self.b) * math.sqrt(self.s)
+        return self.p / self.d + self.q / self.d * math.sqrt(self.s)
 
     def __str__(self) -> str:
-        if self.b == 0:
-            return str(self.a)
-        bpart = f"{self.b}" if self.b != 1 else ""
-        if self.b == -1:
-            bpart = "-"
-        head = f"{self.a} + " if self.a != 0 else ""
+        p, q, d = self.p, self.q, self.d
+        if q == 0:
+            return _ratio_str(p, d)
+        bpart = "" if q == d else "-" if q == -d else _ratio_str(q, d)
+        head = f"{_ratio_str(p, d)} + " if p != 0 else ""
         return f"{head}{bpart}√{self.s}".replace("+ -", "- ")
 
     # -- arithmetic ------------------------------------------------------
 
     def __neg__(self) -> "QuadReal":
-        return QuadReal(-self.a, -self.b, self.s)
+        return _make(-self.p, -self.q, self.d, self.s)
 
     def __add__(self, other) -> "QuadReal":
         return add_same_field(self, _coerce(other))
@@ -159,14 +188,17 @@ class QuadReal:
 
     def __truediv__(self, other) -> "QuadReal":
         other = _coerce(other)
-        if other.b != 0:
-            # multiply by the conjugate: exact inverse in the same field
-            norm = other.a * other.a - other.b * other.b * other.s
-            inv = QuadReal(other.a / norm, -other.b / norm, other.s)
-            return mul_same_field(self, inv)
-        if other.a == 0:
-            raise ZeroDivisionError("division by zero QuadReal")
-        return QuadReal(self.a / other.a, self.b / other.a, self.s)
+        yp, yq, yd, s = other.p, other.q, other.d, other.s
+        if yq == 0:
+            if yp == 0:
+                raise ZeroDivisionError("division by zero QuadReal")
+            return _norm(self.p * yd, self.q * yd, self.d * yp, self.s)
+        if self.q != 0 and self.s != s:
+            raise MixedField(f"cannot divide values from Q(√{self.s}) and Q(√{s})")
+        # multiply by the conjugate: x / y = x yd (yp - yq sqrt(s)) / (yp^2 - yq^2 s)
+        xp, xq = self.p, self.q
+        return _norm((xp * yp - xq * yq * s) * yd, (xq * yp - xp * yq) * yd,
+                     self.d * (yp * yp - yq * yq * s), s)
 
     # -- order -----------------------------------------------------------
 
@@ -185,23 +217,53 @@ class QuadReal:
     # -- rendering / JSON --------------------------------------------------
 
     def to_json(self) -> dict:
-        return {"a": _frac_str(self.a), "b": _frac_str(self.b), "s": self.s}
+        return {"a": _ratio_str(self.p, self.d), "b": _ratio_str(self.q, self.d), "s": self.s}
 
 
-def _frac_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+_new = object.__new__
+_set_p, _set_q, _set_d, _set_s = (QuadReal.__dict__[k].__set__ for k in QuadReal.__slots__)
+
+
+def _make(p: int, q: int, d: int, s: int) -> QuadReal:
+    """A QuadReal from integers that already satisfy the invariants."""
+    x = _new(QuadReal)
+    _set_p(x, p)
+    _set_q(x, q)
+    _set_d(x, d)
+    _set_s(x, s)
+    return x
+
+
+def _norm(p: int, q: int, d: int, s: int) -> QuadReal:
+    """The canonical QuadReal of ``(p + q*sqrt(s))/d``, for integers with
+    ``d != 0`` and ``s`` squarefree >= 2 (any ``s`` when ``q == 0``)."""
+    if d < 0:
+        p, q, d = -p, -q, -d
+    g = gcd(p, q, d)
+    if g != 1:
+        p //= g
+        q //= g
+        d //= g
+    return _make(p, q, d, s if q else 1)
+
+
+def _ratio(x: RationalLike) -> tuple[int, int]:
+    """(numerator, denominator > 0) of an int or a Fraction."""
+    if isinstance(x, int):
+        return int(x), 1
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    raise TypeError(f"expected an int or a Fraction, got {x!r}")
 
 
 def _coerce(x) -> QuadReal:
-    if isinstance(x, QuadReal):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return QuadReal(Fraction(x), Fraction(0), 1)
-    raise TypeError(f"cannot interpret {x!r} as a QuadReal")
+    return x if isinstance(x, QuadReal) else from_rational(x)
 
 
 def from_rational(x: RationalLike) -> QuadReal:
-    return QuadReal(Fraction(x), Fraction(0), 1)
+    # an int or a Fraction is already reduced with a positive denominator
+    p, d = _ratio(x)
+    return _make(p, 0, d, 1)
 
 
 ZERO = from_rational(0)
@@ -212,107 +274,91 @@ def make_quad(a: RationalLike, b: RationalLike, d: RationalLike) -> QuadReal:
     """Canonical form of ``a + b*sqrt(d)`` for rational ``d >= 0``.
 
     sqrt(p/q) = sqrt(p*q)/q; the squarefree kernel of p*q becomes the
-    radicand and all square factors fold into ``b``.
+    radicand and all square factors fold into the irrational part.
     """
-    a = Fraction(a)
-    b = Fraction(b)
-    d = Fraction(d)
-    if d < 0:
-        raise NegativeRadicand(f"sqrt of negative rational {d}")
-    if b == 0 or d == 0:
-        return QuadReal(a, Fraction(0), 1)
-    t, s = squarefree_decompose(d.numerator * d.denominator)
-    b = b * Fraction(t, d.denominator)
+    an, ad = _ratio(a)
+    bn, bd = _ratio(b)
+    dn, dd = _ratio(d)
+    if dn < 0:
+        raise NegativeRadicand(f"sqrt of negative rational {_ratio_str(dn, dd)}")
+    if bn == 0 or dn == 0:
+        return _make(an, 0, ad, 1)
+    t, s = squarefree_decompose(dn * dd)
+    # a + b sqrt(d) = (an bd dd + bn t ad sqrt(s)) / (ad bd dd)
+    den = bd * dd
+    p, q = an * den, bn * t * ad
     if s == 1:
-        return QuadReal(a + b, Fraction(0), 1)
-    return QuadReal(a, b, s)
+        return _norm(p + q, 0, ad * den, 1)
+    return _norm(p, q, ad * den, s)
 
 
 def add_same_field(x: QuadReal, y: QuadReal) -> QuadReal:
     """Exact sum; both operands must live in one quadratic field."""
-    if x.s == y.s:
-        b = x.b + y.b
-        if b == 0:
-            return QuadReal(x.a + y.a, Fraction(0), 1)
-        return QuadReal(x.a + y.a, b, x.s)
-    if x.b == 0:
-        return QuadReal(x.a + y.a, y.b, y.s)
-    if y.b == 0:
-        return QuadReal(x.a + y.a, x.b, x.s)
-    raise MixedField(f"cannot add values from Q(√{x.s}) and Q(√{y.s})")
+    s = x.s
+    if s != y.s:
+        if x.q == 0:
+            s = y.s
+        elif y.q != 0:
+            raise MixedField(f"cannot add values from Q(√{x.s}) and Q(√{y.s})")
+    xd, yd = x.d, y.d
+    if xd == yd:
+        return _norm(x.p + y.p, x.q + y.q, xd, s)
+    return _norm(x.p * yd + y.p * xd, x.q * yd + y.q * xd, xd * yd, s)
 
 
 def mul_same_field(x: QuadReal, y: QuadReal) -> QuadReal:
     """Exact product; both operands must live in one quadratic field."""
-    if x.s == y.s:
-        a = x.a * y.a + x.b * y.b * x.s
-        b = x.a * y.b + x.b * y.a
-        if b == 0:
-            return QuadReal(a, Fraction(0), 1)
-        return QuadReal(a, b, x.s)
-    if x.b == 0:
-        if x.a == 0:
-            return ZERO
-        b = x.a * y.b
-        return QuadReal(x.a * y.a, b, y.s) if b != 0 else QuadReal(x.a * y.a, Fraction(0), 1)
-    if y.b == 0:
-        return mul_same_field(y, x)
-    raise MixedField(f"cannot multiply values from Q(√{x.s}) and Q(√{y.s})")
+    s = x.s
+    if s != y.s:
+        if x.q == 0:
+            s = y.s
+        elif y.q != 0:
+            raise MixedField(f"cannot multiply values from Q(√{x.s}) and Q(√{y.s})")
+    xp, xq, yp, yq = x.p, x.q, y.p, y.q
+    return _norm(xp * yp + xq * yq * s, xp * yq + xq * yp, x.d * y.d, s)
 
 
 def compare(x: QuadReal, y: QuadReal) -> int:
     """Exact sign of ``x - y``; cross-field comparisons are allowed.
 
-    Returns -1, 0 or +1.  The difference A + B*sqrt(u) - C*sqrt(v) is decided
-    by sign-case analysis and repeated squaring over the rationals.
+    Returns -1, 0 or +1.  Scaled by the two denominators, the difference is
+    A + B*sqrt(u) - C*sqrt(v) in integers, decided by sign-case analysis
+    and repeated squaring.
     """
-    if x.b == 0 and y.b == 0:
-        return (x.a > y.a) - (x.a < y.a)
-    if x.s == y.s:
-        return _sign_a_plus_b_sqrt(x.a - y.a, x.b - y.b, x.s)
-    if x.b == 0:
-        return -_sign_a_plus_b_sqrt(y.a - x.a, y.b, y.s)
-    if y.b == 0:
-        return _sign_a_plus_b_sqrt(x.a - y.a, x.b, x.s)
-    # x - y = A + B*sqrt(u) - C*sqrt(v), with u != v, B, C != 0
-    a_diff = x.a - y.a
-    left = _sign_a_plus_b_sqrt(a_diff, x.b, x.s)
-    right = _sgn(y.b)
-    if left == 0:
-        return -right
-    if left != right:
+    xq, yq, xd, yd = x.q, y.q, x.d, y.d
+    a = x.p * yd - y.p * xd
+    if xq == 0 and yq == 0:
+        return (a > 0) - (a < 0)
+    u = x.s
+    if u == y.s:
+        return _sign(a, xq * yd - yq * xd, u)
+    if xq == 0:
+        return _sign(a, -yq * xd, y.s)
+    if yq == 0:
+        return _sign(a, xq * yd, u)
+    # u != v and B, C != 0; A + B*sqrt(u) is irrational, so never 0
+    b, c = xq * yd, yq * xd
+    left = _sign(a, b, u)
+    if left != ((c > 0) - (c < 0)):
         return left
-    # same nonzero sign: compare squares, (A + B*sqrt(u))^2 vs C^2 v
-    t = _sign_a_plus_b_sqrt(
-        a_diff * a_diff + x.b * x.b * x.s - y.b * y.b * y.s,
-        2 * a_diff * x.b,
-        x.s,
-    )
+    # same sign: compare squares, (A + B*sqrt(u))^2 vs C^2 v
+    t = _sign(a * a + b * b * u - c * c * y.s, 2 * a * b, u)
     return t if left > 0 else -t
 
 
 def sign(x: QuadReal) -> int:
-    return _sign_a_plus_b_sqrt(x.a, x.b, x.s)
+    return _sign(x.p, x.q, x.s)
 
 
 def _floor_scaled(x: QuadReal, k: int) -> int:
     """floor(x * 10**k), exactly, via integer square roots."""
     scale = 10 ** k
-    num_a = x.a.numerator * scale
-    den = x.a.denominator
-    if x.b == 0:
-        return num_a // den
-    # common denominator Q for a and b, then floor((A + B*sqrt(s)) / Q)
-    q = x.a.denominator * x.b.denominator
-    big_a = x.a.numerator * x.b.denominator * scale
-    big_b = x.b.numerator * x.a.denominator * scale
-    rad = big_b * big_b * x.s
-    root = math.isqrt(rad)
-    if big_b >= 0:
-        irr_floor = root
-    else:
-        irr_floor = -root if root * root == rad else -(root + 1)
-    return (big_a + irr_floor) // q
+    p, q = x.p * scale, x.q * scale
+    if q == 0:
+        return p // x.d
+    # q^2 s is never a square, so floor(q sqrt(s)) is isqrt or -(isqrt + 1)
+    root = math.isqrt(q * q * x.s)
+    return (p + (root if q > 0 else -root - 1)) // x.d
 
 
 def to_decimal(x: QuadReal, digits: int) -> str:
@@ -320,11 +366,10 @@ def to_decimal(x: QuadReal, digits: int) -> str:
     places after the point."""
     if not 1 <= digits <= 1000:
         raise ValueError("digits must be between 1 and 1000")
-    if x.b == 0:
-        scaled = x.a * 10 ** digits
-        q, r = divmod(scaled.numerator, scaled.denominator)
+    if x.q == 0:
+        q, r = divmod(x.p * 10 ** digits, x.d)
         twice = 2 * r
-        if twice > scaled.denominator or (twice == scaled.denominator and q % 2):
+        if twice > x.d or (twice == x.d and q % 2):
             q += 1
         return _format_scaled(q, digits)
     # irrational: never sits exactly on a rounding boundary, so a widening
@@ -348,15 +393,15 @@ def _format_scaled(q: int, digits: int) -> str:
 
 def rational_ceiling(x: QuadReal) -> Fraction:
     """A rational upper bound for x (tight to within 10**-6)."""
-    if x.b == 0:
-        return x.a
+    if x.q == 0:
+        return Fraction(x.p, x.d)
     return Fraction(_floor_scaled(x, 6) + 1, 10 ** 6)
 
 
 def rational_floor(x: QuadReal) -> Fraction:
     """A rational lower bound for x (tight to within 10**-6)."""
-    if x.b == 0:
-        return x.a
+    if x.q == 0:
+        return Fraction(x.p, x.d)
     return Fraction(_floor_scaled(x, 6), 10 ** 6)
 
 
@@ -368,22 +413,39 @@ def json_int(obj, field: str) -> int:
     return obj
 
 
-def quad_from_json(obj) -> QuadReal:
-    """Parse the {"a": "p/q", "b": "p/q", "s": N} rendering; integers and
-    bare numeric strings are accepted as rational shorthand."""
-    if isinstance(obj, int) and not isinstance(obj, bool):
-        return from_rational(obj)
+def json_keys(obj: dict, allowed, where: str) -> None:
+    """Refuse a key of a JSON object that the schema does not name: a
+    misspelt key is an error, never dropped."""
+    for key in obj:
+        if key not in allowed:
+            raise ParseError(f"unknown key {key!r} in {where}; expected {', '.join(allowed)}")
+
+
+def _json_rational(obj, field: str) -> Fraction:
+    """A rational of the JSON schema: an int (not a bool) or a "p/q" string."""
     if isinstance(obj, str):
         try:
-            return from_rational(Fraction(obj))
+            return Fraction(obj)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad rational literal {obj!r}") from exc
+    if isinstance(obj, bool) or not isinstance(obj, int):
+        raise ParseError(f"{field!r} must be an integer or a 'p/q' string, got {obj!r}")
+    return Fraction(obj)
+
+
+QUAD_KEYS = ("a", "b", "s")
+
+
+def quad_from_json(obj) -> QuadReal:
+    """Parse the {"a": "p/q", "b": "p/q", "s": N} rendering; integers and
+    "p/q" strings are accepted as rational shorthand, inside the object as
+    well as bare.  A float, a bool or an unknown key is refused."""
+    if isinstance(obj, (int, str)) and not isinstance(obj, bool):
+        return from_rational(_json_rational(obj, "value"))
     if isinstance(obj, dict):
-        try:
-            a = Fraction(str(obj.get("a", 0)))
-            b = Fraction(str(obj.get("b", 0)))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad QuadReal object {obj!r}") from exc
+        json_keys(obj, QUAD_KEYS, "QuadReal object")
+        a = _json_rational(obj.get("a", 0), "a")
+        b = _json_rational(obj.get("b", 0), "b")
         s = json_int(obj.get("s", 1), "s")
         if s < 0:
             raise ParseError(f"negative radicand in {obj!r}")

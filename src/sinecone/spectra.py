@@ -16,7 +16,7 @@ from typing import Iterable, NamedTuple, Optional
 
 from . import exactreal
 from .errors import CutoffTooSmall, InvariantViolation, ParseError
-from .exactreal import QuadReal, compare, from_rational, json_int, quad_from_json
+from .exactreal import QUAD_KEYS, QuadReal, compare, from_rational, json_int, json_keys, quad_from_json
 
 #: Sentinel cutoff for "no information": a spectrum complete up to -1 only.
 #: Empty spectra of operators that are nonnegative (or whose window of
@@ -94,21 +94,19 @@ def merge(raw: Iterable[tuple[QuadReal, int, tuple[str, int, int]]], cutoff: Qua
 
     Coincident values are merged with multiplicities summed and origins
     sorted by tag, so the result does not depend on the order of ``raw``.
-    Values are grouped on the integers
-    ``(a.numerator, a.denominator, b.numerator, b.denominator, s)``:
-    ``QuadReal`` is canonical and its ``Fraction``s reduced, so equal keys
-    are equal values.  The distinct values are sorted on
-    ``(floor(1000 v), v)``; the floor is exact integer arithmetic and
-    monotone, so ``compare`` (through ``QuadReal.__lt__``) runs only for
-    two values with one floor.  A value above the cutoff is refused, not
-    dropped: :class:`Spectrum` raises InvariantViolation.
+    Values are grouped on their integers ``(p, q, d, s)``: ``QuadReal`` is
+    canonical, so equal keys are equal values.  The distinct values are
+    sorted on ``(floor(1000 v), v)``, the floor ``p*1000 // d`` for a
+    rational; the floor is exact integer arithmetic and monotone, so
+    ``compare`` (through ``QuadReal.__lt__``) runs only for two values with
+    one floor.  A value above the cutoff is refused, not dropped:
+    :class:`Spectrum` raises InvariantViolation.
     """
-    groups: dict[tuple[int, int, int, int, int], tuple[QuadReal, list]] = {}
+    groups: dict[tuple[int, int, int, int], tuple[QuadReal, list]] = {}
     for value, mult, (block, i, j) in raw:
         if mult <= 0:
             raise InvariantViolation("raw multiplicities must be positive")
-        a, b = value.a, value.b
-        key = (a.numerator, a.denominator, b.numerator, b.denominator, value.s)
+        key = (value.p, value.q, value.d, value.s)
         group = groups.get(key)
         if group is None:
             groups[key] = (value, [(block, i, j, mult)])
@@ -116,8 +114,8 @@ def merge(raw: Iterable[tuple[QuadReal, int, tuple[str, int, int]]], cutoff: Qua
             group[1].append((block, i, j, mult))
     # (floor, value, tags): values are distinct, so the tags are never compared
     entries = [
-        (an * 1000 // ad if bn == 0 else exactreal._floor_scaled(value, 3), value, tags)
-        for (an, ad, bn, _, _), (value, tags) in groups.items()
+        (p * 1000 // d if q == 0 else exactreal._floor_scaled(value, 3), value, tags)
+        for (p, q, d, _), (value, tags) in groups.items()
     ]
     entries.sort()
     lines = []
@@ -220,6 +218,13 @@ def geometric_spectrum_to_json(gs: GeometricSpectrum) -> dict:
     }
 
 
+#: The keys of the base JSON schema, of its per-spectrum cutoff object and of
+#: a spectrum entry; any other key is refused, never dropped.
+SOURCE_KEYS = ("spec0", "spec1D", "specE_TT")
+BASE_KEYS = ("n", "normalized", *SOURCE_KEYS, "cutoff")
+ENTRY_KEYS = ("value", "mult")
+
+
 def _spectrum_from_json(obj: dict, key: str, cutoff: QuadReal) -> Spectrum:
     """The spectrum listed under ``key``, each line tagged input0, input1 or
     inputE (the key's fifth letter).  Each value is listed once: a repeat is
@@ -230,6 +235,8 @@ def _spectrum_from_json(obj: dict, key: str, cutoff: QuadReal) -> Spectrum:
     raw = []
     seen = set()
     for k, entry in enumerate(entries):
+        if isinstance(entry, dict):
+            json_keys(entry, ENTRY_KEYS, f"{key} entry {entry!r}")
         try:
             value = quad_from_json(entry["value"])
             mult = json_int(entry["mult"], "mult")
@@ -249,18 +256,20 @@ def _spectrum_from_json(obj: dict, key: str, cutoff: QuadReal) -> Spectrum:
 def geometric_spectrum_from_json(obj: dict, *, hypothesis_override: bool = False) -> GeometricSpectrum:
     if "n" not in obj:
         raise ParseError("geometric spectrum JSON needs an integer 'n'")
+    json_keys(obj, BASE_KEYS, "geometric spectrum JSON")
     n = json_int(obj["n"], "n")
     if obj.get("normalized", True) is not True:
         raise InvariantViolation("spectra must be stated for the Ric = (n-1)g scaling")
     cut_obj = obj.get("cutoff", 0)
-    if isinstance(cut_obj, dict) and {"spec0", "spec1D", "specE_TT"} & set(cut_obj):
-        cuts = {
-            key: quad_from_json(cut_obj.get(key, -1))
-            for key in ("spec0", "spec1D", "specE_TT")
-        }
+    # an object is one QuadReal for all three spectra, or one per spectrum
+    if isinstance(cut_obj, dict):
+        json_keys(cut_obj, SOURCE_KEYS + QUAD_KEYS, "cutoff")
+    if isinstance(cut_obj, dict) and cut_obj.keys() & set(SOURCE_KEYS):
+        json_keys(cut_obj, SOURCE_KEYS, "per-spectrum cutoff")
+        cuts = {key: quad_from_json(cut_obj.get(key, -1)) for key in SOURCE_KEYS}
     else:
         shared = quad_from_json(cut_obj)
-        cuts = {"spec0": shared, "spec1D": shared, "specE_TT": shared}
+        cuts = dict.fromkeys(SOURCE_KEYS, shared)
     return GeometricSpectrum(
         n=n,
         spec0=_spectrum_from_json(obj, "spec0", cuts["spec0"]),

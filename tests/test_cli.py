@@ -449,6 +449,48 @@ def test_input_integer_fields_are_checked_not_coerced(tmp_path, capsys, field, v
     assert f"{field!r} must be an integer, got {value!r}" in error["message"]
 
 
+def _rename(obj, old, new):
+    obj[new] = obj.pop(old)
+
+
+@pytest.mark.parametrize(
+    "edit, key",
+    [
+        (lambda b: _rename(b, "spec1D", "spec1d"), "spec1d"),
+        (lambda b: b.update(comment="from a paper"), "comment"),
+        (lambda b: b.update(cutoff={"spec1d": 40}), "spec1d"),
+        (lambda b: b.update(cutoff={"spec0": 30, "spec1D": 30, "specE_TT": 30, "S": 2}), "S"),
+        (lambda b: b.update(cutoff={"a": 30, "spec0": 30}), "a"),
+        (lambda b: b.update(cutoff={"a": 30, "c": 1}), "c"),
+        (lambda b: b["spec0"][1].update(multiplicity=9), "multiplicity"),
+        (lambda b: b["spec0"].append({"value": {"a": 0, "b": 6, "S": 2}, "mult": 1}), "S"),
+    ],
+    ids=["top-spec1d", "top-comment", "cutoff-spec1d", "cutoff-S", "cutoff-mixed",
+         "cutoff-quad-c", "entry-multiplicity", "value-S"],
+)
+def test_input_unknown_keys_are_parse_errors_naming_the_key(tmp_path, capsys, edit, key):
+    base = json.loads((Path(__file__).with_name("golden") / "base4.json").read_text())
+    edit(base)
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps(base))
+    argv = ["spectrum", "--input", str(path), "--operator", "oneform", "--cutoff", "6"]
+    code, out, err = _capture(capsys, argv)
+    assert code == 4
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "ParseError"
+    assert f"unknown key {key!r}" in error["message"]
+
+
+def test_input_with_spec1D_spelled_right_keeps_its_one_form_line(capsys):
+    # with "spec1d" the coclosed line 4 lost the 1-form family's six modes
+    base = str(Path(__file__).with_name("golden") / "base4.json")
+    argv = ["--output", "json", "spectrum", "--input", base, "--operator", "oneform", "--cutoff", "6"]
+    code, out, _ = _capture(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["coclosed_part"] == [{"mult": 11, "value": {"a": "4", "b": "0", "s": 1}}]
+
+
 def _fresh_python(*args):
     """Run a fresh interpreter on the source tree: the in-process suite has
     numpy and scipy loaded already."""

@@ -194,6 +194,22 @@ def test_json_booleans_and_floats_are_not_integers(obj):
         quad_from_json(obj)
 
 
+@pytest.mark.parametrize(
+    "obj", [{"a": 2.5}, {"b": 1.0, "s": 2}, {"a": True}, {"b": False, "s": 3}, {"a": None}, {"a": [1]}]
+)
+def test_json_coefficients_are_integers_or_strings(obj):
+    with pytest.raises(ParseError, match="must be an integer or a 'p/q' string"):
+        quad_from_json(obj)
+
+
+def test_json_objects_take_only_a_b_and_s():
+    with pytest.raises(ParseError, match="unknown key 'S'"):
+        quad_from_json({"a": 0, "b": 6, "S": 2})
+    assert quad_from_json({"a": 0, "b": 6, "s": 2}) == make_quad(0, 6, 2)
+    assert quad_from_json({"a": "5/2"}) == quad_from_json("5/2") == from_rational(Fraction(5, 2))
+    assert quad_from_json({"a": 5, "b": "-1/3", "s": 8}) == make_quad(5, Fraction(-1, 3), 8)
+
+
 def test_order_trichotomy_and_transitivity():
     rng = random.Random(777)
 

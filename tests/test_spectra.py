@@ -2,10 +2,12 @@ import functools
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from sinecone import exactreal
+from sinecone.catalog import ProductMarker, product_geometric_spectrum, sphere_geometric_spectrum
 from sinecone.errors import CutoffTooSmall, InvariantViolation
 from sinecone.exactreal import (
     QuadReal,
@@ -284,6 +286,31 @@ def test_geometric_spectrum_override_warns_instead():
             specE_TT=empty_spectrum(),
             hypothesis_override=True,
         )
+
+
+def _golden_base(name):
+    path = Path(__file__).with_name("golden") / f"{name}.json"
+    return geometric_spectrum_from_json(json.loads(path.read_text()))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: _golden_base("base4"),
+        lambda: _golden_base("base9"),
+        lambda: product_geometric_spectrum(ProductMarker(4, 5)),
+        lambda: sphere_geometric_spectrum(3, make_quad(40, 1, 2)),
+    ],
+    ids=["base4", "base9", "product45", "sphere3"],
+)
+def test_json_output_loads_back_unchanged(build):
+    gs = build()
+    payload = geometric_spectrum_to_json(gs)
+    back = geometric_spectrum_from_json(json.loads(json.dumps(payload)))
+    assert geometric_spectrum_to_json(back) == payload
+    for key in ("spec0", "spec1D", "specE_TT"):
+        assert getattr(back, key).values() == getattr(gs, key).values()
+        assert getattr(back, key).cutoff == getattr(gs, key).cutoff
 
 
 def test_json_round_trip(tmp_path):
