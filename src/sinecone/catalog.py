@@ -13,7 +13,6 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 
 from .errors import InvariantViolation, ParseError
 from .exactreal import QuadReal, from_rational
@@ -23,7 +22,6 @@ from .spectra import (
     UNKNOWN_CUTOFF,
     empty_spectrum,
     geometric_spectrum_from_json,
-    geometric_spectrum_to_json,
     merge,
 )
 
@@ -124,10 +122,3 @@ def load_geometric_spectrum(path, *, hypothesis_override: bool = False) -> Geome
         raise ParseError(f"{path}: top level must be an object")
     return geometric_spectrum_from_json(obj, hypothesis_override=hypothesis_override)
 
-
-def save_geometric_spectrum(gs: GeometricSpectrum, path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(geometric_spectrum_to_json(gs), fh, indent=2, sort_keys=True)
-        fh.write("\n")

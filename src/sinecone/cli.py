@@ -19,14 +19,14 @@ from fractions import Fraction
 
 from . import catalog, conemaps, rigidity, stability, symcheck
 from .errors import ParseError, SineconeError
-from .exactreal import QuadReal, from_rational, quad_from_json, to_decimal
+from .exactreal import QuadReal, _json_rational, from_rational, quad_from_json, to_decimal
 from .spectra import GeometricSpectrum, Spectrum, geometric_spectrum_to_json
 
 
 def _parse_cutoff(text: str) -> QuadReal:
     text = text.strip()
     if not text.startswith("{"):
-        return quad_from_json(text)
+        return from_rational(_json_rational(text, "--cutoff"))
     try:
         obj = json.loads(text)
     except json.JSONDecodeError:
@@ -243,7 +243,9 @@ def _cmd_verify_radial(args) -> int:
     if args.modes < 1:
         raise ParseError(f"--modes needs a positive integer, got {args.modes}")
     tol = _parse_flag("--tol", _tolerance, args.tol, "a finite tolerance 0 < tol < 1")
-    coupling = _parse_flag("--coupling", Fraction, args.coupling, "a rational p/q")
+    coupling = _parse_flag(
+        "--coupling", lambda t: _json_rational(t, "--coupling"), args.coupling, "a rational p/q"
+    )
     demo = args.block == "tt" and coupling < conemaps.hardy_bound(args.n)
     if demo:
         epsilons = _parse_flag(

@@ -39,7 +39,6 @@ from .errors import (
     UnboundedBelow,
 )
 from .exactreal import (
-    ZERO,
     QuadReal,
     _floor_scaled,
     _norm,
@@ -118,29 +117,46 @@ SOURCES = {
 }
 
 #: The feed of every part of the cone spectra, as (source, inner shift,
-#: output shift, block) entries: each line x of the source seeds the ladder
-#: degree_eigenvalue(n+1, harmonic_degree(n, x + inner) + j) - out, whose
-#: rungs are tagged (block, line index, j).  An output shift (a, b) stands
-#: for a*n + b over a dim-n base.  A transform checks and enumerates a
-#: part's sources in the order listed.
+#: output shift, block, rungs) entries: each line x of the source seeds the
+#: ladder degree_eigenvalue(n+1, harmonic_degree(n, x + inner) + j) - out,
+#: whose rungs are tagged (block, line index, j).  An output shift (a, b)
+#: stands for a*n + b over a dim-n base.  A transform checks and enumerates
+#: a part's sources in the order listed.
+#:
+#: ``rungs`` holds the boundary lines, keyed like the shifts: (0, 0) is the
+#: zero line, (1, 0) the dimension line n and (1, -1) the Killing line n-1.
+#: A key maps to the ladder's (first rung, first doubled rung), or to None
+#: when that line has no ladder.  The key None stands for every other line;
+#: without it their ladders are whole and never doubled, (0, None).
 FEEDS = {
-    "functions": (("spec0", 0, (0, 0), "fun"),),
-    "exact": (("spec0", 0, (1, 0), "1f-exact"),),
-    "coclosed": (("spec0", 0, (0, 1), "1f-co-scalar"), ("spec1D", 1, (0, 1), "1f-co-form")),
-    "conformal": (("spec0", 0, (2, 0), "E-conf"),),
-    "vector": (("spec0", 0, (1, 1), "E-vec-scalar"), ("spec1D", 1, (1, 1), "E-vec-form")),
+    "functions": (("spec0", 0, (0, 0), "fun", {}),),
+    "exact": (("spec0", 0, (1, 0), "1f-exact", {(0, 0): (1, None)}),),
+    "coclosed": (
+        ("spec0", 0, (0, 1), "1f-co-scalar", {(0, 0): None}),
+        ("spec1D", 1, (0, 1), "1f-co-form", {}),
+    ),
+    # a doubled rung is a conformal direction and its Hessian partner, which
+    # vanishes on rungs 0 and 1 of the zero line and rung 0 of the dimension line
+    "conformal": (("spec0", 0, (2, 0), "E-conf", {None: (0, 0), (0, 0): (0, 2), (1, 0): (0, 1)}),),
+    "vector": (
+        ("spec0", 0, (1, 1), "E-vec-scalar", {(0, 0): None, (1, 0): (1, None)}),
+        ("spec1D", 1, (1, 1), "E-vec-form", {(1, -1): (1, None)}),
+    ),
     "tt": (
-        ("spec0", 0, (0, 0), "E-tt-scalar"),
-        ("spec1D", 1, (0, 0), "E-tt-form"),
-        ("specE_TT", 0, (0, 0), "E-tt-tensor"),
+        ("spec0", 0, (0, 0), "E-tt-scalar", {(0, 0): None, (1, 0): None}),
+        ("spec1D", 1, (0, 0), "E-tt-form", {(1, -1): None}),
+        ("specE_TT", 0, (0, 0), "E-tt-tensor", {}),
     ),
 }
 
 
-def _feeds(part: str, n: int) -> list[tuple[str, int, int, str]]:
-    """The (source, inner shift, output shift, block) entries of ``part``
-    over a dim-n base."""
-    return [(source, inner, a * n + b, block) for source, inner, (a, b), block in FEEDS[part]]
+def _feeds(part: str, n: int) -> list[tuple[str, int, int, str, dict]]:
+    """The (source, inner shift, output shift, block, rungs) entries of
+    ``part`` over a dim-n base."""
+    return [
+        (source, inner, a * n + b, block, rungs)
+        for source, inner, (a, b), block, rungs in FEEDS[part]
+    ]
 
 
 def required_source_cutoff(
@@ -171,7 +187,7 @@ def source_requirements(
     enumerated up to its window; -1 where nothing is required."""
     need = dict.fromkeys(SOURCES, Fraction(-1))
     for part, window in windows.items():
-        for source, inner, out, _ in _feeds(part, n):
+        for source, inner, out, _, _ in _feeds(part, n):
             bound = required_source_cutoff(n, window, out, inner)
             if bound is not None:
                 need[source] = max(need[source], rational_ceiling(bound))
@@ -186,7 +202,7 @@ def supported_window(gs: GeometricSpectrum, part: str) -> Fraction:
     n = gs.n
     hardy = hardy_bound(n)
     windows = []
-    for source, inner, out, _ in _feeds(part, n):
+    for source, inner, out, _, _ in _feeds(part, n):
         c = rational_floor(getattr(gs, source).cutoff) + inner
         if c < hardy:
             windows.append(Fraction(-1))
@@ -204,13 +220,12 @@ def _family(
     mult: int,
     block: str,
     i: int,
-    skip_first: bool = False,
+    first: int = 0,
     doubled_from: Optional[int] = None,
 ) -> list[tuple[QuadReal, int, tuple]]:
     """The rungs of one ladder, degree_eigenvalue(n+1, degree + j) - out_shift
-    for j = 0, 1, ..., that lie at or below ``cutoff``.  Rungs j >=
-    ``doubled_from`` carry ``2 * mult``: a conformal direction and its
-    Hessian partner.
+    for j = ``first``, ``first`` + 1, ..., that lie at or below ``cutoff``.
+    Rungs j >= ``doubled_from`` carry ``2 * mult``.
 
     A harmonic degree is at least -(n-1)/2, so the ladder increases in j.
     Count, then fill: an integer square root and one exact floor give a
@@ -245,21 +260,20 @@ def _family(
     while compare(rung(last + 1), cutoff) <= 0:
         last += 1
     out = []
-    for j in range(1 if skip_first else 0, last + 1):
+    for j in range(first, last + 1):
         doubled = doubled_from is not None and j >= doubled_from
         out.append((rung(j), 2 * mult if doubled else mult, (block, i, j)))
     return out
 
 
-def _ladders(base: GeometricSpectrum, part: str, cutoff: QuadReal, rule=None) -> list:
+def _ladders(base: GeometricSpectrum, part: str, cutoff: QuadReal) -> list:
     """Check that every source feeding ``part`` is complete far enough for
     ``cutoff``, then enumerate the ladders of their lines, tagged
-    (block, line index, rung) with the feed's block.  ``rule(source, value)``
-    returns the :func:`_family` options of a line's ladder, or None to leave
-    the line out."""
+    (block, line index, rung) with the feed's block, on the rungs the feed
+    names for each line."""
     n = base.n
     entries = _feeds(part, n)
-    for source, inner, out, _ in entries:
+    for source, inner, out, _, _ in entries:
         have = getattr(base, source).cutoff
         need = required_source_cutoff(n, cutoff, out, inner)
         if need is not None and compare(have, need) < 0:
@@ -269,13 +283,15 @@ def _ladders(base: GeometricSpectrum, part: str, cutoff: QuadReal, rule=None) ->
                 "truncate silently"
             )
     raw: list = []
-    for source, inner, out, block in entries:
+    for source, inner, out, block, rungs in entries:
+        boundary = {from_rational(k[0] * n + k[1]): r for k, r in rungs.items() if k is not None}
+        other = rungs.get(None, (0, None))
         for i, line in enumerate(getattr(base, source).lines):
-            options = {} if rule is None else rule(source, line.value)
-            if options is None:
+            pattern = boundary.get(line.value, other)
+            if pattern is None:
                 continue
             degree = harmonic_degree(n, line.value + inner)
-            raw.extend(_family(n, degree, out, cutoff, line.multiplicity, block, i, **options))
+            raw.extend(_family(n, degree, out, cutoff, line.multiplicity, block, i, *pattern))
     return raw
 
 
@@ -299,11 +315,7 @@ def map_coclosed_one_forms(base: GeometricSpectrum, cutoff: QuadReal) -> Spectru
     lines only) shifted down by 1, plus 1-form ladders seeded at degree
     harmonic_degree(n, mu+1), also shifted down by 1.  The constant family
     produces no coclosed forms."""
-    raw = _ladders(
-        base, "coclosed", cutoff,
-        lambda source, value: None if source == "spec0" and value == ZERO else {},
-    )
-    return merge(raw, cutoff)
+    return merge(_ladders(base, "coclosed", cutoff), cutoff)
 
 
 def map_one_forms(base: GeometricSpectrum, cutoff: QuadReal) -> ConeOneFormSpectrum:
@@ -313,8 +325,8 @@ def map_one_forms(base: GeometricSpectrum, cutoff: QuadReal) -> ConeOneFormSpect
     rung (i=0, j=0) absent.  Coclosed part: see
     :func:`map_coclosed_one_forms`.
     """
-    raw_exact = _ladders(base, "exact", cutoff, lambda source, value: {"skip_first": value == ZERO})
-    return ConeOneFormSpectrum(merge(raw_exact, cutoff), map_coclosed_one_forms(base, cutoff))
+    exact = merge(_ladders(base, "exact", cutoff), cutoff)
+    return ConeOneFormSpectrum(exact, map_coclosed_one_forms(base, cutoff))
 
 
 ALL_BLOCKS = ("conformal", "vector", "tt")
@@ -357,33 +369,8 @@ def map_einstein(
         )
     require_bounded_below(base)
 
-    dim_line = from_rational(n)
-    killing_line = from_rational(n - 1)
-
-    def conformal(source, value):
-        # a single copy where the Hessian partner vanishes: rungs 0 and 1 of
-        # the zero line, rung 0 of the dimension line
-        if value == ZERO:
-            return {"doubled_from": 2}
-        return {"doubled_from": 1 if value == dim_line else 0}
-
-    def vector(source, value):
-        if source == "spec0":
-            if value == ZERO:
-                return None
-            return {"skip_first": value == dim_line}
-        return {"skip_first": value == killing_line}
-
-    def tt(source, value):
-        if source == "spec0" and (value == ZERO or value == dim_line):
-            return None  # whole scalar ladder absent at the boundary case
-        if source == "spec1D" and value == killing_line:
-            return None  # whole 1-form ladder absent at the Killing boundary
-        return {}
-
-    rules = {"conformal": conformal, "vector": vector, "tt": tt}
     out = {
-        block: merge(_ladders(base, block, cutoff, rules[block]), cutoff)
+        block: merge(_ladders(base, block, cutoff), cutoff)
         if block in blocks
         else empty_spectrum(cutoff)
         for block in ALL_BLOCKS
@@ -392,8 +379,8 @@ def map_einstein(
         conformal_block=out["conformal"],
         vector_block=out["vector"],
         tt_block=out["tt"],
-        scalar_boundary_case=any(l.value == dim_line for l in base.spec0.lines),
-        oneform_boundary_case=any(l.value == killing_line for l in base.spec1D.lines),
+        scalar_boundary_case=base.spec0.multiplicity_of(from_rational(n)) > 0,
+        oneform_boundary_case=base.spec1D.multiplicity_of(from_rational(n - 1)) > 0,
     )
 
 
@@ -423,16 +410,19 @@ def cone_step(
 
 
 def _closure_of_parts(parts: Sequence[str]) -> tuple[str, ...]:
+    """``parts`` and, one cone step earlier, the parts producing the sources
+    they read.  A part reads only what it or an earlier part produces, so
+    one pass from the last part closes the set."""
     parts = set(parts)
     unknown = parts - set(ITERATE_PARTS)
     if unknown:
         raise ParseError(
             f"unknown iterate parts {sorted(unknown)}; the parts are {', '.join(ITERATE_PARTS)}"
         )
-    if "tt" in parts:
-        parts |= {"functions", "coclosed"}
-    if "coclosed" in parts:
-        parts |= {"functions"}
+    producer = dict(zip(SOURCES, ITERATE_PARTS))
+    for part in reversed(ITERATE_PARTS):
+        if part in parts:
+            parts |= {producer[entry[0]] for entry in FEEDS[part]}
     return tuple(p for p in ITERATE_PARTS if p in parts)
 
 

@@ -15,6 +15,7 @@ rationals at the edges: the coefficients ``a`` and ``b``, and the bounds of
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from math import gcd
 from typing import Union
@@ -267,7 +268,6 @@ def from_rational(x: RationalLike) -> QuadReal:
 
 
 ZERO = from_rational(0)
-ONE = from_rational(1)
 
 
 def make_quad(a: RationalLike, b: RationalLike, d: RationalLike) -> QuadReal:
@@ -421,14 +421,14 @@ def json_keys(obj: dict, allowed, where: str) -> None:
             raise ParseError(f"unknown key {key!r} in {where}; expected {', '.join(allowed)}")
 
 
+_RATIONAL_LITERAL = re.compile(r"-?[0-9]+(?:/[0-9]*[1-9][0-9]*)?")
+
+
 def _json_rational(obj, field: str) -> Fraction:
-    """A rational of the JSON schema: an int (not a bool) or a "p/q" string."""
-    if isinstance(obj, str):
-        try:
-            return Fraction(obj)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad rational literal {obj!r}") from exc
-    if isinstance(obj, bool) or not isinstance(obj, int):
+    """A rational of the JSON schema: an int (not a bool) or a string "p" or
+    "p/q" of ASCII digits, p with an optional minus sign and q nonzero."""
+    literal = isinstance(obj, str) and _RATIONAL_LITERAL.fullmatch(obj)
+    if not literal and (isinstance(obj, bool) or not isinstance(obj, int)):
         raise ParseError(f"{field!r} must be an integer or a 'p/q' string, got {obj!r}")
     return Fraction(obj)
 

@@ -203,11 +203,11 @@ def predict_cone(gs: GeometricSpectrum) -> StabilityReport:
 
     scalars = _positive_scalars(gs)
     t_known = compare(gs.spec0.cutoff, t) >= 0
-    clears: Verdict = None if not t_known else not any(compare(v, t) < 0 for v in scalars)
+    below = [v for v in scalars if compare(v, t) < 0]
+    clears: Verdict = None if not t_known else not below
     clears_strictly: Verdict = (
         None if not t_known else not any(compare(v, t) <= 0 for v in scalars)
     )
-    below = [v for v in scalars if compare(v, t) < 0]
     witness = below[0] if below else (scalars[0] if scalars else base.linear.witness_value)
     linear = NotionVerdict(
         _and3(base.linear.holds, clears),
@@ -216,19 +216,13 @@ def predict_cone(gs: GeometricSpectrum) -> StabilityReport:
         "scalar-transfer",
     )
 
-    cone_physical = NotionVerdict(
-        base.physical.holds,
-        base.physical.holds,
-        base.physical.witness_value,
-        base.physical.witness_origin,
-    )
-
+    # classify already sets strict = holds for the physical notion
     return StabilityReport(
         n=m + 1,
         eh=base.eh,
         linear=linear,
         tangential=base.tangential,
-        physical=cone_physical,
+        physical=base.physical,
         thresholds=base.thresholds + (("linear-transfer", t),),
     )
 

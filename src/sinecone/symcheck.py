@@ -129,14 +129,29 @@ def v_field(f: LaurentPoly2) -> LaurentPoly2:
     return mul_monomial(d_z(f), 1, 0) + mul_monomial(d_r(f), 0, 1).scale(-1)
 
 
+def _r2(f: LaurentPoly2, coeff) -> LaurentPoly2:
+    return mul_monomial(f, -2, 0, coeff)
+
+
+def _tilt(f: LaurentPoly2) -> LaurentPoly2:
+    """-z r^-1 f."""
+    return mul_monomial(f, -1, 1).scale(-1)
+
+
+def _lift(f: LaurentPoly2, g: LaurentPoly2, c) -> LaurentPoly2:
+    """r dz f + r dr g + c g."""
+    return mul_monomial(d_z(f), 1, 0) + mul_monomial(d_r(g), 1, 0) + g.scale(c)
+
+
+def _raise_residuals(tag: str, residuals: dict[str, LaurentPoly2]) -> dict:
+    for name, res in residuals.items():
+        if not res.is_zero():
+            raise IdentityFailed(f"{tag}: residual {name} is nonzero: {res}")
+    return {"checked": sorted(residuals), "passed": True}
+
+
 # ---------------------------------------------------------------------------
 # commutator identities
-
-
-def _check_identity(name: str, lhs: LaurentPoly2, rhs: LaurentPoly2, witness) -> None:
-    residual = lhs - rhs
-    if not residual.is_zero():
-        raise IdentityFailed(f"{name} failed on {witness}: residual {residual}")
 
 
 def check_commutators(n: int) -> dict:
@@ -150,45 +165,21 @@ def check_commutators(n: int) -> dict:
     (5) r dz f + r dr(-z r^-1 f) = V f - (-z r^-1 f)
     """
     count = 0
+    lap = lambda g: hat_laplacian(n, g)
     for p in range(-6, 7):
         for q in range(7):
             f = LaurentPoly2.monomial(p, q)
-            witness = f"r^{p} z^{q} (n={n})"
-            lap = lambda g: hat_laplacian(n, g)
-
-            _check_identity(
-                "commutator with the weighted Laplacian",
-                v_field(lap(f)) - lap(v_field(f)),
-                mul_monomial(v_field(f), -2, 0, n),
-                witness,
-            )
-            _check_identity(
-                "commutator with r^-2",
-                v_field(mul_monomial(f, -2, 0)) - mul_monomial(v_field(f), -2, 0),
-                mul_monomial(f, -3, 1, 2),
-                witness,
-            )
-            _check_identity(
-                "commutator with z r^-1",
-                v_field(mul_monomial(f, -1, 1)) - mul_monomial(v_field(f), -1, 1),
-                f + mul_monomial(f, -2, 2),
-                witness,
-            )
-            g = mul_monomial(f, -1, 1).scale(-1)  # g = -z r^-1 f
-            _check_identity(
-                "Laplacian of the tilted partner",
-                lap(g),
-                mul_monomial(lap(f), -1, 1).scale(-1)
-                + mul_monomial(g, -2, 0, n - 2)
-                + mul_monomial(v_field(f), -2, 0, 2),
-                witness,
-            )
-            _check_identity(
-                "first-order recombination",
-                mul_monomial(d_z(f), 1, 0) + mul_monomial(d_r(g), 1, 0),
-                v_field(f) - g,
-                witness,
-            )
+            vf = v_field(f)
+            g = _tilt(f)
+            residuals = {
+                "commutator with the weighted Laplacian": v_field(lap(f)) - lap(vf) - _r2(vf, n),
+                "commutator with r^-2": v_field(_r2(f, 1)) - _r2(vf, 1) - mul_monomial(f, -3, 1, 2),
+                "commutator with z r^-1": _tilt(vf) - v_field(g) - f - mul_monomial(f, -2, 2),
+                "Laplacian of the tilted partner":
+                    lap(g) - _tilt(lap(f)) - _r2(g, n - 2) - _r2(vf, 2),
+                "first-order recombination": _lift(f, g, 1) - vf,
+            }
+            _raise_residuals(f"identities on r^{p} z^{q} (n={n})", residuals)
             count += 1
     return {"n": n, "monomials": count, "identities": 5, "passed": True}
 
@@ -303,22 +294,6 @@ def verify_decomposition(n: int, k: int, j: int) -> dict:
 # coupled first-order systems behind the 1-form and tensor ladders
 
 
-def _r2(f: LaurentPoly2, coeff) -> LaurentPoly2:
-    return mul_monomial(f, -2, 0, coeff)
-
-
-def _tilt(f: LaurentPoly2) -> LaurentPoly2:
-    """-z r^-1 f."""
-    return mul_monomial(f, -1, 1).scale(-1)
-
-
-def _raise_residuals(tag: str, residuals: dict[str, LaurentPoly2]) -> dict:
-    for name, res in residuals.items():
-        if not res.is_zero():
-            raise IdentityFailed(f"{tag}: residual {name} is nonzero: {res}")
-    return {"checked": sorted(residuals), "passed": True}
-
-
 def verify_formulas1(n: int, k: int, j: int) -> dict:
     """Closure of the two-component system behind the exact/coclosed 1-form
     ladder: from a kernel element P of L_n + lam r^-2 (lam = k(k+n-1), k >= 1)
@@ -332,9 +307,7 @@ def verify_formulas1(n: int, k: int, j: int) -> dict:
     lam = Fraction(k * (k + n - 1))
     P = build_harmonic_family(n, k, j)
     Q = _tilt(P)
-    R = (
-        mul_monomial(d_z(P), 1, 0) + mul_monomial(d_r(Q), 1, 0) + Q.scale(n)
-    ).scale(Fraction(1, lam))
+    R = _lift(P, Q, n).scale(Fraction(1, lam))
     lap = lambda f: hat_laplacian(n, f)
     residuals = {
         "second-component": lap(Q) + _r2(Q, lam + n) + _r2(R, -2 * lam),
@@ -359,9 +332,7 @@ def verify_formulas2(n: int, l: int, j: int) -> dict:
     mu = Fraction(l * (l + n - 1) - 1)
     P = build_harmonic_family(n, l, j)  # kernel of L_n + (mu+1) r^-2
     Q = _tilt(P)
-    R = (
-        mul_monomial(d_z(P), 1, 0) + mul_monomial(d_r(Q), 1, 0) + Q.scale(n + 1)
-    ).scale(Fraction(2, mu - (n - 1)))
+    R = _lift(P, Q, n + 1).scale(Fraction(2, mu - (n - 1)))
     lap = lambda f: hat_laplacian(n, f)
     residuals = {
         "second-component": lap(Q) + _r2(Q, mu + n + 3) + _r2(R, -(mu + 1 - n)),
@@ -391,25 +362,12 @@ def verify_formulas3(n: int, k: int, j: int) -> dict:
     P2 = _tilt(P1)
     P3 = mul_monomial(P1, -2, 2)
     S = (P1 + P3).scale(Fraction(-1, n))
-    Q1 = (
-        mul_monomial(d_z(P1), 1, 0) + mul_monomial(d_r(P2), 1, 0) + P2.scale(n)
-    ).scale(Fraction(1, lam))
+    Q1 = _lift(P1, P2, n).scale(Fraction(1, lam))
     Q2 = _tilt(Q1)
-    R = (
-        mul_monomial(d_z(Q1), 1, 0)
-        + mul_monomial(d_r(Q2), 1, 0)
-        + Q2.scale(n + 1)
-        + S
-    ).scale(Fraction(1, (n - 1) * (lam - n)))
+    R = (_lift(Q1, Q2, n + 1) + S).scale(Fraction(1, (n - 1) * (lam - n)))
     lap = lambda f: hat_laplacian(n, f)
     residuals = {
-        "q2-definition-consistency": Q2.scale(lam)
-        - (
-            mul_monomial(d_z(P2), 1, 0)
-            + mul_monomial(d_r(P3), 1, 0)
-            + P3.scale(n)
-            - S.scale(n)
-        ),
+        "q2-definition-consistency": Q2.scale(lam) - _lift(P2, P3, n) + S.scale(n),
         "mixed-component": lap(P2) + _r2(P2, lam + n) + _r2(Q1, -2 * lam),
         "mixed-gradient": lap(Q1) + _r2(Q1, lam - n + 2) + _r2(P2, -2),
         "radial-radial": lap(P3) + _r2(P3, lam + 2 * n) + _r2(S, -2 * n) + _r2(Q2, -4 * lam),

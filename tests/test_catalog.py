@@ -1,4 +1,5 @@
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,6 @@ from sinecone.catalog import (
     load_geometric_spectrum,
     product_geometric_spectrum,
     product_tt_marker,
-    save_geometric_spectrum,
     sphere_functions,
     sphere_geometric_spectrum,
     sphere_multiplicity,
@@ -81,14 +81,12 @@ def test_product_geometric_spectrum_completeness():
 def test_save_load_round_trip(tmp_path):
     gs = product_geometric_spectrum(ProductMarker(4, 5))
     path = tmp_path / "p9.json"
-    save_geometric_spectrum(gs, path)
+    path.write_text(json.dumps(geometric_spectrum_to_json(gs)), encoding="utf-8")
     back = load_geometric_spectrum(path)
     assert geometric_spectrum_to_json(back) == geometric_spectrum_to_json(gs)
 
 
 def test_load_rejects_low_oneform_line(tmp_path):
-    import json
-
     n = 5
     payload = {
         "n": n,
@@ -105,8 +103,6 @@ def test_load_rejects_low_oneform_line(tmp_path):
 
 
 def test_load_accepts_boundary_tt_line(tmp_path):
-    import json
-
     n = 5
     payload = {
         "n": n,

@@ -310,6 +310,7 @@ def test_input_normalized_is_checked_not_coerced(tmp_path, capsys, normalized):
         (["--n", "3", "--coupling", "3", "--tol", "-1"], "--tol"),
         (["--n", "3", "--coupling", "3", "--tol", "1"], "--tol"),
         (["--n", "3", "--coupling", "3", "--tol", "x"], "--tol"),
+        (["--n", "3", "--coupling", "2.5"], "--coupling"),
     ],
 )
 def test_verify_radial_bad_flag_is_a_parse_error(capsys, flags, flag):

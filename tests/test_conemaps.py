@@ -12,6 +12,7 @@ from sinecone.catalog import (
     sphere_geometric_spectrum,
 )
 from sinecone.conemaps import (
+    ITERATE_PARTS,
     _family,
     degree_eigenvalue,
     hardy_bound,
@@ -36,7 +37,7 @@ from sinecone.errors import (
 from sinecone.exactreal import compare, from_rational, make_quad, rational_ceiling
 from sinecone.radialoracle import RadialProblem
 from sinecone.rigidity import find_ieds
-from sinecone.spectra import GeometricSpectrum, equal_up_to, merge
+from sinecone.spectra import UNKNOWN_CUTOFF, GeometricSpectrum, equal_up_to, merge
 from sinecone.stability import classify
 
 
@@ -105,7 +106,7 @@ def test_ladder_monotone_in_j():
 
 
 def _family_by_steps(n, degree, out_shift, cutoff, mult, block, i,
-                     skip_first=False, doubled_from=None):
+                     first=0, doubled_from=None):
     """The reference ladder: one QuadReal product and one exact comparison
     per rung, stopping at the first rung above the cutoff."""
     shift = from_rational(Fraction(out_shift))
@@ -115,7 +116,7 @@ def _family_by_steps(n, degree, out_shift, cutoff, mult, block, i,
         value = degree_eigenvalue(n + 1, degree + j) - shift
         if compare(value, cutoff) > 0:
             break
-        if not (skip_first and j == 0):
+        if j >= first:
             doubled = doubled_from is not None and j >= doubled_from
             out.append((value, 2 * mult if doubled else mult, (block, i, j)))
         j += 1
@@ -169,12 +170,12 @@ def test_family_matches_the_per_rung_loop(irrational, kind):
         degree = _random_degree(r, n, irrational)
         shift = r.choice((0, 1, n, n + 1, 2 * n))
         cutoff = _random_cutoff(r, kind, n, degree, shift)
-        options = {"skip_first": r.random() < 0.5, "doubled_from": r.choice((None, 0, 1, 2, 5))}
+        options = {"first": int(r.random() < 0.5), "doubled_from": r.choice((None, 0, 1, 2, 5))}
         args = (n, degree, shift, cutoff, r.randint(1, 5), "blk", r.randint(0, 3))
         got = _family(*args, **options)
         assert got == _family_by_steps(*args, **options)
         if kind == "on-rung":  # empty only when the cutoff is the skipped rung 0
-            assert compare(got[-1][0], cutoff) == 0 if got else options["skip_first"]
+            assert compare(got[-1][0], cutoff) == 0 if got else options["first"] == 1
         if kind == "below-first":
             assert got == []
 
@@ -457,6 +458,21 @@ def test_iterate_product_keeps_zero_mode():
     assert cone2.specE_TT.multiplicity_of(q(0)) == 5
     zero_line = cone2.specE_TT.lines[-1]
     assert any(o.i == 4 and o.j == 0 for o in zero_line.origins)  # image of the kappa=0 line
+
+
+@pytest.mark.parametrize("part", ITERATE_PARTS)
+def test_single_iterate_part_brings_the_parts_it_reads(part):
+    # functions read the scalar spectrum, coclosed forms also the coclosed
+    # one, TT tensors all three: asking for one part carries its closure
+    closure = ITERATE_PARTS[: ITERATE_PARTS.index(part) + 1]
+    assert iterate_base_requirements(9, 2, q(0), (part,)) == iterate_base_requirements(
+        9, 2, q(0), closure
+    )
+    gs = product_geometric_spectrum(ProductMarker(4, 5))
+    out = iterate(gs, 2, q(0), (part,))
+    assert out == iterate(gs, 2, q(0), closure)
+    for name, spec in zip(ITERATE_PARTS, (out.spec0, out.spec1D, out.specE_TT)):
+        assert spec.cutoff == (q(0) if name in closure else UNKNOWN_CUTOFF)
 
 
 def test_iterate_rejects_irrational_intermediates():

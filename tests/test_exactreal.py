@@ -186,6 +186,8 @@ def test_json_round_trip():
     assert quad_from_json(q.to_json()) == q
     assert quad_from_json(7) == from_rational(7)
     assert quad_from_json("5/3") == from_rational(Fraction(5, 3))
+    assert quad_from_json("-10/4") == from_rational(Fraction(-5, 2))
+    assert quad_from_json({"a": "007", "b": "1/010", "s": 2}) == make_quad(7, Fraction(1, 10), 2)
 
 
 @pytest.mark.parametrize("obj", [True, False, 2.5, {"a": "1", "b": "1", "s": 2.0}, {"b": "1", "s": True}])
@@ -195,7 +197,10 @@ def test_json_booleans_and_floats_are_not_integers(obj):
 
 
 @pytest.mark.parametrize(
-    "obj", [{"a": 2.5}, {"b": 1.0, "s": 2}, {"a": True}, {"b": False, "s": 3}, {"a": None}, {"a": [1]}]
+    "obj",
+    [{"a": 2.5}, {"b": 1.0, "s": 2}, {"a": True}, {"b": False, "s": 3}, {"a": None}, {"a": [1]},
+     # a string is -?[0-9]+ or -?[0-9]+/[0-9]+ with a nonzero denominator
+     "2.5", "1e3", " 7 ", "1_0", "+5", "1/0", "", {"a": "1/-2"}, {"b": "--1", "s": 2}, {"a": "\u0663"}],
 )
 def test_json_coefficients_are_integers_or_strings(obj):
     with pytest.raises(ParseError, match="must be an integer or a 'p/q' string"):

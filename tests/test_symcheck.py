@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sinecone import symcheck
 from sinecone.conemaps import degree_eigenvalue
+from sinecone.errors import IdentityFailed
 from sinecone.exactreal import from_rational
 from sinecone.radialoracle import RadialProblem, solve_radial
 from sinecone.symcheck import (
@@ -82,6 +84,25 @@ def test_commutator_negative_control():
     lhs = v_field(hat_laplacian(3, f)) - hat_laplacian(3, v_field(f))
     rhs = mul_monomial(v_field(f), -2, 0, 4)  # n -> n+1 on one side
     assert not (lhs - rhs).is_zero()
+
+
+@pytest.mark.parametrize(
+    "perturb, monomial",
+    [
+        # the Laplacian of dimension n+1 fails on the first monomial
+        (lambda lap: lambda n, f: lap(n + 1, f), "r^-6 z^0 (n=3)"),
+        # without its z-derivatives it fails on the first monomial in z
+        (lambda lap: lambda n, f: lap(n, f) + d_z(d_z(f)), "r^-6 z^1 (n=3)"),
+    ],
+    ids=["dimension", "no-z-part"],
+)
+def test_commutator_failure_names_identity_and_monomial(monkeypatch, perturb, monomial):
+    monkeypatch.setattr(symcheck, "hat_laplacian", perturb(symcheck.hat_laplacian))
+    with pytest.raises(IdentityFailed) as failure:
+        check_commutators(3)
+    message = str(failure.value)
+    assert "commutator with the weighted Laplacian" in message
+    assert monomial in message
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
