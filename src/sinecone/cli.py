@@ -34,14 +34,10 @@ def _parse_cutoff(text: str) -> QuadReal:
     return quad_from_json(obj)
 
 
-def _fmt_value(v: QuadReal) -> tuple[str, str]:
-    return str(v), to_decimal(v, 6)
-
-
 def _spectrum_table(spec: Spectrum, title: str) -> str:
     lines = [title, f"  {'value':>24} {'decimal':>16} {'mult':>5}  origins"]
     for line in spec.lines:
-        exact, dec = _fmt_value(line.value)
+        exact, dec = str(line.value), to_decimal(line.value, 6)
         origins = ", ".join(f"{o.block}[{o.i}]+{o.j}(x{o.mult})" for o in line.origins)
         lines.append(f"  {exact:>24} {dec:>16} {line.multiplicity:>5}  {origins}")
     lines.append(f"  (complete up to {spec.cutoff})")
@@ -312,8 +308,13 @@ def _cmd_iterate(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a flag error, also in a subcommand: exit 4 with JSON
+        raise ParseError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sinecone",
         description="exact sine-cone spectra, stability and rigidity",
     )
@@ -379,24 +380,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except SineconeError as exc:
-        print(
-            json.dumps(
-                {"error": type(exc).__name__, "message": str(exc)}, sort_keys=True
-            ),
-            file=sys.stderr,
-        )
-        return exc.exit_code
-    except ValueError as exc:
-        print(
-            json.dumps({"error": "ValueError", "message": str(exc)}, sort_keys=True),
-            file=sys.stderr,
-        )
-        return 4
+    except (SineconeError, ValueError) as exc:
+        # a package error reports its own name and exit code, any other ValueError as such
+        ours = isinstance(exc, SineconeError)
+        error = {"error": type(exc).__name__ if ours else "ValueError", "message": str(exc)}
+        print(json.dumps(error, sort_keys=True), file=sys.stderr)
+        return exc.exit_code if ours else 4
 
 
 def main() -> None:

@@ -41,6 +41,7 @@ from .errors import (
 from .exactreal import (
     QuadReal,
     _floor_scaled,
+    _make,
     _norm,
     _ratio,
     compare,
@@ -235,7 +236,8 @@ def _family(
 
         (p+j)(p+j+n) + q^2 s - out_shift  +  q (2(p+j) + n) sqrt(s)
 
-    as one :func:`exactreal._norm` of integer numerators.
+    as one :func:`exactreal._norm` of integer numerators, or directly when
+    the degree and the shift are integers.
     """
     # degree = (P + Q sqrt(s))/D and out_shift = sn/sd; with Y = P + j D the
     # rung is ((Y (Y + n D) + Q^2 s) sd - sn D^2 + Q (2Y + n D) sd sqrt(s)) / (D^2 sd)
@@ -245,9 +247,14 @@ def _family(
     den = dd * dd * sd
     nd = n * dd
 
-    def rung(j: int) -> QuadReal:
-        y = big_p + j * dd
-        return _norm(y * (y + nd) * sd + const, big_q * (2 * y + nd) * sd, den, s)
+    if big_q == 0 and den == 1:  # an integer degree and shift: integer rungs, no gcd
+        def rung(j: int) -> QuadReal:
+            y = big_p + j
+            return _make(y * (y + n) + const, 0, 1, 1)
+    else:
+        def rung(j: int) -> QuadReal:
+            y = big_p + j * dd
+            return _norm(y * (y + nd) * sd + const, big_q * (2 * y + nd) * sd, den, s)
 
     # y (y + n) <= c  holds for  -n/2 <= y <= top = (isqrt(4c + n^2) - n)/2,
     # with c = floor(cutoff) + floor(out_shift) <= cutoff + out_shift
@@ -259,11 +266,8 @@ def _family(
         last = max(last, _floor_scaled(_norm(top2 * dd - 2 * big_p, -2 * big_q, 2 * dd, s), 0))
     while compare(rung(last + 1), cutoff) <= 0:
         last += 1
-    out = []
-    for j in range(first, last + 1):
-        doubled = doubled_from is not None and j >= doubled_from
-        out.append((rung(j), 2 * mult if doubled else mult, (block, i, j)))
-    return out
+    doubled = last + 1 if doubled_from is None else doubled_from  # the first rung of 2 * mult
+    return [(rung(j), 2 * mult if j >= doubled else mult, (block, i, j)) for j in range(first, last + 1)]
 
 
 def _ladders(base: GeometricSpectrum, part: str, cutoff: QuadReal) -> list:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional
 
 from . import exactreal
@@ -34,7 +35,7 @@ class Origin(NamedTuple):
     mult: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpectralLine:
     value: QuadReal
     multiplicity: int
@@ -84,6 +85,18 @@ class Spectrum:
         return [{"value": l.value.to_json(), "mult": l.multiplicity} for l in self.lines]
 
 
+# merge fills each line through its slots, as exactreal._make does: no __post_init__ re-check
+_set_value, _set_mult, _set_origins = (SpectralLine.__dict__[k].__set__ for k in SpectralLine.__slots__)
+_mult = itemgetter(3)  # Origin.mult
+
+
+def _spectrum(lines: tuple[SpectralLine, ...], cutoff: QuadReal) -> Spectrum:
+    """A Spectrum whose invariants :func:`merge` has already checked."""
+    s = object.__new__(Spectrum)
+    s.__dict__.update(lines=lines, cutoff=cutoff)
+    return s
+
+
 def empty_spectrum(cutoff: QuadReal = UNKNOWN_CUTOFF) -> Spectrum:
     return Spectrum((), cutoff)
 
@@ -99,8 +112,8 @@ def merge(raw: Iterable[tuple[QuadReal, int, tuple[str, int, int]]], cutoff: Qua
     sorted on ``(floor(1000 v), v)``, the floor ``p*1000 // d`` for a
     rational; the floor is exact integer arithmetic and monotone, so
     ``compare`` (through ``QuadReal.__lt__``) runs only for two values with
-    one floor.  A value above the cutoff is refused, not dropped:
-    :class:`Spectrum` raises InvariantViolation.
+    one floor, in the sort and in the check of strict ascent.  Each line is
+    built once; a value above the cutoff is refused, not dropped.
     """
     groups: dict[tuple[int, int, int, int], tuple[QuadReal, list]] = {}
     for value, mult, (block, i, j) in raw:
@@ -109,21 +122,27 @@ def merge(raw: Iterable[tuple[QuadReal, int, tuple[str, int, int]]], cutoff: Qua
         key = (value.p, value.q, value.d, value.s)
         group = groups.get(key)
         if group is None:
-            groups[key] = (value, [(block, i, j, mult)])
-        else:
-            group[1].append((block, i, j, mult))
-    # (floor, value, tags): values are distinct, so the tags are never compared
+            groups[key] = group = (value, [])
+        group[1].append(tuple.__new__(Origin, (block, i, j, mult)))
+    # (floor, value, origins): values are distinct, so the origins are never compared
     entries = [
-        (p * 1000 // d if q == 0 else exactreal._floor_scaled(value, 3), value, tags)
-        for (p, q, d, _), (value, tags) in groups.items()
+        (p * 1000 // d if q == 0 else exactreal._floor_scaled(value, 3), value, origins)
+        for (p, q, d, _), (value, origins) in groups.items()
     ]
     entries.sort()
+    if any(f == g and compare(v, w) >= 0 for (f, v, _), (g, w, _) in zip(entries, entries[1:])):
+        raise InvariantViolation("spectrum lines must be strictly ascending")
     lines = []
-    for _, value, tags in entries:
-        tags.sort()
-        lines.append(SpectralLine(value, sum(t[3] for t in tags), tuple(map(Origin._make, tags))))
-        tags.clear()  # free each line's tag tuples once its Origins exist: lower peak memory
-    return Spectrum(tuple(lines), cutoff)
+    for _, value, origins in entries:
+        origins.sort()
+        line = object.__new__(SpectralLine)
+        _set_value(line, value)
+        _set_mult(line, sum(map(_mult, origins)))
+        _set_origins(line, tuple(origins))
+        lines.append(line)
+    if lines and compare(lines[-1].value, cutoff) > 0:
+        raise InvariantViolation("spectrum line exceeds its cutoff")
+    return _spectrum(tuple(lines), cutoff)
 
 
 def positive_min(s: Spectrum) -> Optional[QuadReal]:

@@ -355,6 +355,13 @@ def test_verify_radial_refuses_dimensions_below_its_block(capsys, flags):
         (["spectrum", "--sphere", "3", "--cutoff", "{bad"], "--cutoff"),
         (["verify-symbolic", "--n", "0", "--k", "1"], "--n"),
         (["verify-symbolic", "--n", "1", "--k", "2"], "--n"),
+        # argparse's own errors: a negative value read as an option, a missing
+        # required flag, a value that is not an integer
+        (["spectrum", "--sphere", "3", "--cutoff", "-3/4"], "--cutoff"),
+        (["spectrum", "--sphere", "3"], "--cutoff"),
+        (["verify-symbolic", "--n", "x"], "--n"),
+        (["--output", "xml", "spectrum", "--sphere", "3", "--cutoff", "4"], "--output"),
+        (["bogus"], "bogus"),
     ],
 )
 def test_flag_errors_are_parse_errors_naming_the_flag(capsys, argv, name):
@@ -364,6 +371,31 @@ def test_flag_errors_are_parse_errors_naming_the_flag(capsys, argv, name):
     error = json.loads(err)
     assert error["error"] == "ParseError"
     assert name in error["message"]
+
+
+def test_negative_cutoff_is_passed_with_an_equals_sign(capsys):
+    code, out, err = _capture(capsys, ["spectrum", "--sphere", "3", "--cutoff=-3/4"])
+    assert (code, err) == (0, "")
+    assert "(complete up to -3/4)" in out
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["spectrum", "--help"]])
+def test_help_still_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        run(argv)
+    assert exit_.value.code == 0
+    assert "usage: sinecone" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["spectrum", "--sphere", "3", "--cutoff", "-3/4"], ["spectrum", "--sphere", "3"],
+     ["verify-symbolic", "--n", "x"]],
+)
+def test_argparse_errors_exit_4_from_the_entry_point(argv):
+    done = _fresh_python("-m", "sinecone.cli", *argv)
+    assert (done.returncode, done.stdout) == (4, "")
+    assert json.loads(done.stderr)["error"] == "ParseError"
 
 
 @pytest.mark.parametrize("key", ["spec0", "spec1D", "specE_TT"])

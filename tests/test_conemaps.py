@@ -34,7 +34,7 @@ from sinecone.errors import (
     NotRepresentable,
     UnboundedBelow,
 )
-from sinecone.exactreal import compare, from_rational, make_quad, rational_ceiling
+from sinecone.exactreal import _norm, compare, from_rational, make_quad, rational_ceiling
 from sinecone.radialoracle import RadialProblem
 from sinecone.rigidity import find_ieds
 from sinecone.spectra import UNKNOWN_CUTOFF, GeometricSpectrum, equal_up_to, merge
@@ -178,6 +178,40 @@ def test_family_matches_the_per_rung_loop(irrational, kind):
             assert compare(got[-1][0], cutoff) == 0 if got else options["first"] == 1
         if kind == "below-first":
             assert got == []
+
+
+def _fields(x):
+    return (x.p, x.q, x.d, x.s)
+
+
+# (n, base eigenvalue, output shift, the degree's (D, Q), integer rungs):
+# _family writes integer rungs without a gcd exactly when Q == 0 and
+# D**2 * sd == 1, an integer degree with an integer shift
+FAMILY_BOUNDARIES = {
+    "integer-degree-integer-shift": (3, 24, 4, (1, 0), True),
+    "negative-integer-degree": (3, -1, 0, (1, 0), True),
+    "integer-degree-half-shift": (3, 24, Fraction(1, 2), (1, 0), False),
+    "half-integer-degree": (4, Fraction(7, 4), 5, (2, 0), False),
+    "irrational-degree-denominator-1": (3, 1, 4, (1, 1), False),
+}
+
+
+@pytest.mark.parametrize("case", FAMILY_BOUNDARIES)
+@pytest.mark.parametrize("first", [0, 1])
+@pytest.mark.parametrize("doubled_from", [None, 0, 2])
+def test_family_paths_at_their_boundaries(case, first, doubled_from):
+    n, x, shift, (big_d, big_q), integer_rungs = FAMILY_BOUNDARIES[case]
+    degree = harmonic_degree(n, x)
+    assert (degree.d, degree.q) == (big_d, big_q)
+    on_rung = degree_eigenvalue(n + 1, degree + 7) - from_rational(shift)
+    for cutoff in (q(300), on_rung, q(-50)):
+        args = (n, degree, shift, cutoff, 3, "blk", 1, first, doubled_from)
+        got = _family(*args)
+        assert got == _family_by_steps(*args)
+        assert bool(got) == (cutoff != q(-50))
+        for value, _, _ in got:  # canonical: each rung is its own normal form
+            assert _fields(value) == _fields(_norm(*_fields(value)))
+            assert (value.q, value.d) == (0, 1) or not integer_rungs
 
 
 # -- scalar map --------------------------------------------------------------

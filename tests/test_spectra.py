@@ -1,12 +1,15 @@
+import copy
+import dataclasses
 import functools
 import json
+import pickle
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from sinecone import exactreal
+from sinecone import exactreal, spectra
 from sinecone.catalog import ProductMarker, product_geometric_spectrum, sphere_geometric_spectrum
 from sinecone.errors import CutoffTooSmall, InvariantViolation
 from sinecone.exactreal import (
@@ -192,6 +195,84 @@ def test_merge_compares_only_values_that_share_a_floor_key(monkeypatch):
     s = merge([(v, 1, ("A", k, 0)) for k, v in enumerate(close)], q(2))
     assert calls
     assert s.values() == [close[0], close[1], close[2]]
+
+
+def _close_pair():
+    """Two values that share the floor key 1414: 1.41421 and sqrt(2)."""
+    return [q(Fraction(141421, 10 ** 5)), make_quad(0, 1, 2)]
+
+
+@pytest.mark.parametrize("verdict", [lambda c: -c, lambda c: 0], ids=["reversed", "tied"])
+def test_merge_checks_ascent_where_lines_share_a_floor_key(monkeypatch, verdict):
+    close = _close_pair()
+
+    def faulty(x, y):
+        return verdict(compare(x, y)) if {x, y} == set(close) else compare(x, y)
+
+    # merge's own ascent check reads compare from spectra; the sort does not
+    monkeypatch.setattr(spectra, "compare", faulty)
+    with pytest.raises(InvariantViolation, match="strictly ascending"):
+        merge([(v, 1, ("A", k, 0)) for k, v in enumerate(close)], q(2))
+
+
+def test_merge_checks_ascent_without_compare_across_floor_keys(monkeypatch):
+    calls = []
+
+    def counted(x, y):
+        calls.append((x, y))
+        return compare(x, y)
+
+    monkeypatch.setattr(spectra, "compare", counted)
+    apart = [q(Fraction(k, 7)) for k in range(50)] + [make_quad(k, 1, 2) for k in range(50)]
+    s = merge([(v, 1, ("A", k, 0)) for k, v in enumerate(apart)], q(100))
+    assert calls == [(s.lines[-1].value, q(100))]  # the cutoff check alone
+    calls.clear()
+    close = _close_pair()
+    merge([(v, 1, ("A", k, 0)) for k, v in enumerate(close)], q(2))
+    assert calls == [tuple(close), (close[1], q(2))]
+
+
+@pytest.mark.parametrize("mult", [0, -1])
+def test_merge_refuses_non_positive_multiplicities(mult):
+    with pytest.raises(InvariantViolation, match="must be positive"):
+        merge([(q(1), 2, ("A", 0, 0)), (q(4), mult, ("A", 1, 0))], q(10))
+
+
+def test_public_constructors_still_validate():
+    one = Origin("A", 0, 0, 1)
+    with pytest.raises(InvariantViolation, match="must be positive"):
+        SpectralLine(q(1), 0)
+    with pytest.raises(InvariantViolation, match="sum over origins"):
+        SpectralLine(q(1), 2, (one,))
+    low, high = SpectralLine(q(1), 1, (one,)), SpectralLine(q(2), 1, (one,))
+    with pytest.raises(InvariantViolation, match="strictly ascending"):
+        Spectrum((high, low), q(5))
+    with pytest.raises(InvariantViolation, match="strictly ascending"):
+        Spectrum((low, low), q(5))
+    with pytest.raises(InvariantViolation, match="exceeds its cutoff"):
+        Spectrum((low, high), q(1))
+
+
+def test_merged_lines_are_interchangeable_with_public_ones():
+    rng = random.Random(0x5107)
+    values = _many_families(rng) + _mixed_fields(rng)
+    raw = [(v, rng.randint(1, 4), (rng.choice("AB"), k, rng.randint(0, 2)))
+           for k, v in enumerate(values)]
+    got = merge(raw, from_rational(10 ** 4))
+    assert any(len(line.origins) > 1 for line in got)
+    for line in got:
+        public = SpectralLine(line.value, line.multiplicity, line.origins)
+        assert line == public and hash(line) == hash(public)
+        for clone in (copy.copy(line), copy.deepcopy(line), pickle.loads(pickle.dumps(line))):
+            assert type(clone) is SpectralLine
+            assert clone == line and hash(clone) == hash(line)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            line.multiplicity = line.multiplicity + 1
+    assert Spectrum(got.lines, got.cutoff) == got
+    for clone in (copy.copy(got), copy.deepcopy(got), pickle.loads(pickle.dumps(got))):
+        assert clone == got
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        got.cutoff = q(0)
 
 
 @pytest.mark.parametrize(
