@@ -274,6 +274,9 @@ def _cmd_verify_radial(args) -> int:
 def _cmd_verify_symbolic(args) -> int:
     if args.n < 2:
         raise ParseError(f"--n needs a base dimension of at least 2, got {args.n}")
+    for flag, value in (("--k", args.k), ("--jmax", args.jmax)):
+        if value < 0:
+            raise ParseError(f"{flag} needs a nonnegative integer, got {value}")
     reports = [symcheck.check_commutators(args.n)]
     for j in range(args.jmax + 1):
         symcheck.build_harmonic_family(args.n, args.k, j)

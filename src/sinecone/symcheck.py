@@ -8,8 +8,10 @@ V = r dz - z dr with the weighted flat Laplacian
 
 the harmonic ladder spaces and their direct-sum decomposition, and the three
 coupled first-order systems whose closure makes the 1-form and tensor ladders
-work.  Everything is exact rational arithmetic; a verification passes only
-when the residual is the zero polynomial.
+work.  Everything is exact: a coefficient is a Python int, and only a division
+makes a Fraction, which is stored as an int again once its denominator is 1.
+No float is ever accepted.  A verification passes only when the residual is
+the zero polynomial.
 """
 
 from __future__ import annotations
@@ -26,38 +28,54 @@ from .errors import (
     InvariantViolation,
 )
 
-#: Terms map (r-exponent, z-exponent) -> nonzero rational coefficient.
-Terms = dict[tuple[int, int], Fraction]
+#: A coefficient: an int, or a Fraction whose denominator is not 1.
+Coeff = int | Fraction
+#: Terms map (r-exponent, z-exponent) -> nonzero coefficient.
+Terms = dict[tuple[int, int], Coeff]
+
+
+def _exact(c: Coeff) -> Coeff:
+    """An integral Fraction as the int it is; any other coefficient unchanged."""
+    return c if type(c) is int or c.denominator != 1 else c.numerator
+
+
+def _coeff(c) -> Coeff:
+    """Validate a coefficient from outside: a float would be silently rounded
+    to a binary rational, so it is refused."""
+    if type(c) is int:
+        return c
+    if isinstance(c, float):
+        raise InvariantViolation(f"Laurent coefficients must be exact, got the float {c!r}")
+    return _exact(Fraction(c))
+
+
+def _nonzero(out: Terms) -> "LaurentPoly2":
+    """The polynomial of merged terms, zeros dropped, in sorted order."""
+    return LaurentPoly2(tuple(sorted((key, _exact(c)) for key, c in out.items() if c)))
 
 
 @dataclass(frozen=True)
 class LaurentPoly2:
     """Sparse Laurent polynomial in r (integer exponents) and z (nonnegative
-    exponents) over the rationals."""
+    exponents) over the rationals.  ``terms`` is sorted by exponent and holds
+    no zero coefficient."""
 
-    terms: tuple[tuple[tuple[int, int], Fraction], ...]
+    terms: tuple[tuple[tuple[int, int], Coeff], ...]
 
     @staticmethod
-    def from_terms(terms: Mapping[tuple[int, int], Fraction] | Iterable) -> "LaurentPoly2":
+    def from_terms(terms: Mapping[tuple[int, int], Coeff] | Iterable) -> "LaurentPoly2":
         cleaned: Terms = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for (p, q), c in items:
             if q < 0:
                 raise InvariantViolation("z-exponents must stay nonnegative")
-            c = Fraction(c)
-            if c == 0:
-                continue
             key = (int(p), int(q))
-            c = cleaned.get(key, Fraction(0)) + c
-            if c == 0:
-                cleaned.pop(key, None)
-            else:
-                cleaned[key] = c
-        return LaurentPoly2(tuple(sorted(cleaned.items())))
+            cleaned[key] = cleaned.get(key, 0) + _coeff(c)
+        return _nonzero(cleaned)
 
     @staticmethod
     def monomial(p: int, q: int, coeff=1) -> "LaurentPoly2":
-        return LaurentPoly2.from_terms({(p, q): Fraction(coeff)})
+        return LaurentPoly2.from_terms((((p, q), coeff),))
 
     @staticmethod
     def zero() -> "LaurentPoly2":
@@ -70,23 +88,28 @@ class LaurentPoly2:
         return not self.terms
 
     def __add__(self, other: "LaurentPoly2") -> "LaurentPoly2":
-        out = self.as_dict()
+        if not self.terms:
+            return other
+        if not other.terms:
+            return self
+        out = dict(self.terms)
         for key, c in other.terms:
-            c = out.get(key, Fraction(0)) + c
-            if c == 0:
-                out.pop(key, None)
-            else:
-                out[key] = c
-        return LaurentPoly2(tuple(sorted(out.items())))
+            out[key] = out.get(key, 0) + c
+        return _nonzero(out)
 
     def __sub__(self, other: "LaurentPoly2") -> "LaurentPoly2":
-        return self + other.scale(-1)
+        if not other.terms:
+            return self
+        out = dict(self.terms)
+        for key, c in other.terms:
+            out[key] = out.get(key, 0) - c
+        return _nonzero(out)
 
     def scale(self, c) -> "LaurentPoly2":
-        c = Fraction(c)
+        c = _coeff(c)
         if c == 0:
             return LaurentPoly2(())
-        return LaurentPoly2(tuple((key, c * v) for key, v in self.terms))
+        return LaurentPoly2(tuple((key, _exact(c * v)) for key, v in self.terms))
 
     def __str__(self) -> str:
         if not self.terms:
@@ -95,17 +118,27 @@ class LaurentPoly2:
         return " + ".join(bits)
 
 
+# A uniform exponent shift keeps the sorted order, and multiplying a nonzero
+# coefficient by a nonzero one keeps it nonzero, so the operators below build
+# their terms directly; only hat_laplacian merges terms and has to sort.
+
+
 def d_r(f: LaurentPoly2) -> LaurentPoly2:
-    return LaurentPoly2.from_terms(((p - 1, q), p * c) for (p, q), c in f.terms if p)
+    return LaurentPoly2(tuple(((p - 1, q), _exact(p * c)) for (p, q), c in f.terms if p))
 
 
 def d_z(f: LaurentPoly2) -> LaurentPoly2:
-    return LaurentPoly2.from_terms(((p, q - 1), q * c) for (p, q), c in f.terms if q)
+    return LaurentPoly2(tuple(((p, q - 1), _exact(q * c)) for (p, q), c in f.terms if q))
 
 
 def mul_monomial(f: LaurentPoly2, p: int, q: int, coeff=1) -> LaurentPoly2:
-    return LaurentPoly2.from_terms(
-        ((pp + p, qq + q), Fraction(coeff) * c) for (pp, qq), c in f.terms
+    coeff = _coeff(coeff)
+    if q < 0 and f.terms and min(qq for (_, qq), _ in f.terms) + q < 0:
+        raise InvariantViolation("z-exponents must stay nonnegative")
+    if coeff == 0:
+        return LaurentPoly2(())
+    return LaurentPoly2(
+        tuple(((pp + p, qq + q), _exact(coeff * c)) for (pp, qq), c in f.terms)
     )
 
 
@@ -116,17 +149,15 @@ def hat_laplacian(n: int, f: LaurentPoly2) -> LaurentPoly2:
     for (p, q), c in f.terms:
         if q >= 2:
             key = (p, q - 2)
-            v = out.get(key, Fraction(0)) - q * (q - 1) * c
-            out[key] = v
+            out[key] = out.get(key, 0) - q * (q - 1) * c
         key = (p - 2, q)
-        v = out.get(key, Fraction(0)) - (p * (p - 1) + n * p) * c
-        out[key] = v
-    return LaurentPoly2.from_terms(out)
+        out[key] = out.get(key, 0) - (p * (p - 1) + n * p) * c
+    return _nonzero(out)
 
 
 def v_field(f: LaurentPoly2) -> LaurentPoly2:
     """The rotation derivation r d/dz - z d/dr."""
-    return mul_monomial(d_z(f), 1, 0) + mul_monomial(d_r(f), 0, 1).scale(-1)
+    return mul_monomial(d_z(f), 1, 0) - mul_monomial(d_r(f), 0, 1)
 
 
 def _r2(f: LaurentPoly2, coeff) -> LaurentPoly2:
@@ -135,7 +166,7 @@ def _r2(f: LaurentPoly2, coeff) -> LaurentPoly2:
 
 def _tilt(f: LaurentPoly2) -> LaurentPoly2:
     """-z r^-1 f."""
-    return mul_monomial(f, -1, 1).scale(-1)
+    return mul_monomial(f, -1, 1, -1)
 
 
 def _lift(f: LaurentPoly2, g: LaurentPoly2, c) -> LaurentPoly2:
@@ -198,7 +229,8 @@ def _nullspace(columns: list[dict], dim: int) -> list[list[Fraction]]:
     """Exact nullspace of the linear map sending coefficient vectors to
     sum(a_l * columns[l]); columns map arbitrary hashable keys to rationals."""
     keys = sorted({key for col in columns for key in col})
-    mat = [[col.get(key, Fraction(0)) for col in columns] for key in keys]
+    # Fraction entries keep the elimination exact: 1 / int would be a float
+    mat = [[Fraction(col.get(key, 0)) for col in columns] for key in keys]
     ncols = dim
     pivots: list[int] = []
     ri = 0
@@ -230,7 +262,7 @@ def _rank(columns: list[dict], dim: int) -> int:
     return dim - len(_nullspace(columns, dim))
 
 
-def reduced_operator(n: int, lam: Fraction) -> Callable[[LaurentPoly2], LaurentPoly2]:
+def reduced_operator(n: int, lam: Coeff) -> Callable[[LaurentPoly2], LaurentPoly2]:
     """L_n + lam r^-2: the operator whose kernel carries the harmonic ladder
     seeded by a base eigenvalue lam."""
 
@@ -245,8 +277,7 @@ def build_harmonic_family(n: int, k: int, j: int) -> LaurentPoly2:
     at (k, j), with lam = k(k+n-1); integer-normalized basis vector."""
     if k < 0 or j < 0:
         raise InvariantViolation("ladder indices must be nonnegative")
-    lam = Fraction(k * (k + n - 1))
-    op = reduced_operator(n, lam)
+    op = reduced_operator(n, k * (k + n - 1))
     basis = ladder_basis(k, j)
     columns = [op(LaurentPoly2.monomial(p, q)).as_dict() for p, q in basis]
     null = _nullspace(columns, len(basis))
@@ -272,7 +303,7 @@ def verify_decomposition(n: int, k: int, j: int) -> dict:
     vectors: list[dict] = []
     h = build_harmonic_family(n, k, j)
     vectors.append({index[key]: c for key, c in h.terms})
-    s2 = LaurentPoly2.from_terms({(2, 0): Fraction(1), (0, 2): Fraction(1)})
+    s2 = LaurentPoly2.from_terms({(2, 0): 1, (0, 2): 1})
     for p, q in ladder_basis(k, j - 2):
         shifted = mul_monomial(s2, p, q)
         vectors.append({index[key]: c for key, c in shifted.terms})
@@ -304,7 +335,7 @@ def verify_formulas1(n: int, k: int, j: int) -> dict:
     """
     if k < 1:
         raise InvariantViolation("need k >= 1 so the seed eigenvalue is positive")
-    lam = Fraction(k * (k + n - 1))
+    lam = k * (k + n - 1)
     P = build_harmonic_family(n, k, j)
     Q = _tilt(P)
     R = _lift(P, Q, n).scale(Fraction(1, lam))
@@ -329,7 +360,7 @@ def verify_formulas2(n: int, l: int, j: int) -> dict:
     """
     if l < 2:
         raise InvariantViolation("need l >= 2 so the seed clears the Killing bound")
-    mu = Fraction(l * (l + n - 1) - 1)
+    mu = l * (l + n - 1) - 1
     P = build_harmonic_family(n, l, j)  # kernel of L_n + (mu+1) r^-2
     Q = _tilt(P)
     R = _lift(P, Q, n + 1).scale(Fraction(2, mu - (n - 1)))
@@ -357,7 +388,7 @@ def verify_formulas3(n: int, k: int, j: int) -> dict:
     """
     if k < 2:
         raise InvariantViolation("need k >= 2 so the seed clears the dimension bound")
-    lam = Fraction(k * (k + n - 1))
+    lam = k * (k + n - 1)
     P1 = build_harmonic_family(n, k, j)
     P2 = _tilt(P1)
     P3 = mul_monomial(P1, -2, 2)

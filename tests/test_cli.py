@@ -362,6 +362,9 @@ def test_verify_radial_refuses_dimensions_below_its_block(capsys, flags):
         (["verify-symbolic", "--n", "x"], "--n"),
         (["--output", "xml", "spectrum", "--sphere", "3", "--cutoff", "4"], "--output"),
         (["bogus"], "bogus"),
+        # a negative count would run no ladder check, or fail deep inside
+        (["verify-symbolic", "--n", "3", "--k", "2", "--jmax=-1"], "--jmax"),
+        (["verify-symbolic", "--n", "3", "--k=-1"], "--k"),
     ],
 )
 def test_flag_errors_are_parse_errors_naming_the_flag(capsys, argv, name):

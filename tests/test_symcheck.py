@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from sinecone import symcheck
 from sinecone.conemaps import degree_eigenvalue
-from sinecone.errors import IdentityFailed
+from sinecone.errors import IdentityFailed, InvariantViolation
 from sinecone.exactreal import from_rational
 from sinecone.radialoracle import RadialProblem, solve_radial
 from sinecone.symcheck import (
@@ -167,3 +167,47 @@ def test_homogeneity_matches_radial_oracle():
     target = float(degree_eigenvalue(n + 1, from_rational(k + j)))
     got = solve_radial(RadialProblem(n, Fraction(k * (k + n - 1)), grid_points=2000), j + 1)
     assert abs(got[j] - target) / target < 1e-3
+
+
+def _exact_coefficients(f):
+    return all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
+               for _, c in f.terms)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_families_and_closure_systems_stay_exact(monkeypatch, n):
+    # every polynomial the closure checks hand to the Laplacian, R and S among
+    # them, keeps int or Fraction coefficients: no float enters by 1 / int
+    seen = []
+    laplacian = symcheck.hat_laplacian
+
+    def recording(m, f):
+        seen.append(f)
+        return laplacian(m, f)
+
+    monkeypatch.setattr(symcheck, "hat_laplacian", recording)
+    for k in range(4):
+        for j in range(6):
+            family = build_harmonic_family(n, k, j)
+            assert family.terms and _exact_coefficients(family)
+            checks = [verify_formulas1] * (k >= 1) + [verify_formulas2, verify_formulas3] * (k >= 2)
+            for check in checks:
+                assert check(n, k, j)["passed"]
+    assert seen and all(_exact_coefficients(f) for f in seen)
+    assert any(type(c) is Fraction for f in seen for _, c in f.terms)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: LaurentPoly2.from_terms({(0, 0): 0.1}),
+        lambda: LaurentPoly2.from_terms([((1, 2), 1.0)]),
+        lambda: LaurentPoly2.monomial(1, 1, 0.5),
+        lambda: mono(1, 1).scale(0.25),
+        lambda: mul_monomial(mono(1, 1), 0, 0, 2.0),
+    ],
+    ids=["from-terms-mapping", "from-terms-pairs", "monomial", "scale", "mul-monomial"],
+)
+def test_float_coefficients_are_refused(make):
+    with pytest.raises(InvariantViolation, match="float"):
+        make()

@@ -1,0 +1,127 @@
+"""The integer-first Laurent algebra against a ``Fraction`` reference.
+
+The functions below are the earlier ``symcheck`` arithmetic, which re-wrapped
+every coefficient as a ``Fraction`` and re-sorted every result.  They stay
+here as the reference: every operation of ``LaurentPoly2`` must give the same
+polynomial and the same ``str``, and every result must keep the invariants of
+its terms (sorted keys, no zero, an ``int`` or a non-integral ``Fraction``).
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sinecone.errors import InvariantViolation
+from sinecone.symcheck import LaurentPoly2, d_r, d_z, hat_laplacian, mul_monomial
+
+# -- the Fraction reference ---------------------------------------------------
+
+
+def ref_from_terms(items) -> dict:
+    out: dict = {}
+    for (p, q), c in items:
+        if q < 0:
+            raise InvariantViolation("reference: z-exponents must stay nonnegative")
+        out[(p, q)] = out.get((p, q), Fraction(0)) + Fraction(c)
+    return {key: c for key, c in out.items() if c != 0}
+
+
+def ref_add(f: dict, g: dict) -> dict:
+    return ref_from_terms(list(f.items()) + list(g.items()))
+
+
+def ref_sub(f: dict, g: dict) -> dict:
+    return ref_add(f, ref_scale(g, -1))
+
+
+def ref_scale(f: dict, c) -> dict:
+    return ref_from_terms((key, Fraction(c) * v) for key, v in f.items())
+
+
+def ref_d_r(f: dict) -> dict:
+    return ref_from_terms(((p - 1, q), p * c) for (p, q), c in f.items())
+
+
+def ref_d_z(f: dict) -> dict:
+    return ref_from_terms(((p, q - 1), q * c) for (p, q), c in f.items() if q)
+
+
+def ref_mul_monomial(f: dict, p: int, q: int, coeff) -> dict:
+    return ref_from_terms(((pp + p, qq + q), Fraction(coeff) * c) for (pp, qq), c in f.items())
+
+
+def ref_laplacian(n: int, f: dict) -> dict:
+    items = []
+    for (p, q), c in f.items():
+        if q >= 2:
+            items.append(((p, q - 2), -q * (q - 1) * c))
+        items.append(((p - 2, q), -(p * (p - 1) + n * p) * c))
+    return ref_from_terms(items)
+
+
+def ref_str(f: dict) -> str:
+    if not f:
+        return "0"
+    return " + ".join(f"{c}*r^{p}*z^{q}" for (p, q), c in sorted(f.items()))
+
+
+# -- checks -------------------------------------------------------------------
+
+
+def assert_same(got: LaurentPoly2, ref: dict) -> None:
+    keys = [key for key, _ in got.terms]
+    assert keys == sorted(set(keys))
+    for _, c in got.terms:
+        assert c != 0
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+    assert dict(got.terms) == ref
+    assert str(got) == ref_str(ref)
+
+
+coefficients = st.one_of(
+    st.integers(min_value=-30, max_value=30),
+    st.fractions(min_value=-8, max_value=8, max_denominator=9),
+    # integral Fractions must come back as ints
+    st.integers(min_value=-30, max_value=30).map(Fraction),
+)
+items = st.lists(
+    st.tuples(st.tuples(st.integers(-5, 5), st.integers(0, 5)), coefficients), max_size=8
+)
+
+
+@given(items, items)
+@settings(max_examples=100)
+def test_construction_sum_and_difference_match_the_reference(terms_f, terms_g):
+    f, g = LaurentPoly2.from_terms(terms_f), LaurentPoly2.from_terms(terms_g)
+    rf, rg = ref_from_terms(terms_f), ref_from_terms(terms_g)
+    assert_same(f, rf)
+    assert_same(f + g, ref_add(rf, rg))
+    assert_same(f - g, ref_sub(rf, rg))
+    assert_same(f - f, {})
+    assert (f + g == g + f) and hash(f + g) == hash(g + f)
+
+
+@given(items, coefficients, st.integers(2, 9))
+@settings(max_examples=100)
+def test_operators_match_the_reference(terms, c, n):
+    f, rf = LaurentPoly2.from_terms(terms), ref_from_terms(terms)
+    assert_same(d_r(f), ref_d_r(rf))
+    assert_same(d_z(f), ref_d_z(rf))
+    assert_same(hat_laplacian(n, f), ref_laplacian(n, rf))
+    assert_same(f.scale(c), ref_scale(rf, c))
+    assert_same(f.scale(0), {})
+
+
+@given(items, st.integers(-4, 4), st.integers(-3, 3), coefficients)
+@settings(max_examples=100)
+def test_mul_monomial_matches_the_reference(terms, p, q, c):
+    f, rf = LaurentPoly2.from_terms(terms), ref_from_terms(terms)
+    try:
+        want = ref_mul_monomial(rf, p, q, c)
+    except InvariantViolation:
+        with pytest.raises(InvariantViolation, match="nonnegative"):
+            mul_monomial(f, p, q, c)
+    else:
+        assert_same(mul_monomial(f, p, q, c), want)
