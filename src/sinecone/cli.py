@@ -279,7 +279,6 @@ def _cmd_verify_symbolic(args) -> int:
             raise ParseError(f"{flag} needs a nonnegative integer, got {value}")
     reports = [symcheck.check_commutators(args.n)]
     for j in range(args.jmax + 1):
-        symcheck.build_harmonic_family(args.n, args.k, j)
         reports.append(symcheck.verify_decomposition(args.n, args.k, j))
         if args.k >= 1:
             reports.append(symcheck.verify_formulas1(args.n, args.k, j))

@@ -76,6 +76,7 @@ class DecompositionFailed(VerificationFailed):
 
 
 class SolverDisagreement(SineconeError, AssertionError):
-    """The two independent zero-detection criteria disagreed (implementation bug)."""
+    """A harmonic degree failed its defining equation degree_eigenvalue(n, m)
+    == kappa during zero-mode detection (implementation bug)."""
 
     exit_code = 2

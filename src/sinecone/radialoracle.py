@@ -109,6 +109,11 @@ def solve_radial(problem: RadialProblem, modes: int) -> list[float]:
     """The ``modes`` smallest pencil eigenvalues, ascending."""
     if modes < 1:
         raise ValueError("need at least one mode")
+    if modes > problem.grid_points:
+        raise InvariantViolation(
+            f"a grid of {problem.grid_points} points resolves at most "
+            f"{problem.grid_points} modes, got {modes}"
+        )
     K, M = _assemble(problem)
     sigma = -(problem.n ** 2 / 4 + abs(min(float(problem.coupling), 0.0)) + 10.0)
     v0 = np.ones(K.shape[0])

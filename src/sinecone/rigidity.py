@@ -1,32 +1,25 @@
 """Infinitesimal-Einstein-deformation finder for sine-cones.
 
 Zeros of the TT block of the cone Einstein operator come only from TT ladders
-of the base: a TT eigenvalue kappa contributes the ladder
-``degree_eigenvalue(n+1, harmonic_degree(n, kappa) + j)``, whose roots are the
-degrees 0 and -(n+1)+1 = -n; since harmonic_degree(n, .) >= -(n-1)/2 > -n,
-the only reachable root is degree 0.  Hence a zero exists iff
-harmonic_degree(n, kappa) is a nonpositive integer -j, and the resulting
-deformation is bounded iff kappa = 0 (j = 0).
+of the base.  A TT eigenvalue kappa of degree m = harmonic_degree(n, kappa)
+contributes the ladder
 
-Two independent detections are run and asserted equal at runtime: the
-degree-integrality test above, and the exact integer solution set of
+    degree_eigenvalue(n+1, m + j) = (j + m)(j + m + n),    j = 0, 1, 2, ...
 
-    (2j + 1) m = -kappa - j (j + n),        m = harmonic_degree(n, kappa),
-
-which is the same vanishing condition rewritten as a quadratic in j.
+whose roots are -m and -m - n.  Since m >= -(n-1)/2 > -n, a zero exists iff m
+is a nonpositive integer, at j = -m; the deformation is bounded iff j = 0
+(m = 0, kappa = 0).  The one runtime check is the degree's defining equation
+degree_eigenvalue(n, m) == kappa for every rational m (SolverDisagreement).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import isqrt
-from typing import Optional
 
 from .catalog import ProductMarker, product_geometric_spectrum, product_tt_marker
-from .conemaps import degree_eigenvalue, hardy_bound, harmonic_degree, require_bounded_below
-from .errors import InsufficientBaseCutoff, InvariantViolation, SolverDisagreement
-from .exactreal import QuadReal, compare, from_rational, sign
+from .conemaps import degree_eigenvalue, harmonic_degree, require_bounded_below
+from .errors import InsufficientBaseCutoff, SolverDisagreement, UnboundedBelow
+from .exactreal import QuadReal, sign
 from .spectra import GeometricSpectrum
 
 
@@ -54,66 +47,24 @@ class IEDCertificate:
         }
 
 
-def _sqrt_exact(x: Fraction) -> Optional[Fraction]:
-    """Rational square root of a nonnegative rational, or None."""
-    if x < 0:
-        return None
-    rn = isqrt(x.numerator)
-    rd = isqrt(x.denominator)
-    if rn * rn == x.numerator and rd * rd == x.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
 def solve_zero_equation(n: int, kappa: QuadReal) -> list[int]:
-    """Exact nonnegative-integer solution set of the ladder-zero equation.
-
-    With m = harmonic_degree(n, kappa):  (2j+1) m = -kappa - j(j+n).  If m is
-    irrational the left side is irrational for every integer j while the
-    right side is rational, so there is no solution.  Otherwise solve the
-    quadratic j^2 + (n + 2m) j + (m + kappa) = 0 exactly and keep integer
-    roots >= 0.
-    """
+    """Ladder indices where the cone TT ladder of the base eigenvalue kappa
+    vanishes: [-m] when m = harmonic_degree(n, kappa) is a nonpositive integer,
+    else [].  A rational m is first checked against its defining equation."""
     if not kappa.is_rational():
         return []  # an irrational kappa never has an integral ladder degree
-    kv = kappa.as_fraction()
-    m = harmonic_degree(n, kv)
-    if not m.is_rational():
-        return []
-    mv = m.as_fraction()
-    b = n + 2 * mv
-    c = mv + kv
-    disc = b * b - 4 * c
-    root = _sqrt_exact(disc)
-    if root is None:
-        return []
-    out = []
-    for r in {(-b + root) / 2, (-b - root) / 2}:
-        if r.denominator == 1 and r >= 0:
-            out.append(int(r))
-    return sorted(out)
-
-
-def _detect_zero_by_degree(n: int, kappa: QuadReal) -> Optional[int]:
-    """Degree-integrality detection: j = -harmonic_degree(n, kappa) if that
-    is a nonnegative integer, else None."""
-    if not kappa.is_rational():
-        return None
-    m = harmonic_degree(n, kappa.as_fraction())
-    if not m.is_integer():
-        return None
-    mv = m.as_fraction()
-    if mv > 0:
-        return None
-    return int(-mv)
+    m = harmonic_degree(n, kappa)
+    if m.is_rational() and degree_eigenvalue(n, m) != kappa:
+        raise SolverDisagreement(
+            f"harmonic degree {m} of kappa={kappa}, n={n} does not solve m(m+n-1) = kappa"
+        )
+    return [-m.p] if m.is_integer() and sign(m) <= 0 else []
 
 
 def find_ieds(gs: GeometricSpectrum) -> list[IEDCertificate]:
     """All certified zeros of the cone TT block generated by the base TT
-    spectrum, with both detection routes asserted to agree.  The zeros come
-    only from TT lines in [-(n-1)^2/4, 0], so the TT spectrum must be
-    declared complete up to 0."""
-    n = gs.n
+    spectrum.  The zeros come only from TT lines in [-(n-1)^2/4, 0], so the
+    TT spectrum must be declared complete up to 0."""
     require_bounded_below(gs)
     if sign(gs.specE_TT.cutoff) < 0:
         raise InsufficientBaseCutoff(
@@ -121,31 +72,11 @@ def find_ieds(gs: GeometricSpectrum) -> list[IEDCertificate]:
             "zero modes of the cone TT block need completeness up to 0; "
             "refusing to report none"
         )
-    certs = []
-    for line in gs.specE_TT.lines:
-        j_direct = _detect_zero_by_degree(n, line.value)
-        j_eq = solve_zero_equation(n, line.value)
-        if (set() if j_direct is None else {j_direct}) != set(j_eq):
-            raise SolverDisagreement(
-                f"degree-integrality found {j_direct} but the quadratic "
-                f"solver found {j_eq} for kappa={line.value}, n={n}"
-            )
-        if j_direct is None:
-            continue
-        value = degree_eigenvalue(n + 1, harmonic_degree(n, line.value) + j_direct)
-        if sign(value) != 0:
-            raise InvariantViolation(
-                f"certificate for kappa={line.value}, j={j_direct} does not vanish: {value}"
-            )
-        certs.append(
-            IEDCertificate(
-                kappa=line.value,
-                j=j_direct,
-                bounded=sign(line.value) == 0,
-                multiplicity=line.multiplicity,
-            )
-        )
-    return certs
+    return [
+        IEDCertificate(kappa=line.value, j=j, bounded=(j == 0), multiplicity=line.multiplicity)
+        for line in gs.specE_TT.lines
+        for j in solve_zero_equation(gs.n, line.value)
+    ]
 
 
 @dataclass(frozen=True)
@@ -184,9 +115,10 @@ def product_rigidity_scan(n_min: int, n_max: int) -> list[ProductScanRow]:
     for n in range(n_min, n_max + 1):
         marker = ProductMarker(2, n - 2)
         kappa, _ = product_tt_marker(marker)
-        if compare(kappa, from_rational(hardy_bound(n))) < 0:
+        try:
+            certs = tuple(find_ieds(product_geometric_spectrum(marker)))
+        except UnboundedBelow:
             rows.append(ProductScanRow(n, kappa, True, ()))
             continue
-        gs = product_geometric_spectrum(marker)
-        rows.append(ProductScanRow(n, kappa, False, tuple(find_ieds(gs))))
+        rows.append(ProductScanRow(n, kappa, False, certs))
     return rows

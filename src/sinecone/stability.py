@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .conemaps import ITERATE_PARTS, cone_step, hardy_bound, map_einstein, supported_window
+from .conemaps import ITERATE_PARTS, cone_step, hardy_bound, require_bounded_below, supported_window
 from .errors import UnboundedBelow
 from .exactreal import QuadReal, compare, from_rational, make_quad, sign
 from .spectra import GeometricSpectrum
@@ -262,7 +262,7 @@ def cross_check(gs: GeometricSpectrum) -> CrossCheckResult:
     if pred.bounded_below is False:
         # the direct path must refuse with an unbounded-below diagnosis
         try:
-            map_einstein(gs, from_rational(0), blocks=("tt",))
+            require_bounded_below(gs)
         except UnboundedBelow:
             return CrossCheckResult(True, (), pred, None, True)
         return CrossCheckResult(

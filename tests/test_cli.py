@@ -571,3 +571,16 @@ def test_verify_radial_block_choices_are_the_engine_blocks():
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     block = next(a for a in sub.choices["verify-radial"]._actions if a.dest == "block")
     assert tuple(block.choices) == radialoracle.BLOCKS
+
+
+def test_verify_radial_refuses_more_modes_than_grid_points():
+    # the pencil has grid + 1 rows and the eigensolver needs fewer modes than rows
+    proc = _fresh_python(
+        "-m", "sinecone.cli", "verify-radial", "--n", "3", "--coupling", "3",
+        "--modes", "101", "--grid", "100",
+    )
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert "Traceback" not in proc.stderr
+    error = json.loads(proc.stderr)
+    assert error["error"] == "InvariantViolation"
+    assert "at most 100 modes" in error["message"]

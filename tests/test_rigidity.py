@@ -1,11 +1,14 @@
+import json
 from fractions import Fraction
 from math import isqrt
 
 import pytest
 
+import sinecone.rigidity as rigidity
 from sinecone.catalog import ProductMarker, product_geometric_spectrum
+from sinecone.cli import run
 from sinecone.conemaps import degree_eigenvalue, harmonic_degree
-from sinecone.errors import UnboundedBelow
+from sinecone.errors import SolverDisagreement, UnboundedBelow
 from sinecone.exactreal import from_rational, sign
 from sinecone.rigidity import (
     IEDCertificate,
@@ -120,3 +123,21 @@ def test_scan_rows():
     assert {n for n in range(9, 21) if by_n[n].has_ied} == {9, 10}
     assert by_n[9].certificates[0].j == 4
     assert by_n[10].certificates[0].j == 3
+
+
+def test_a_wrong_harmonic_degree_is_a_solver_disagreement(monkeypatch, capsys):
+    # the defining equation degree_eigenvalue(n, m) == kappa is the one
+    # runtime check of the detection: an off-by-one degree must not pass
+    true_degree = rigidity.harmonic_degree
+
+    def off_by_one(n, kappa):
+        m = true_degree(n, kappa)
+        return m - 1 if (n, m) == (9, q(-4)) else m  # kappa = -16 has degree -4
+
+    monkeypatch.setattr(rigidity, "harmonic_degree", off_by_one)
+    with pytest.raises(SolverDisagreement):
+        find_ieds(product_geometric_spectrum(ProductMarker(4, 5)))
+    assert run(["rigidity", "--product", "4,5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "SolverDisagreement"
