@@ -1,15 +1,19 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from scipy.linalg.lapack import dpttrf
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from sinecone import radialoracle
 from sinecone.cli import build_parser, run
-from sinecone.errors import SineconeError
+from sinecone.errors import ConvergenceFailure, SineconeError
 from sinecone.exactreal import quad_from_json
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -168,6 +172,31 @@ def test_verify_radial_tt_critical_coupling(capsys):
     )
     assert code == 0
     assert json.loads(out)["report"]["passed"] is True
+
+
+def _indefinite_factor(d, e):
+    # a sound factorization reported as a leading minor that is not positive:
+    # only the info check can refuse it
+    d, e, _ = dpttrf(d, e)
+    return d, e, 1
+
+
+def _no_convergence(*args, **kwargs):
+    raise ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
+
+
+@pytest.mark.parametrize(
+    "name,fake", [("dpttrf", _indefinite_factor), ("eigsh", _no_convergence)]
+)
+def test_verify_radial_solver_failure_is_a_convergence_failure(monkeypatch, capsys, name, fake):
+    monkeypatch.setattr(radialoracle, name, fake)
+    with pytest.raises(ConvergenceFailure):
+        radialoracle.solve_radial(radialoracle.RadialProblem(3, Fraction(3)), 2)
+    code, out, err = _capture(
+        capsys, ["verify-radial", "--n", "3", "--coupling", "3", "--modes", "2"]
+    )
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "ConvergenceFailure"
 
 
 def test_verify_radial_demo_regime(tmp_path, capsys):
@@ -584,3 +613,19 @@ def test_verify_radial_refuses_more_modes_than_grid_points():
     error = json.loads(proc.stderr)
     assert error["error"] == "InvariantViolation"
     assert "at most 100 modes" in error["message"]
+
+
+def test_a_failed_radial_check_carries_its_report_as_json():
+    # 100 modes on 100 intervals: the top modes are far off the exact ladder
+    proc = _fresh_python(
+        "-m", "sinecone.cli", "verify-radial", "--n", "3", "--coupling", "3",
+        "--modes", "100", "--grid", "100",
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    error = json.loads(proc.stderr)
+    assert error["error"] == "VerificationFailed"
+    head, sep, report = error["message"].partition("; report: ")
+    assert sep and re.fullmatch(r"mode \d+ off by \S+ \(tol 1\.0e-03\)", head), head
+    report = json.loads(report)
+    assert report["passed"] is False
+    assert [row["j"] for row in report["modes"]] == list(range(100))

@@ -38,6 +38,11 @@ def test_oracle_agreement_sphere_couplings(n, c):
     assert report["passed"]
 
 
+def test_solve_radial_refuses_zero_modes():
+    with pytest.raises(InvariantViolation, match="at least one mode"):
+        solve_radial(RadialProblem(3, Fraction(3)), 0)
+
+
 def test_constant_mode_exact():
     got = solve_radial(RadialProblem(4, Fraction(0)), 1)
     assert abs(got[0]) < 1e-9  # natural handling represents constants exactly
