@@ -16,7 +16,6 @@ the zero polynomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterable, Mapping
@@ -50,26 +49,42 @@ def _coeff(c) -> Coeff:
 
 
 def _nonzero(out: Terms) -> "LaurentPoly2":
-    """The polynomial of merged terms, zeros dropped, in sorted order."""
-    return LaurentPoly2(tuple(sorted((key, _exact(c)) for key, c in out.items() if c)))
+    """The polynomial of merged terms, zeros dropped."""
+    return _poly({key: c if type(c) is int else _exact(c) for key, c in out.items() if c})
 
 
-@dataclass(frozen=True)
+def _exponent(e) -> int:
+    """Validate an exponent from outside: int(1.5) or int(True) would name another monomial."""
+    if type(e) is not int:
+        raise InvariantViolation(f"Laurent exponents must be int, got {e!r}")
+    return e
+
+
 class LaurentPoly2:
     """Sparse Laurent polynomial in r (integer exponents) and z (nonnegative
-    exponents) over the rationals.  ``terms`` is sorted by exponent and holds
-    no zero coefficient."""
+    exponents) over the rationals.  It holds one dict from (p, q) to a nonzero
+    coefficient and cannot be changed; ``terms`` is that dict as a tuple sorted
+    by exponent, built when read.  Build one with from_terms, monomial or zero."""
 
-    terms: tuple[tuple[tuple[int, int], Coeff], ...]
+    __slots__ = ("_d",)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"LaurentPoly2 is immutable: cannot change {name}")
+
+    __delattr__ = __setattr__
+
+    @property
+    def terms(self) -> tuple[tuple[tuple[int, int], Coeff], ...]:
+        return tuple(sorted(self._d.items()))
 
     @staticmethod
     def from_terms(terms: Mapping[tuple[int, int], Coeff] | Iterable) -> "LaurentPoly2":
         cleaned: Terms = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for (p, q), c in items:
+            key = (_exponent(p), _exponent(q))
             if q < 0:
                 raise InvariantViolation("z-exponents must stay nonnegative")
-            key = (int(p), int(q))
             cleaned[key] = cleaned.get(key, 0) + _coeff(c)
         return _nonzero(cleaned)
 
@@ -79,74 +94,87 @@ class LaurentPoly2:
 
     @staticmethod
     def zero() -> "LaurentPoly2":
-        return LaurentPoly2(())
+        return _poly({})
 
     def as_dict(self) -> Terms:
-        return dict(self.terms)
+        return dict(self._d)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._d
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, LaurentPoly2) and self._d == other._d
+
+    def __hash__(self) -> int:
+        return hash(self.terms)
+
+    def __repr__(self) -> str:
+        return f"LaurentPoly2(terms={self.terms!r})"
 
     def __add__(self, other: "LaurentPoly2") -> "LaurentPoly2":
-        if not self.terms:
-            return other
-        if not other.terms:
-            return self
-        out = dict(self.terms)
-        for key, c in other.terms:
-            out[key] = out.get(key, 0) + c
-        return _nonzero(out)
+        return _merge(self._d, other._d, 1)
 
     def __sub__(self, other: "LaurentPoly2") -> "LaurentPoly2":
-        if not other.terms:
-            return self
-        out = dict(self.terms)
-        for key, c in other.terms:
-            out[key] = out.get(key, 0) - c
-        return _nonzero(out)
+        return _merge(self._d, other._d, -1)
 
     def scale(self, c) -> "LaurentPoly2":
-        c = _coeff(c)
-        if c == 0:
-            return LaurentPoly2(())
-        return LaurentPoly2(tuple((key, _exact(c * v)) for key, v in self.terms))
+        return mul_monomial(self, 0, 0, c)
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = [f"{c}*r^{p}*z^{q}" for (p, q), c in self.terms]
-        return " + ".join(bits)
+        return " + ".join(f"{c}*r^{p}*z^{q}" for (p, q), c in self.terms) or "0"
 
 
-# A uniform exponent shift keeps the sorted order, and multiplying a nonzero
-# coefficient by a nonzero one keeps it nonzero, so the operators below build
-# their terms directly; only hat_laplacian merges terms and has to sort.
+_poly_store = LaurentPoly2._d.__set__  # writes the slot itself, past __setattr__
+
+
+def _poly(d: Terms) -> LaurentPoly2:
+    """Wrap a dict of nonzero exact coefficients, which nothing changes later."""
+    f = object.__new__(LaurentPoly2)
+    _poly_store(f, d)
+    return f
+
+
+def _merge(a: Terms, b: Terms, sign: int) -> LaurentPoly2:
+    """a + sign * b, a zero dropped where it arises."""
+    out = dict(a)
+    for key, c in b.items():
+        c = out.get(key, 0) + sign * c
+        if not c:
+            del out[key]
+        else:
+            out[key] = c if type(c) is int else _exact(c)
+    return _poly(out)
+
+
+# Each operator builds a new dict and sorts nothing.  A uniform exponent shift
+# keeps keys distinct and coefficients nonzero, so d_r, d_z and mul_monomial
+# need no merge; hat_laplacian, v_field and _lift merge and drop zeros.
 
 
 def d_r(f: LaurentPoly2) -> LaurentPoly2:
-    return LaurentPoly2(tuple(((p - 1, q), _exact(p * c)) for (p, q), c in f.terms if p))
+    return _poly({(p - 1, q): _exact(p * c) for (p, q), c in f._d.items() if p})
 
 
 def d_z(f: LaurentPoly2) -> LaurentPoly2:
-    return LaurentPoly2(tuple(((p, q - 1), _exact(q * c)) for (p, q), c in f.terms if q))
+    return _poly({(p, q - 1): _exact(q * c) for (p, q), c in f._d.items() if q})
 
 
 def mul_monomial(f: LaurentPoly2, p: int, q: int, coeff=1) -> LaurentPoly2:
-    coeff = _coeff(coeff)
-    if q < 0 and f.terms and min(qq for (_, qq), _ in f.terms) + q < 0:
+    p, q, coeff = _exponent(p), _exponent(q), _coeff(coeff)
+    if q < 0 and f._d and min(qq for _, qq in f._d) + q < 0:
         raise InvariantViolation("z-exponents must stay nonnegative")
     if coeff == 0:
-        return LaurentPoly2(())
-    return LaurentPoly2(
-        tuple(((pp + p, qq + q), _exact(coeff * c)) for (pp, qq), c in f.terms)
-    )
+        return _poly({})
+    ints = type(coeff) is int  # a product of two ints needs no _exact
+    return _poly({(pp + p, qq + q): coeff * c if ints and type(c) is int else _exact(coeff * c)
+                  for (pp, qq), c in f._d.items()})
 
 
 def hat_laplacian(n: int, f: LaurentPoly2) -> LaurentPoly2:
     """-d2/dz2 - d2/dr2 - n r^-1 d/dr, term by term: the monomial r^p z^q maps
     to -q(q-1) r^p z^(q-2) - p(p+n-1) r^(p-2) z^q."""
     out: Terms = {}
-    for (p, q), c in f.terms:
+    for (p, q), c in f._d.items():
         if q >= 2:
             key = (p, q - 2)
             out[key] = out.get(key, 0) - q * (q - 1) * c
@@ -156,8 +184,17 @@ def hat_laplacian(n: int, f: LaurentPoly2) -> LaurentPoly2:
 
 
 def v_field(f: LaurentPoly2) -> LaurentPoly2:
-    """The rotation derivation r d/dz - z d/dr."""
-    return mul_monomial(d_z(f), 1, 0) - mul_monomial(d_r(f), 0, 1)
+    """The rotation derivation r d/dz - z d/dr, in one pass: the monomial
+    r^p z^q maps to q r^(p+1) z^(q-1) - p r^(p-1) z^(q+1)."""
+    out: Terms = {}
+    for (p, q), c in f._d.items():
+        if q:
+            key = (p + 1, q - 1)
+            out[key] = out.get(key, 0) + q * c
+        if p:
+            key = (p - 1, q + 1)
+            out[key] = out.get(key, 0) - p * c
+    return _nonzero(out)
 
 
 def _r2(f: LaurentPoly2, coeff) -> LaurentPoly2:
@@ -170,8 +207,16 @@ def _tilt(f: LaurentPoly2) -> LaurentPoly2:
 
 
 def _lift(f: LaurentPoly2, g: LaurentPoly2, c) -> LaurentPoly2:
-    """r dz f + r dr g + c g."""
-    return mul_monomial(d_z(f), 1, 0) + mul_monomial(d_r(g), 1, 0) + g.scale(c)
+    """r dz f + r dr g + c g, in one pass: r^p z^q in f maps to q r^(p+1) z^(q-1),
+    and in g to (p + c) r^p z^q."""
+    out: Terms = {}
+    for (p, q), v in f._d.items():
+        if q:
+            key = (p + 1, q - 1)
+            out[key] = out.get(key, 0) + q * v
+    for key, v in g._d.items():
+        out[key] = out.get(key, 0) + (key[0] + c) * v
+    return _nonzero(out)
 
 
 def _raise_residuals(tag: str, residuals: dict[str, LaurentPoly2]) -> dict:
@@ -201,13 +246,14 @@ def check_commutators(n: int) -> dict:
         for q in range(7):
             f = LaurentPoly2.monomial(p, q)
             vf = v_field(f)
+            lf = lap(f)
             g = _tilt(f)
             residuals = {
-                "commutator with the weighted Laplacian": v_field(lap(f)) - lap(vf) - _r2(vf, n),
+                "commutator with the weighted Laplacian": v_field(lf) - lap(vf) - _r2(vf, n),
                 "commutator with r^-2": v_field(_r2(f, 1)) - _r2(vf, 1) - mul_monomial(f, -3, 1, 2),
                 "commutator with z r^-1": _tilt(vf) - v_field(g) - f - mul_monomial(f, -2, 2),
                 "Laplacian of the tilted partner":
-                    lap(g) - _tilt(lap(f)) - _r2(g, n - 2) - _r2(vf, 2),
+                    lap(g) - _tilt(lf) - _r2(g, n - 2) - _r2(vf, 2),
                 "first-order recombination": _lift(f, g, 1) - vf,
             }
             _raise_residuals(f"identities on r^{p} z^{q} (n={n})", residuals)
@@ -302,11 +348,11 @@ def verify_decomposition(n: int, k: int, j: int) -> dict:
     index = {key: pos for pos, key in enumerate(basis)}
     vectors: list[dict] = []
     h = build_harmonic_family(n, k, j)
-    vectors.append({index[key]: c for key, c in h.terms})
+    vectors.append({index[key]: c for key, c in h._d.items()})
     s2 = LaurentPoly2.from_terms({(2, 0): 1, (0, 2): 1})
     for p, q in ladder_basis(k, j - 2):
         shifted = mul_monomial(s2, p, q)
-        vectors.append({index[key]: c for key, c in shifted.terms})
+        vectors.append({index[key]: c for key, c in shifted._d.items()})
     dim = len(basis)
     if len(vectors) != dim:
         raise DecompositionFailed(

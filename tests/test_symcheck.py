@@ -105,6 +105,26 @@ def test_commutator_failure_names_identity_and_monomial(monkeypatch, perturb, mo
     assert monomial in message
 
 
+@pytest.mark.parametrize(
+    "mutant, identity",
+    [
+        # an extra -z r^-1 f term breaks the commutator with L_n first
+        (lambda v: lambda f: v(f) + mul_monomial(f, -1, 1), "commutator with the weighted Laplacian"),
+        # r dz + z dr, the sign flipped, commutes with L_n but not with r^-2
+        (lambda v: lambda f: mul_monomial(d_z(f), 1, 0) + mul_monomial(d_r(f), 0, 1),
+         "commutator with r^-2"),
+    ],
+    ids=["extra-term", "sign-flip"],
+)
+def test_rotation_field_mutants_are_caught(monkeypatch, mutant, identity):
+    monkeypatch.setattr(symcheck, "v_field", mutant(symcheck.v_field))
+    with pytest.raises(IdentityFailed) as failure:
+        check_commutators(3)
+    message = str(failure.value)
+    assert identity in message
+    assert "r^-6 z^0 (n=3)" in message
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 @pytest.mark.parametrize("j", [0, 1, 2, 3, 4, 5])
@@ -211,3 +231,22 @@ def test_families_and_closure_systems_stay_exact(monkeypatch, n):
 def test_float_coefficients_are_refused(make):
     with pytest.raises(InvariantViolation, match="float"):
         make()
+
+
+@pytest.mark.parametrize(
+    "make, named",
+    [
+        (lambda: LaurentPoly2.from_terms({(1.5, 0): 1}), "1.5"),
+        (lambda: LaurentPoly2.from_terms({(True, 2.9): 1}), "True"),
+        (lambda: LaurentPoly2.from_terms([((1, Fraction(2)), 1)]), "Fraction(2, 1)"),
+        (lambda: LaurentPoly2.monomial(1, 2.0), "2.0"),
+        (lambda: mul_monomial(mono(1, 1), 0.5, 0), "0.5"),
+        (lambda: mul_monomial(mono(1, 1), 0, False), "False"),
+    ],
+    ids=["mapping-float", "mapping-bool", "pairs-fraction", "monomial", "mul-monomial-float",
+         "mul-monomial-bool"],
+)
+def test_non_int_exponents_are_refused(make, named):
+    with pytest.raises(InvariantViolation, match="exponents must be int") as failure:
+        make()
+    assert named in str(failure.value)
