@@ -67,10 +67,6 @@ class IdentityFailed(VerificationFailed):
     """A symbolic identity produced a nonzero residual."""
 
 
-class DimensionMismatch(VerificationFailed):
-    pass
-
-
 class DecompositionFailed(VerificationFailed):
     pass
 

@@ -6,12 +6,12 @@ V = r dz - z dr with the weighted flat Laplacian
 
     L_n = -d^2/dz^2 - d^2/dr^2 - n r^-1 d/dr,
 
-the harmonic ladder spaces and their direct-sum decomposition, and the three
-coupled first-order systems whose closure makes the 1-form and tensor ladders
-work.  Everything is exact: a coefficient is a Python int, and only a division
-makes a Fraction, which is stored as an int again once its denominator is 1.
-No float is ever accepted.  A verification passes only when the residual is
-the zero polynomial.
+the harmonic ladder spaces, built from their two-term recurrence, and their
+direct-sum decomposition, and the three coupled first-order systems whose
+closure makes the 1-form and tensor ladders work.  Everything is exact: a
+coefficient is a Python int, and only a division makes a Fraction, which is
+stored as an int again once its denominator is 1.  No float is ever accepted.
+A verification passes only when the residual is the zero polynomial.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from typing import Callable, Iterable, Mapping
 
 from .errors import (
     DecompositionFailed,
-    DimensionMismatch,
     IdentityFailed,
     InvariantViolation,
 )
@@ -271,43 +270,6 @@ def ladder_basis(k: int, j: int) -> list[tuple[int, int]]:
     return [(k + 2 * l, j - 2 * l) for l in range(j // 2 + 1)]
 
 
-def _nullspace(columns: list[dict], dim: int) -> list[list[Fraction]]:
-    """Exact nullspace of the linear map sending coefficient vectors to
-    sum(a_l * columns[l]); columns map arbitrary hashable keys to rationals."""
-    keys = sorted({key for col in columns for key in col})
-    # Fraction entries keep the elimination exact: 1 / int would be a float
-    mat = [[Fraction(col.get(key, 0)) for col in columns] for key in keys]
-    ncols = dim
-    pivots: list[int] = []
-    ri = 0
-    for cidx in range(ncols):
-        pivot_row = next((r for r in range(ri, len(mat)) if mat[r][cidx]), None)
-        if pivot_row is None:
-            continue
-        mat[ri], mat[pivot_row] = mat[pivot_row], mat[ri]
-        inv = 1 / mat[ri][cidx]
-        mat[ri] = [x * inv for x in mat[ri]]
-        for r in range(len(mat)):
-            if r != ri and mat[r][cidx]:
-                factor = mat[r][cidx]
-                mat[r] = [x - factor * y for x, y in zip(mat[r], mat[ri])]
-        pivots.append(cidx)
-        ri += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for row, pc in enumerate(pivots):
-            vec[pc] = -mat[row][fc]
-        basis.append(vec)
-    return basis
-
-
-def _rank(columns: list[dict], dim: int) -> int:
-    return dim - len(_nullspace(columns, dim))
-
-
 def reduced_operator(n: int, lam: Coeff) -> Callable[[LaurentPoly2], LaurentPoly2]:
     """L_n + lam r^-2: the operator whose kernel carries the harmonic ladder
     seeded by a base eigenvalue lam."""
@@ -319,52 +281,56 @@ def reduced_operator(n: int, lam: Coeff) -> Callable[[LaurentPoly2], LaurentPoly
 
 
 def build_harmonic_family(n: int, k: int, j: int) -> LaurentPoly2:
-    """The one-dimensional kernel of the reduced operator on the ladder space
-    at (k, j), with lam = k(k+n-1); integer-normalized basis vector."""
+    """The kernel of the reduced operator, lam = k(k+n-1), on the ladder space
+    at (k, j), spanned by sum a_l r^(k+2l) z^(j-2l).  There the operator is
+    bidiagonal, a_m * -2m(2k+2m+n-1) = a_(m-1) * (j-2m+2)(j-2m+1), so for
+    n >= 2 the kernel is one line, run from a_0 = 1.  It is returned as the
+    primitive integer vector whose coefficient of r^(k + 2 floor(j/2)), the top
+    r-power, is positive."""
+    if n < 2:
+        raise InvariantViolation(f"harmonic ladder needs a base dimension of at least 2, got n={n}")
     if k < 0 or j < 0:
         raise InvariantViolation("ladder indices must be nonnegative")
-    op = reduced_operator(n, k * (k + n - 1))
-    basis = ladder_basis(k, j)
-    columns = [op(LaurentPoly2.monomial(p, q)).as_dict() for p, q in basis]
-    null = _nullspace(columns, len(basis))
-    if len(null) != 1:
-        raise DimensionMismatch(
-            f"harmonic ladder at (n={n}, k={k}, j={j}) has kernel dimension "
-            f"{len(null)}, expected 1"
-        )
-    vec = null[0]
-    scale = lcm(*(c.denominator for c in vec)) if len(vec) > 1 else vec[0].denominator
-    return LaurentPoly2.from_terms(
-        {basis[idx]: vec[idx] * scale for idx in range(len(basis))}
-    )
+    a = [Fraction(1)]
+    for m in range(1, j // 2 + 1):
+        a.append(a[-1] * ((j - 2 * m + 2) * (j - 2 * m + 1)) / (-2 * m * (2 * k + 2 * m + n - 1)))
+    # a_0 = 1 makes the lcm of the denominators the primitive scale
+    scale = lcm(*(c.denominator for c in a)) * (1 if a[-1] > 0 else -1)
+    P = _poly({key: int(c * scale) for key, c in zip(ladder_basis(k, j), a)})
+    _raise_residuals(f"harmonic family (n={n}, k={k}, j={j})",
+                     {"reduced operator": reduced_operator(n, k * (k + n - 1))(P)})
+    return P
 
 
 def verify_decomposition(n: int, k: int, j: int) -> dict:
     """Ladder splitting: the (k, j) space is the kernel line plus
-    (r^2 + z^2) times the (k, j-2) space, in direct sum."""
+    (r^2 + z^2) times the (k, j-2) space, in direct sum.  The i-th shifted
+    generator is basis vector i plus basis vector i+1, so the shifted ladder is
+    in echelon form and spans the kernel of phi(a) = sum (-1)^l a_l; the sum
+    is direct exactly when phi does not vanish on the kernel line."""
     if j < 2:
         return {"n": n, "k": k, "j": j, "vacuous": True, "passed": True}
     basis = ladder_basis(k, j)
-    index = {key: pos for pos, key in enumerate(basis)}
-    vectors: list[dict] = []
-    h = build_harmonic_family(n, k, j)
-    vectors.append({index[key]: c for key, c in h._d.items()})
-    s2 = LaurentPoly2.from_terms({(2, 0): 1, (0, 2): 1})
-    for p, q in ladder_basis(k, j - 2):
-        shifted = mul_monomial(s2, p, q)
-        vectors.append({index[key]: c for key, c in shifted._d.items()})
     dim = len(basis)
-    if len(vectors) != dim:
+    shifted = ladder_basis(k, j - 2)
+    if len(shifted) + 1 != dim:
         raise DecompositionFailed(
             f"dimension count failed at (n={n}, k={k}, j={j}): "
-            f"{len(vectors)} generators for a {dim}-dimensional space"
+            f"{len(shifted) + 1} generators for a {dim}-dimensional space"
         )
-    rank = _rank(vectors, dim)  # vectors-as-columns of the dim x dim matrix
-    if rank != dim:
+    s2 = LaurentPoly2.from_terms({(2, 0): 1, (0, 2): 1})
+    for i, (p, q) in enumerate(shifted):
+        if mul_monomial(s2, p, q)._d != {basis[i]: 1, basis[i + 1]: 1}:
+            raise DecompositionFailed(
+                f"shifted generator {i} at (n={n}, k={k}, j={j}) is not "
+                f"r^{basis[i][0]} z^{basis[i][1]} + r^{basis[i + 1][0]} z^{basis[i + 1][1]}"
+            )
+    h = build_harmonic_family(n, k, j)._d
+    if not sum(h.get(key, 0) * (-1) ** l for l, key in enumerate(basis)):
         raise DecompositionFailed(
             f"kernel line and shifted ladder overlap at (n={n}, k={k}, j={j})"
         )
-    return {"n": n, "k": k, "j": j, "dim": dim, "rank": rank, "passed": True}
+    return {"n": n, "k": k, "j": j, "dim": dim, "rank": dim, "passed": True}
 
 
 # ---------------------------------------------------------------------------

@@ -140,9 +140,23 @@ def test_harmonic_family_low_rungs():
         for k in (0, 2):
             assert build_harmonic_family(n, k, 0) == mono(k, 0)
             assert build_harmonic_family(n, k, 1) == mono(k, 1)
-    h = build_harmonic_family(3, 0, 2)
-    # kernel of the reduced operator on span{z^2, r^2}: r^2 - 4 z^2 up to scale
-    assert h == mono(0, 2, -4) + mono(2, 0) or h == mono(0, 2, 4) + mono(2, 0, -1)
+    # kernel of the reduced operator on span{z^2, r^2}, primitive, r^2 coefficient positive
+    assert build_harmonic_family(3, 0, 2) == mono(2, 0) + mono(0, 2, -4)
+
+
+@pytest.mark.parametrize("n", [1, 0, -3])
+def test_harmonic_family_refuses_a_base_dimension_below_two(n):
+    # at n = -3, k = 1, j = 2 the recurrence's diagonal factor -2m(2k+2m+n-1) is zero
+    with pytest.raises(InvariantViolation, match=f"at least 2, got n={n}"):
+        build_harmonic_family(n, 1, 2)
+
+
+def test_harmonic_family_residual_failure_names_the_family(monkeypatch):
+    # with the Laplacian of dimension n+1 the recurrence's family is no longer in the kernel
+    laplacian = symcheck.hat_laplacian
+    monkeypatch.setattr(symcheck, "hat_laplacian", lambda n, f: laplacian(n + 1, f))
+    with pytest.raises(IdentityFailed, match=r"harmonic family \(n=3, k=2, j=2\)"):
+        build_harmonic_family(3, 2, 2)
 
 
 def test_dimension_count():

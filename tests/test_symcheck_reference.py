@@ -5,16 +5,31 @@ every coefficient as a ``Fraction`` and re-sorted every result.  They stay
 here as the reference: every operation of ``LaurentPoly2`` must give the same
 polynomial and the same ``str``, and every result must keep the invariants of
 its terms (sorted keys, no zero, an ``int`` or a non-integral ``Fraction``).
+The harmonic ladder, which ``symcheck`` runs from its two-term recurrence, is
+checked against a general exact Gaussian elimination.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sinecone.errors import InvariantViolation
-from sinecone.symcheck import LaurentPoly2, _lift, d_r, d_z, hat_laplacian, mul_monomial, v_field
+from sinecone import symcheck
+from sinecone.errors import DecompositionFailed, InvariantViolation
+from sinecone.symcheck import (
+    LaurentPoly2,
+    _lift,
+    build_harmonic_family,
+    d_r,
+    d_z,
+    hat_laplacian,
+    ladder_basis,
+    mul_monomial,
+    v_field,
+    verify_decomposition,
+)
 
 # -- the Fraction reference ---------------------------------------------------
 
@@ -182,3 +197,73 @@ def test_mul_monomial_matches_the_reference(terms, p, q, c):
             mul_monomial(f, p, q, c)
     else:
         assert_same(mul_monomial(f, p, q, c), want)
+
+
+# -- the harmonic ladder against a Gaussian-elimination reference ---------------
+
+
+def ref_nullspace(columns: list[dict]) -> list[list[Fraction]]:
+    """Exact nullspace of a -> sum a_l * columns[l], by Gauss-Jordan elimination."""
+    keys = sorted({key for col in columns for key in col})
+    rows = [[Fraction(col.get(key, 0)) for col in columns] for key in keys]
+    pivots: list[int] = []
+    for c in range(len(columns)):
+        found = next((r for r in range(len(pivots), len(rows)) if rows[r][c]), None)
+        if found is None:
+            continue
+        top = len(pivots)
+        rows[top], rows[found] = rows[found], rows[top]
+        rows[top] = [x / rows[top][c] for x in rows[top]]
+        for r in range(len(rows)):
+            if r != top and rows[r][c]:
+                factor = rows[r][c]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[top])]
+        pivots.append(c)
+    basis = []
+    for free in (c for c in range(len(columns)) if c not in pivots):
+        vec = [Fraction(0)] * len(columns)
+        vec[free] = Fraction(1)
+        for row, c in enumerate(pivots):
+            vec[c] = -rows[row][free]
+        basis.append(vec)
+    return basis
+
+
+def ref_harmonic_family(n: int, k: int, j: int) -> dict:
+    """The kernel of L_n + k(k+n-1) r^-2 on the ladder space, by elimination,
+    as the primitive integer vector with a positive top r-power coefficient."""
+    lam = k * (k + n - 1)
+    basis = ladder_basis(k, j)
+    columns = [ref_add(ref_laplacian(n, {key: Fraction(1)}), ref_mul_monomial({key: 1}, -2, 0, lam))
+               for key in basis]
+    (vec,) = ref_nullspace(columns)
+    ints = [c * lcm(*(c.denominator for c in vec)) for c in vec]
+    g = gcd(*(int(c) for c in ints)) * (1 if ints[-1] > 0 else -1)
+    return {key: int(c) // g for key, c in zip(basis, ints) if c}
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_harmonic_ladder_matches_the_elimination_reference(n):
+    s2 = {(2, 0): 1, (0, 2): 1}
+    for k in range(7):
+        for j in range(12):
+            family = build_harmonic_family(n, k, j)
+            assert family.terms == tuple(sorted(ref_harmonic_family(n, k, j).items()))
+            report = verify_decomposition(n, k, j)
+            if j < 2:
+                assert report == {"n": n, "k": k, "j": j, "vacuous": True, "passed": True}
+                continue
+            generators = [family.as_dict()] + [ref_mul_monomial(s2, p, q, 1)
+                                               for p, q in ladder_basis(k, j - 2)]
+            rank = len(generators) - len(ref_nullspace(generators))
+            assert rank == j // 2 + 1
+            assert report == {"n": n, "k": k, "j": j, "dim": rank, "rank": rank, "passed": True}
+
+
+@pytest.mark.parametrize("n, k, j", [(3, 1, 2), (4, 0, 3), (5, 2, 6)])
+def test_a_family_inside_the_shifted_ladder_is_refused(monkeypatch, n, k, j):
+    # (r^2 + z^2) r^k z^(j-2) lies in the shifted span, so the sum is not direct
+    inside = LaurentPoly2.from_terms({(k + 2, j - 2): 1, (k, j): 1})
+    monkeypatch.setattr(symcheck, "build_harmonic_family", lambda *_: inside)
+    with pytest.raises(DecompositionFailed, match="kernel line and shifted ladder overlap"):
+        verify_decomposition(n, k, j)
