@@ -1,48 +1,4 @@
 """Exact spectra, stability and rigidity of sine-cones over positive
 Einstein manifolds, with symbolic and numerical verification engines."""
 
-from .exactreal import QuadReal, Rational, compare, make_quad, to_decimal
-from .spectra import GeometricSpectrum, SpectralLine, Spectrum, merge, positive_min
-from .conemaps import (
-    ConeEinsteinSpectrum,
-    ConeOneFormSpectrum,
-    degree_eigenvalue,
-    harmonic_degree,
-    iterate,
-    map_einstein,
-    map_functions,
-    map_one_forms,
-)
-from .stability import classify, cross_check, predict_cone
-from .rigidity import IEDCertificate, find_ieds, product_rigidity_scan, solve_zero_equation
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "QuadReal",
-    "Rational",
-    "compare",
-    "make_quad",
-    "to_decimal",
-    "GeometricSpectrum",
-    "SpectralLine",
-    "Spectrum",
-    "merge",
-    "positive_min",
-    "ConeEinsteinSpectrum",
-    "ConeOneFormSpectrum",
-    "degree_eigenvalue",
-    "harmonic_degree",
-    "iterate",
-    "map_einstein",
-    "map_functions",
-    "map_one_forms",
-    "classify",
-    "cross_check",
-    "predict_cone",
-    "IEDCertificate",
-    "find_ieds",
-    "product_rigidity_scan",
-    "solve_zero_equation",
-    "__version__",
-]

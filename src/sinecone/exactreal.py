@@ -22,10 +22,6 @@ from typing import Union
 
 from .errors import MixedField, NegativeRadicand, NotRepresentable, ParseError
 
-#: Rational numbers are plain ``fractions.Fraction`` values: arbitrary
-#: precision, always reduced, denominator always positive.
-Rational = Fraction
-
 RationalLike = Union[int, Fraction]
 
 _TRIAL_LIMIT = 10 ** 6

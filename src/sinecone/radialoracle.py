@@ -40,7 +40,7 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
 from .conemaps import degree_eigenvalue, hardy_bound, harmonic_degree
-from .errors import ConvergenceFailure, IllPosed, InvariantViolation, VerificationFailed
+from .errors import ConvergenceFailure, IllPosed, InvariantViolation, ParseError, VerificationFailed
 from .exactreal import QuadReal
 
 BLOCKS = ("function", "tt")
@@ -154,19 +154,13 @@ def verify_line(
     tol: float = 1e-3,
     grid_points: int = 4000,
     boundary_offset: float = 1e-6,
-    targets: Sequence[float] | None = None,
 ) -> dict:
-    """Compare numerics against the exact ladder (or explicit ``targets``);
-    relative error below ``tol`` per mode (absolute when the target
-    vanishes)."""
-    if targets is not None and len(targets) != modes:
-        raise InvariantViolation(
-            f"{len(targets)} explicit targets given for {modes} modes; every mode needs one"
-        )
+    """Compare the lowest ``modes`` numerical eigenvalues against the exact
+    ladder ``closed_form_values``; relative error below ``tol`` per mode
+    (absolute when the target vanishes)."""
     problem = RadialProblem(n, Fraction(coupling), block, grid_points, boundary_offset)
     computed = solve_radial(problem, modes)
-    if targets is None:
-        targets = [float(t) for t in closed_form_values(n, Fraction(coupling), modes)]
+    targets = [float(t) for t in closed_form_values(n, Fraction(coupling), modes)]
     rows = []
     worst = (0.0, None)
     for j, (got, want) in enumerate(zip(computed, targets)):
@@ -243,7 +237,10 @@ def rayleigh_unbounded_demo(n: int, kappa: float, epsilons: Sequence[float]) -> 
 
 
 def quotients_to_csv(path, epsilons: Sequence[float], quotients: Sequence[float]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("eps,quotient,eps2_quotient\n")
-        for e, q in zip(epsilons, quotients):
-            fh.write(f"{e},{q},{e * e * q}\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("eps,quotient,eps2_quotient\n")
+            for e, q in zip(epsilons, quotients):
+                fh.write(f"{e},{q},{e * e * q}\n")
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from exc

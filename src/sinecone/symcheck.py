@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .errors import (
     DecompositionFailed,
@@ -94,9 +94,6 @@ class LaurentPoly2:
     @staticmethod
     def zero() -> "LaurentPoly2":
         return _poly({})
-
-    def as_dict(self) -> Terms:
-        return dict(self._d)
 
     def is_zero(self) -> bool:
         return not self._d
@@ -270,16 +267,6 @@ def ladder_basis(k: int, j: int) -> list[tuple[int, int]]:
     return [(k + 2 * l, j - 2 * l) for l in range(j // 2 + 1)]
 
 
-def reduced_operator(n: int, lam: Coeff) -> Callable[[LaurentPoly2], LaurentPoly2]:
-    """L_n + lam r^-2: the operator whose kernel carries the harmonic ladder
-    seeded by a base eigenvalue lam."""
-
-    def op(f: LaurentPoly2) -> LaurentPoly2:
-        return hat_laplacian(n, f) + mul_monomial(f, -2, 0, lam)
-
-    return op
-
-
 def build_harmonic_family(n: int, k: int, j: int) -> LaurentPoly2:
     """The kernel of the reduced operator, lam = k(k+n-1), on the ladder space
     at (k, j), spanned by sum a_l r^(k+2l) z^(j-2l).  There the operator is
@@ -298,7 +285,7 @@ def build_harmonic_family(n: int, k: int, j: int) -> LaurentPoly2:
     scale = lcm(*(c.denominator for c in a)) * (1 if a[-1] > 0 else -1)
     P = _poly({key: int(c * scale) for key, c in zip(ladder_basis(k, j), a)})
     _raise_residuals(f"harmonic family (n={n}, k={k}, j={j})",
-                     {"reduced operator": reduced_operator(n, k * (k + n - 1))(P)})
+                     {"reduced operator": hat_laplacian(n, P) + _r2(P, k * (k + n - 1))})
     return P
 
 

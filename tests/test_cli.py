@@ -212,6 +212,19 @@ def test_verify_radial_demo_regime(tmp_path, capsys):
     assert csv.exists()
 
 
+@pytest.mark.parametrize("target", ["missing/q.csv", "."], ids=["missing-directory", "a-directory"])
+def test_verify_radial_csv_that_cannot_be_written_is_a_parse_error(tmp_path, capsys, target):
+    path = tmp_path / target
+    code, out, err = _capture(
+        capsys,
+        ["verify-radial", "--n", "8", "--block", "tt", "--coupling", "-14", "--csv", str(path)],
+    )
+    assert (code, out) == (4, "")
+    error = json.loads(err)
+    assert error["error"] == "ParseError"
+    assert str(path) in error["message"]
+
+
 def test_verify_symbolic(capsys):
     code, out, _ = _capture(
         capsys, ["--output", "json", "verify-symbolic", "--n", "3", "--k", "2", "--jmax", "4"]
@@ -586,6 +599,26 @@ def test_exact_commands_do_not_load_numpy_or_scipy(statement):
     proc = _fresh_python("-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def _sinecone_modules_after(module):
+    proc = _fresh_python(
+        "-c",
+        f"import json, sys, {module}; "
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'sinecone')))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_importing_an_engine_loads_only_the_modules_it_uses():
+    # the package itself re-exports nothing, so it pulls in no other module
+    assert _sinecone_modules_after("sinecone.symcheck") == {
+        "sinecone", "sinecone.errors", "sinecone.symcheck"}
+    loaded = _sinecone_modules_after("sinecone.radialoracle")
+    assert "sinecone.radialoracle" in loaded
+    assert not loaded & {"sinecone.catalog", "sinecone.stability", "sinecone.rigidity",
+                         "sinecone.symcheck"}
 
 
 def test_verify_radial_loads_its_engine_in_a_fresh_process():

@@ -253,8 +253,8 @@ def test_harmonic_ladder_matches_the_elimination_reference(n):
             if j < 2:
                 assert report == {"n": n, "k": k, "j": j, "vacuous": True, "passed": True}
                 continue
-            generators = [family.as_dict()] + [ref_mul_monomial(s2, p, q, 1)
-                                               for p, q in ladder_basis(k, j - 2)]
+            generators = [dict(family.terms)] + [ref_mul_monomial(s2, p, q, 1)
+                                                  for p, q in ladder_basis(k, j - 2)]
             rank = len(generators) - len(ref_nullspace(generators))
             assert rank == j // 2 + 1
             assert report == {"n": n, "k": k, "j": j, "dim": rank, "rank": rank, "passed": True}
