@@ -235,14 +235,27 @@ def _tolerance(text: str) -> float:
     return tol
 
 
+#: verify-radial's flags with their defaults in the radial line check, and in
+#: the Rayleigh demonstrator that a TT coupling below the Hardy bound runs
+_RADIAL_FLAGS = ({"modes": 4, "tol": "1e-3", "grid": 4000, "eps": 1e-6},
+                 {"epsilons": "0.4,0.2,0.1,0.05", "csv": None})
+
+
 def _cmd_verify_radial(args) -> int:
-    if args.modes < 1:
-        raise ParseError(f"--modes needs a positive integer, got {args.modes}")
-    tol = _parse_flag("--tol", _tolerance, args.tol, "a finite tolerance 0 < tol < 1")
     coupling = _parse_flag(
         "--coupling", lambda t: _json_rational(t, "--coupling"), args.coupling, "a rational p/q"
     )
     demo = args.block == "tt" and coupling < conemaps.hardy_bound(args.n)
+    for name in _RADIAL_FLAGS[not demo]:
+        if getattr(args, name) is not None:
+            regime = "the Rayleigh demonstrator" if demo else "the radial line check"
+            raise ParseError(f"--{name} does not apply: coupling {coupling} runs {regime}")
+    for name, default in {**_RADIAL_FLAGS[0], **_RADIAL_FLAGS[1]}.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+    if args.modes < 1:
+        raise ParseError(f"--modes needs a positive integer, got {args.modes}")
+    tol = _parse_flag("--tol", _tolerance, args.tol, "a finite tolerance 0 < tol < 1")
     if demo:
         epsilons = _parse_flag(
             "--epsilons", _support_sizes, args.epsilons, "comma-separated support sizes in (0, pi)"
@@ -356,13 +369,12 @@ def build_parser() -> argparse.ArgumentParser:
     # radialoracle.BLOCKS spelled out, so that parsing loads no scipy (a test pins them equal)
     p.add_argument("--block", choices=("function", "tt"), default="function")
     p.add_argument("--coupling", required=True, help="rational coupling (p/q)")
-    p.add_argument("--modes", type=int, default=4)
-    p.add_argument("--tol", default="1e-3")
-    p.add_argument("--grid", type=int, default=4000, metavar="N")
-    p.add_argument("--eps", type=float, default=1e-6)
-    p.add_argument("--epsilons", default="0.4,0.2,0.1,0.05",
-                   help="support sizes for the unbounded-regime demonstrator")
-    p.add_argument("--csv", help="dump quotient sequence as CSV")
+    p.add_argument("--modes", type=int, help="line check: modes to verify")
+    p.add_argument("--tol", help="line check: relative tolerance")
+    p.add_argument("--grid", type=int, metavar="N", help="line check: intervals")
+    p.add_argument("--eps", type=float, help="line check: boundary offset")
+    p.add_argument("--epsilons", help="demonstrator: support sizes")
+    p.add_argument("--csv", help="demonstrator: dump quotient sequence as CSV")
     p.set_defaults(func=_cmd_verify_radial)
 
     p = add_parser("verify-symbolic", help="exact symbolic identity suite")

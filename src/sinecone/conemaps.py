@@ -195,22 +195,20 @@ def source_requirements(
     return need["spec0"], need["spec1D"], need["specE_TT"]
 
 
-def supported_window(gs: GeometricSpectrum, part: str) -> Fraction:
-    """Largest cone window (a rational lower bound) that the declared
-    completeness of ``gs`` fills for ``part``: the inverse of
+def supported_window(gs: GeometricSpectrum, parts: Sequence[str]) -> list[Fraction]:
+    """Largest cone windows (rational lower bounds) that the declared
+    completeness of ``gs`` fills for each of ``parts``: the inverse of
     :func:`source_requirements`, -1 when a source lies below the Hardy
-    bound."""
+    bound.  Each (source, inner shift) gets its top degree once; every
+    output shift is an integer, so floor(top - out) = floor(top) - out."""
     n = gs.n
-    hardy = hardy_bound(n)
-    windows = []
-    for source, inner, out, _, _ in _feeds(part, n):
+    tops = dict.fromkeys(feed[:2] for part in parts for feed in FEEDS[part])
+    for source, inner in tops:
         c = rational_floor(getattr(gs, source).cutoff) + inner
-        if c < hardy:
-            windows.append(Fraction(-1))
-            continue
-        top = degree_eigenvalue(n + 1, harmonic_degree(n, c)) - out
-        windows.append(rational_floor(top))
-    return min(windows)
+        if c >= hardy_bound(n):
+            tops[source, inner] = rational_floor(degree_eigenvalue(n + 1, harmonic_degree(n, c)))
+    return [min(Fraction(-1) if tops[source, inner] is None else tops[source, inner] - out
+                for source, inner, out, _, _ in _feeds(part, n)) for part in parts]
 
 
 def _family(

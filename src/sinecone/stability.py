@@ -231,7 +231,7 @@ def compute_cone(gs: GeometricSpectrum) -> GeometricSpectrum:
     """One sine-cone step with per-spectrum windows as far as the base
     supports.  The Einstein transform needs a base of dimension >= 3, so the
     cone over a surface keeps its TT spectrum unknown."""
-    windows = [supported_window(gs, part) for part in ITERATE_PARTS]
+    windows = supported_window(gs, ITERATE_PARTS)
     parts = ITERATE_PARTS if gs.n >= 3 else ("functions", "coclosed")
     return cone_step(gs, [from_rational(w) for w in windows], parts)
 

@@ -365,6 +365,34 @@ def test_verify_radial_bad_flag_is_a_parse_error(capsys, flags, flag):
 
 
 @pytest.mark.parametrize(
+    "flags, flag",
+    [
+        # a coupling the line check runs takes no flag of the demonstrator
+        (["--n", "3", "--coupling", "3", "--modes", "2", "--csv", "CSV", "--epsilons", "9"],
+         "--epsilons"),
+        (["--n", "3", "--coupling", "3", "--modes", "2", "--csv", "CSV"], "--csv"),
+        (["--n", "8", "--coupling", "-14", "--csv", "CSV"], "--csv"),  # not a TT coupling
+        # a TT coupling below the Hardy bound runs the demonstrator, which
+        # takes no flag of the line check
+        (["--n", "8", "--block", "tt", "--coupling", "-14", "--modes", "99"], "--modes"),
+        (["--n", "8", "--block", "tt", "--coupling", "-14", "--tol", "0.5"], "--tol"),
+        (["--n", "8", "--block", "tt", "--coupling", "-14", "--grid", "3"], "--grid"),
+        (["--n", "8", "--block", "tt", "--coupling", "-14", "--eps", "0.3", "--csv", "CSV"],
+         "--eps"),
+    ],
+)
+def test_verify_radial_refuses_a_flag_of_the_other_regime(tmp_path, capsys, flags, flag):
+    csv = tmp_path / "x.csv"
+    argv = ["verify-radial", *(str(csv) if f == "CSV" else f for f in flags)]
+    code, out, err = _capture(capsys, argv)
+    assert (code, out) == (4, "")
+    error = json.loads(err)
+    assert error["error"] == "ParseError"
+    assert error["message"].startswith(flag + " does not apply")
+    assert not csv.exists()
+
+
+@pytest.mark.parametrize(
     "flags",
     [
         ["--n", "-2", "--coupling", "3", "--modes", "2"],

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sinecone import conemaps, stability
 from sinecone.catalog import (
     ProductMarker,
     product_geometric_spectrum,
@@ -442,12 +443,55 @@ def test_window_round_trip(rng):
     for _ in range(300):
         gs = synthetic_base(rng)
         declared = (gs.spec0.cutoff, gs.spec1D.cutoff, gs.specE_TT.cutoff)
-        for part in ("functions", "coclosed", "tt"):
-            w = supported_window(gs, part)
+        parts = ("functions", "coclosed", "tt")
+        for part, w in zip(parts, supported_window(gs, parts)):
             fits = source_requirements(gs.n, {part: q(w)})
             beyond = source_requirements(gs.n, {part: q(w + 1)})
             assert all(compare(q(r), c) <= 0 for r, c in zip(fits, declared)), (gs, part, w)
             assert any(compare(q(r), c) > 0 for r, c in zip(beyond, declared)), (gs, part, w)
+
+
+def test_window_step_of_a_cone_step_takes_each_source_degree_once(rng, monkeypatch):
+    # compute_cone asks for the windows of three parts fed by three sources:
+    # one harmonic degree per source, not one per (part, source) feed
+    from tests.conftest import synthetic_base
+
+    real_degree, real_window = conemaps.harmonic_degree, conemaps.supported_window
+    inside, degrees = [], []
+
+    def counting_degree(n, x):
+        if inside:
+            degrees.append(x)
+        return real_degree(n, x)
+
+    def window_step(gs, parts):
+        inside.append(parts)
+        try:
+            return real_window(gs, parts)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(conemaps, "harmonic_degree", counting_degree)
+    monkeypatch.setattr(stability, "supported_window", window_step)
+    for _ in range(20):
+        gs = synthetic_base(rng)
+        degrees.clear()
+        stability.compute_cone(gs)
+        assert 0 < len(degrees) <= len(conemaps.SOURCES), degrees
+
+
+def test_window_keeps_a_source_at_two_inner_shifts_apart(rng, monkeypatch):
+    # every FEEDS source has one inner shift today; a source fed at two shifts
+    # needs both degrees, so one call must agree with a call per part
+    from tests.conftest import synthetic_base
+
+    monkeypatch.setitem(conemaps.FEEDS, "low", (("spec0", 0, (0, 0), "low", {}),))
+    monkeypatch.setitem(conemaps.FEEDS, "high", (("spec0", 2, (0, 1), "high", {}),))
+    for _ in range(50):
+        gs = synthetic_base(rng)
+        low, high = supported_window(gs, ("low", "high"))
+        assert [low, high] == supported_window(gs, ("low",)) + supported_window(gs, ("high",))
+        assert low < high
 
 
 # -- iteration ---------------------------------------------------------------

@@ -1,3 +1,4 @@
+import math
 import random
 from decimal import Decimal, getcontext
 from fractions import Fraction
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sinecone import exactreal
 from sinecone.errors import MixedField, NegativeRadicand, NotRepresentable, ParseError
 from sinecone.exactreal import (
     QuadReal,
@@ -61,6 +63,72 @@ def test_squarefree_decompose_refuses_an_uncertified_cofactor(m):
     assert NotRepresentable.exit_code == 4
     with pytest.raises(NotRepresentable):
         make_quad(0, 1, m)
+
+
+SMALL_PRIMES = [p for p in range(2, 100) if all(p % q for q in range(2, p))]
+MID_PRIMES = [101, 1009, 7919, 65537, 104729, 999983]  # between 100 and 10**6
+# above 10**6 and below 10**10, so that trial division past a composite
+# cofactor stops near the square root of the big prime, not at 10**6
+BIG_PRIMES = [1000003, 999999937, 2147483647]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    square=st.lists(st.sampled_from(SMALL_PRIMES + MID_PRIMES), max_size=3),
+    free=st.sets(st.sampled_from(SMALL_PRIMES + MID_PRIMES), max_size=3),
+    big=st.sampled_from([1] + BIG_PRIMES),
+)
+def test_squarefree_decompose_of_a_built_radicand(square, free, big):
+    # m = t**2 * s from chosen primes, at most one of them above 10**6 and
+    # that one in s, so the cofactor left by trial division is 1 or a prime
+    t, s = math.prod(square), math.prod(free) * big
+    assert squarefree_decompose(t * t * s) == (t, s)
+
+
+@pytest.mark.parametrize(
+    "m, expected",
+    [
+        # the squares of the Wieferich primes are strong pseudoprimes to base
+        # 2 and not squarefree; so is the square part of the third radicand
+        (1093**2, (1093, 1)),
+        (3511**2, (3511, 1)),
+        (1093**2 * 999999937, (1093, 999999937)),
+        # 149491 * 747451 * 34233211, a strong pseudoprime to every prime base
+        # up to 23: a test that stops there calls it a prime above 10**18
+        (3825123056546413051, (1, 3825123056546413051)),
+    ],
+)
+def test_squarefree_decompose_is_not_fooled_by_strong_pseudoprimes(m, expected):
+    assert squarefree_decompose(m) == expected
+
+
+def test_squarefree_decompose_tests_primality_only_below_the_proven_bound(monkeypatch):
+    # psi_13, the least strong pseudoprime to the first 13 prime bases, is where
+    # the test stops being a proof: it must fall back to trial division there
+    psi13 = 1287836182261 * 2575672364521
+    assert exactreal._is_prime(psi13)
+    asked = []
+    is_prime = exactreal._is_prime
+    monkeypatch.setattr(exactreal, "_is_prime", lambda m: asked.append(m) or is_prime(m))
+    with pytest.raises(NotRepresentable, match=f"cofactor {psi13} "):
+        squarefree_decompose(psi13)
+    assert asked == []
+    # below it a prime cofactor left by trial division under 100 stops the search
+    assert squarefree_decompose(2**8 * 5**6 * 36923527) == (2000, 36923527)
+    assert asked == [36923527]
+
+
+def test_squarefree_decompose_refuses_a_prime_cofactor_above_the_bound():
+    # a prime is squarefree, but the cofactor bound of 10**18 is kept as it was
+    p = 10**18 + 3
+    message = (
+        f"radicand cofactor {p} has no prime factor up to 10**6 and is at least "
+        "10**18: its squarefree part cannot be certified"
+    )
+    for m in (p, 4 * 3 * p):
+        with pytest.raises(NotRepresentable) as info:
+            squarefree_decompose(m)
+        assert str(info.value) == message
 
 
 def test_make_quad_examples():
