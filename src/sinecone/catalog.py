@@ -11,22 +11,23 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvariantViolation, ParseError
 from .exactreal import QuadReal, from_rational
 from .spectra import (
     GeometricSpectrum,
+    Record,
     Spectrum,
     UNKNOWN_CUTOFF,
+    _set,
     empty_spectrum,
     geometric_spectrum_from_json,
     merge,
 )
 
-@dataclass(frozen=True)
-class ProductMarker:
+
+class ProductMarker(Record):
     """Einstein product of two factors, dimensions n1 + n2, normalized.
 
     Carries the single distinguished TT eigenvalue -2(n-1) coming from the
@@ -36,12 +37,13 @@ class ProductMarker:
     TT spectrum complete up to 0.
     """
 
-    n1: int
-    n2: int
+    __slots__ = ("n1", "n2")
 
-    def __post_init__(self):
-        if self.n1 < 2 or self.n2 < 2:
+    def __init__(self, n1: int, n2: int):
+        if n1 < 2 or n2 < 2:
             raise InvariantViolation("product factors must each have dimension >= 2")
+        _set(self, "n1", n1)
+        _set(self, "n2", n2)
 
     @property
     def n(self) -> int:

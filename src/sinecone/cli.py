@@ -5,7 +5,8 @@ iterate, scan-products.  Exit codes: 0 success / verification pass; 2
 verification failure; 3 unbounded-below regime; 4 invalid input or invariant
 violation.  All errors are also emitted as structured JSON on stderr, and all
 output ordering is deterministic (ascending eigenvalues, then block order).
-Only verify-radial loads numpy and scipy; every other command starts without them.
+Each command imports the modules it runs, so only verify-radial loads numpy
+and scipy, and no command pays for an engine it does not call.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import re
 import sys
 from fractions import Fraction
 
-from . import catalog, conemaps, rigidity, stability, symcheck
 from .errors import ParseError, SineconeError
 from .exactreal import QuadReal, _json_rational, from_rational, quad_from_json, to_decimal
 from .spectra import GeometricSpectrum, Spectrum, geometric_spectrum_to_json
@@ -61,6 +61,7 @@ def _add_source_args(p: argparse.ArgumentParser) -> None:
 
 
 def _resolve_source(args, spec0_need: Fraction) -> GeometricSpectrum:
+    from . import catalog
     if args.input:
         return catalog.load_geometric_spectrum(
             args.input, hypothesis_override=args.allow_low_spectrum
@@ -84,6 +85,7 @@ def _emit(args, payload: dict, tables: list[str]) -> None:
 
 
 def _cmd_spectrum(args) -> int:
+    from . import conemaps
     if args.blocks is not None and args.operator != "einstein":
         raise ParseError(
             f"--blocks selects Einstein-operator blocks; --operator {args.operator} has none"
@@ -147,6 +149,7 @@ def _verdict_row(name: str, v) -> str:
 
 
 def _cmd_stability(args) -> int:
+    from . import stability
     need = stability.scalar_window(args.sphere) if args.sphere is not None else Fraction(0)
     base = _resolve_source(args, need)
     report = stability.classify(base)
@@ -180,6 +183,7 @@ def _cmd_stability(args) -> int:
 
 
 def _cmd_rigidity(args) -> int:
+    from . import rigidity
     base = _resolve_source(args, Fraction(0))
     certs = rigidity.find_ieds(base)
     payload = {"n": base.n, "certificates": [c.to_json() for c in certs]}
@@ -196,6 +200,7 @@ def _cmd_rigidity(args) -> int:
 
 
 def _cmd_scan_products(args) -> int:
+    from . import rigidity
     if not 4 <= args.start <= args.end:
         raise ParseError(f"--from and --to need 4 <= FROM <= TO, got {args.start} and {args.end}")
     rows = rigidity.product_rigidity_scan(args.start, args.end)
@@ -242,6 +247,7 @@ _RADIAL_FLAGS = ({"modes": 4, "tol": "1e-3", "grid": 4000, "eps": 1e-6},
 
 
 def _cmd_verify_radial(args) -> int:
+    from . import conemaps
     coupling = _parse_flag(
         "--coupling", lambda t: _json_rational(t, "--coupling"), args.coupling, "a rational p/q"
     )
@@ -285,6 +291,7 @@ def _cmd_verify_radial(args) -> int:
 
 
 def _cmd_verify_symbolic(args) -> int:
+    from . import symcheck
     if args.n < 2:
         raise ParseError(f"--n needs a base dimension of at least 2, got {args.n}")
     for flag, value in (("--k", args.k), ("--jmax", args.jmax)):
@@ -304,6 +311,7 @@ def _cmd_verify_symbolic(args) -> int:
 
 
 def _cmd_iterate(args) -> int:
+    from . import conemaps
     if args.count < 0:
         raise ParseError(f"--count needs a nonnegative integer, got {args.count}")
     cutoff = _parse_cutoff(args.cutoff)

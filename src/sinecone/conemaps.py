@@ -26,7 +26,6 @@ then written in closed form in the field of its degree (:func:`_family`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
@@ -50,7 +49,7 @@ from .exactreal import (
     rational_floor,
     squarefree_decompose,
 )
-from .spectra import GeometricSpectrum, Spectrum, empty_spectrum, merge
+from .spectra import GeometricSpectrum, Record, Spectrum, _set, empty_spectrum, merge
 
 
 def degree_eigenvalue(n: int, y: QuadReal | int | Fraction) -> QuadReal:
@@ -272,13 +271,18 @@ def _ladders(base: GeometricSpectrum, part: str, cutoff: QuadReal) -> list:
     """Check that every source feeding ``part`` is complete far enough for
     ``cutoff``, then enumerate the ladders of their lines, tagged
     (block, line index, rung) with the feed's block, on the rungs the feed
-    names for each line."""
+    names for each line.  The requirement of a feed is its output shift's
+    requirement less its inner shift, so each output shift is asked once."""
     n = base.n
     entries = _feeds(part, n)
+    needs = {}
     for source, inner, out, _, _ in entries:
-        have = getattr(base, source).cutoff
-        need = required_source_cutoff(n, cutoff, out, inner)
-        if need is not None and compare(have, need) < 0:
+        if out not in needs:
+            needs[out] = required_source_cutoff(n, cutoff, out)
+        if needs[out] is None:
+            continue
+        have, need = getattr(base, source).cutoff, needs[out] - inner
+        if compare(have, need) < 0:
             raise InsufficientBaseCutoff(
                 f"{SOURCES[source]} is complete only up to {have} but the requested "
                 f"output window needs completeness up to {need}; refusing to "
@@ -303,13 +307,15 @@ def map_functions(base: GeometricSpectrum, cutoff: QuadReal) -> Spectrum:
     return merge(_ladders(base, "functions", cutoff), cutoff)
 
 
-@dataclass(frozen=True)
-class ConeOneFormSpectrum:
+class ConeOneFormSpectrum(Record):
     """Connection-Laplacian spectrum of the cone on 1-forms, split into the
     exact part (differentials of functions) and the coclosed part."""
 
-    exact_part: Spectrum
-    coclosed_part: Spectrum
+    __slots__ = ("exact_part", "coclosed_part")
+
+    def __init__(self, exact_part: Spectrum, coclosed_part: Spectrum):
+        _set(self, "exact_part", exact_part)
+        _set(self, "coclosed_part", coclosed_part)
 
 
 def map_coclosed_one_forms(base: GeometricSpectrum, cutoff: QuadReal) -> Spectrum:
@@ -334,8 +340,7 @@ def map_one_forms(base: GeometricSpectrum, cutoff: QuadReal) -> ConeOneFormSpect
 ALL_BLOCKS = ("conformal", "vector", "tt")
 
 
-@dataclass(frozen=True)
-class ConeEinsteinSpectrum:
+class ConeEinsteinSpectrum(Record):
     """Einstein-operator spectrum of the sine-cone in its invariant blocks.
 
     ``conformal_block``: directions built from functions times the metric and
@@ -344,11 +349,16 @@ class ConeEinsteinSpectrum:
     the block that decides stability and rigidity.
     """
 
-    conformal_block: Spectrum
-    vector_block: Spectrum
-    tt_block: Spectrum
-    scalar_boundary_case: bool
-    oneform_boundary_case: bool
+    __slots__ = ("conformal_block", "vector_block", "tt_block", "scalar_boundary_case",
+                 "oneform_boundary_case")
+
+    def __init__(self, conformal_block: Spectrum, vector_block: Spectrum, tt_block: Spectrum,
+                 scalar_boundary_case: bool, oneform_boundary_case: bool):
+        _set(self, "conformal_block", conformal_block)
+        _set(self, "vector_block", vector_block)
+        _set(self, "tt_block", tt_block)
+        _set(self, "scalar_boundary_case", scalar_boundary_case)
+        _set(self, "oneform_boundary_case", oneform_boundary_case)
 
 
 def map_einstein(

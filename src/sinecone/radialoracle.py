@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -42,38 +41,38 @@ from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator
 from .conemaps import degree_eigenvalue, hardy_bound, harmonic_degree
 from .errors import ConvergenceFailure, IllPosed, InvariantViolation, ParseError, VerificationFailed
 from .exactreal import QuadReal
+from .spectra import Record, _set
 
 BLOCKS = ("function", "tt")
 
 
-@dataclass(frozen=True)
-class RadialProblem:
-    n: int
-    coupling: Fraction
-    block: str = "function"
-    grid_points: int = 4000
-    boundary_offset: float = 1e-6
+class RadialProblem(Record):
+    __slots__ = ("n", "coupling", "block", "grid_points", "boundary_offset")
 
-    def __post_init__(self):
-        if self.block not in BLOCKS:
-            raise InvariantViolation(f"unknown block {self.block!r}")
-        least = 3 if self.block == "tt" else 2
-        if self.n < least:
-            raise InvariantViolation(
-                f"the {self.block} block needs base dimension n >= {least}, got {self.n}"
-            )
-        if self.grid_points < 100:
+    def __init__(self, n: int, coupling: Fraction, block: str = "function",
+                 grid_points: int = 4000, boundary_offset: float = 1e-6):
+        if block not in BLOCKS:
+            raise InvariantViolation(f"unknown block {block!r}")
+        least = 3 if block == "tt" else 2
+        if n < least:
+            raise InvariantViolation(f"the {block} block needs base dimension n >= {least}, got {n}")
+        if grid_points < 100:
             raise InvariantViolation("need at least 100 grid points")
-        if not 0 < self.boundary_offset < math.pi / (4 * self.grid_points):
+        if not 0 < boundary_offset < math.pi / (4 * grid_points):
             raise InvariantViolation("boundary offset must lie in (0, pi/(4N))")
-        hardy = hardy_bound(self.n)
-        if self.block == "tt" and self.coupling < hardy:
+        hardy = hardy_bound(n)
+        if block == "tt" and coupling < hardy:
             raise IllPosed(
-                f"coupling {self.coupling} below the Hardy bound {hardy}: the "
+                f"coupling {coupling} below the Hardy bound {hardy}: the "
                 "form is unbounded below (see rayleigh_unbounded_demo)"
             )
-        if self.block == "function" and self.coupling < 0:
+        if block == "function" and coupling < 0:
             raise IllPosed("scalar couplings are nonnegative")
+        _set(self, "n", n)
+        _set(self, "coupling", coupling)
+        _set(self, "block", block)
+        _set(self, "grid_points", grid_points)
+        _set(self, "boundary_offset", boundary_offset)
 
 
 def _assemble(problem: RadialProblem):

@@ -14,17 +14,14 @@ degree_eigenvalue(n, m) == kappa for every rational m (SolverDisagreement).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .catalog import ProductMarker, product_geometric_spectrum, product_tt_marker
 from .conemaps import degree_eigenvalue, harmonic_degree, require_bounded_below
 from .errors import InsufficientBaseCutoff, SolverDisagreement, UnboundedBelow
 from .exactreal import QuadReal, sign
-from .spectra import GeometricSpectrum
+from .spectra import GeometricSpectrum, Record, _set
 
 
-@dataclass(frozen=True)
-class IEDCertificate:
+class IEDCertificate(Record):
     """A witnessed zero of the cone's TT block.
 
     ``kappa`` is the source TT eigenvalue on the base, ``j`` the ladder index
@@ -33,10 +30,13 @@ class IEDCertificate:
     ``multiplicity`` the dimension of the deformation space from this line.
     """
 
-    kappa: QuadReal
-    j: int
-    bounded: bool
-    multiplicity: int
+    __slots__ = ("kappa", "j", "bounded", "multiplicity")
+
+    def __init__(self, kappa: QuadReal, j: int, bounded: bool, multiplicity: int):
+        _set(self, "kappa", kappa)
+        _set(self, "j", j)
+        _set(self, "bounded", bounded)
+        _set(self, "multiplicity", multiplicity)
 
     def to_json(self) -> dict:
         return {
@@ -79,12 +79,15 @@ def find_ieds(gs: GeometricSpectrum) -> list[IEDCertificate]:
     ]
 
 
-@dataclass(frozen=True)
-class ProductScanRow:
-    n: int
-    kappa: QuadReal
-    unbounded_below: bool
-    certificates: tuple[IEDCertificate, ...]
+class ProductScanRow(Record):
+    __slots__ = ("n", "kappa", "unbounded_below", "certificates")
+
+    def __init__(self, n: int, kappa: QuadReal, unbounded_below: bool,
+                 certificates: tuple[IEDCertificate, ...]):
+        _set(self, "n", n)
+        _set(self, "kappa", kappa)
+        _set(self, "unbounded_below", unbounded_below)
+        _set(self, "certificates", certificates)
 
     @property
     def has_ied(self) -> bool:

@@ -11,7 +11,6 @@ families are merged, but the per-family counts stay recoverable through the
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional
 
@@ -26,6 +25,56 @@ from .exactreal import QUAD_KEYS, QuadReal, compare, from_rational, json_int, js
 UNKNOWN_CUTOFF = from_rational(-1)
 
 
+def _frozen(verb: str, name: str):
+    from dataclasses import FrozenInstanceError  # loaded only to be raised
+
+    raise FrozenInstanceError(f"cannot {verb} field {name!r}")
+
+
+#: Fills a field of a record under construction; the record's own
+#: ``__setattr__`` refuses every assignment.
+_set = object.__setattr__
+
+
+class Record:
+    """An immutable value record whose fields are its ``__slots__``.
+
+    A subclass lists its fields in ``__slots__`` and fills them in its own
+    ``__init__`` through :data:`_set`.  Records compare and hash on their
+    fields, only against their own class; they print as
+    ``Name(field=value, ...)``, copy and pickle without running ``__init__``
+    again, and refuse assignment and deletion with ``FrozenInstanceError``.
+    """
+
+    __slots__ = ()
+
+    def __getstate__(self) -> tuple:
+        """The field values, in slot order."""
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__getstate__() == other.__getstate__()
+
+    def __hash__(self):
+        return hash(self.__getstate__())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setstate__(self, state):
+        for name, value in zip(self.__slots__, state):
+            _set(self, name, value)
+
+    def __setattr__(self, name, value):
+        _frozen("assign to", name)
+
+    def __delattr__(self, name):
+        _frozen("delete", name)
+
+
 class Origin(NamedTuple):
     """One generating family's contribution to a spectral line."""
 
@@ -35,33 +84,33 @@ class Origin(NamedTuple):
     mult: int
 
 
-@dataclass(frozen=True, slots=True)
-class SpectralLine:
-    value: QuadReal
-    multiplicity: int
-    origins: tuple[Origin, ...] = ()
+class SpectralLine(Record):
+    __slots__ = ("value", "multiplicity", "origins")
 
-    def __post_init__(self):
-        if self.multiplicity <= 0:
+    def __init__(self, value: QuadReal, multiplicity: int, origins: tuple[Origin, ...] = ()):
+        if multiplicity <= 0:
             raise InvariantViolation("multiplicity must be positive")
-        if self.origins and sum(o.mult for o in self.origins) != self.multiplicity:
+        if origins and sum(o.mult for o in origins) != multiplicity:
             raise InvariantViolation("multiplicity must equal the sum over origins")
+        _set(self, "value", value)
+        _set(self, "multiplicity", multiplicity)
+        _set(self, "origins", origins)
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(Record):
     """Ascending, distinct-valued eigenvalue lines, complete up to ``cutoff``."""
 
-    lines: tuple[SpectralLine, ...]
-    cutoff: QuadReal
+    __slots__ = ("lines", "cutoff")
 
-    def __post_init__(self):
-        for prev, cur in zip(self.lines, self.lines[1:]):
+    def __init__(self, lines: tuple[SpectralLine, ...], cutoff: QuadReal):
+        for prev, cur in zip(lines, lines[1:]):
             if compare(prev.value, cur.value) >= 0:
                 raise InvariantViolation("spectrum lines must be strictly ascending")
         # ascending, so the last line is the largest
-        if self.lines and compare(self.lines[-1].value, self.cutoff) > 0:
+        if lines and compare(lines[-1].value, cutoff) > 0:
             raise InvariantViolation("spectrum line exceeds its cutoff")
+        _set(self, "lines", lines)
+        _set(self, "cutoff", cutoff)
 
     def __iter__(self):
         return iter(self.lines)
@@ -85,7 +134,7 @@ class Spectrum:
         return [{"value": l.value.to_json(), "mult": l.multiplicity} for l in self.lines]
 
 
-# merge fills each line through its slots, as exactreal._make does: no __post_init__ re-check
+# merge fills each line through its slots, as exactreal._make does: no __init__ re-check
 _set_value, _set_mult, _set_origins = (SpectralLine.__dict__[k].__set__ for k in SpectralLine.__slots__)
 _mult = itemgetter(3)  # Origin.mult
 
@@ -93,7 +142,8 @@ _mult = itemgetter(3)  # Origin.mult
 def _spectrum(lines: tuple[SpectralLine, ...], cutoff: QuadReal) -> Spectrum:
     """A Spectrum whose invariants :func:`merge` has already checked."""
     s = object.__new__(Spectrum)
-    s.__dict__.update(lines=lines, cutoff=cutoff)
+    _set(s, "lines", lines)
+    _set(s, "cutoff", cutoff)
     return s
 
 
@@ -162,8 +212,7 @@ def equal_up_to(s1: Spectrum, s2: Spectrum, bound: QuadReal) -> bool:
     return a == b
 
 
-@dataclass(frozen=True)
-class GeometricSpectrum:
+class GeometricSpectrum(Record):
     """The closed triple of spectra the cone maps consume and produce.
 
     ``spec0`` is the scalar Laplacian (eigenvalue 0 included), ``spec1D`` the
@@ -172,13 +221,15 @@ class GeometricSpectrum:
     n-dimensional space normalized to Ricci curvature (n-1) times the metric.
     """
 
-    n: int
-    spec0: Spectrum
-    spec1D: Spectrum
-    specE_TT: Spectrum
-    hypothesis_override: bool = False
+    __slots__ = ("n", "spec0", "spec1D", "specE_TT", "hypothesis_override")
 
-    def __post_init__(self):
+    def __init__(self, n: int, spec0: Spectrum, spec1D: Spectrum, specE_TT: Spectrum,
+                 hypothesis_override: bool = False):
+        _set(self, "n", n)
+        _set(self, "spec0", spec0)
+        _set(self, "spec1D", spec1D)
+        _set(self, "specE_TT", specE_TT)
+        _set(self, "hypothesis_override", hypothesis_override)
         validate_geometric_spectrum(self)
 
 

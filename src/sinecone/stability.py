@@ -32,24 +32,26 @@ predicted classification of a sine-cone agree line for line:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .conemaps import ITERATE_PARTS, cone_step, hardy_bound, require_bounded_below, supported_window
 from .errors import UnboundedBelow
 from .exactreal import QuadReal, compare, from_rational, make_quad, sign
-from .spectra import GeometricSpectrum
+from .spectra import GeometricSpectrum, Record, _set
 
 Verdict = Optional[bool]  # None: undecidable from the declared completeness
 
 
-@dataclass(frozen=True)
-class NotionVerdict:
-    holds: Verdict
-    strict: Verdict
-    witness_value: Optional[QuadReal]
-    witness_origin: str
+class NotionVerdict(Record):
+    __slots__ = ("holds", "strict", "witness_value", "witness_origin")
+
+    def __init__(self, holds: Verdict, strict: Verdict, witness_value: Optional[QuadReal],
+                 witness_origin: str):
+        _set(self, "holds", holds)
+        _set(self, "strict", strict)
+        _set(self, "witness_value", witness_value)
+        _set(self, "witness_origin", witness_origin)
 
     def to_json(self) -> dict:
         return {
@@ -63,14 +65,18 @@ class NotionVerdict:
 _UNDECIDED = NotionVerdict(None, None, None, "insufficient declared completeness")
 
 
-@dataclass(frozen=True)
-class StabilityReport:
-    n: int
-    eh: NotionVerdict
-    linear: NotionVerdict
-    tangential: NotionVerdict
-    physical: NotionVerdict
-    thresholds: tuple[tuple[str, QuadReal], ...]
+class StabilityReport(Record):
+    __slots__ = ("n", "eh", "linear", "tangential", "physical", "thresholds")
+
+    def __init__(self, n: int, eh: NotionVerdict, linear: NotionVerdict,
+                 tangential: NotionVerdict, physical: NotionVerdict,
+                 thresholds: tuple[tuple[str, QuadReal], ...]):
+        _set(self, "n", n)
+        _set(self, "eh", eh)
+        _set(self, "linear", linear)
+        _set(self, "tangential", tangential)
+        _set(self, "physical", physical)
+        _set(self, "thresholds", thresholds)
 
     @property
     def bounded_below(self) -> Verdict:
@@ -236,13 +242,17 @@ def compute_cone(gs: GeometricSpectrum) -> GeometricSpectrum:
     return cone_step(gs, [from_rational(w) for w in windows], parts)
 
 
-@dataclass(frozen=True)
-class CrossCheckResult:
-    consistent: bool
-    discrepancies: tuple[str, ...]
-    predicted: StabilityReport
-    direct: Optional[StabilityReport]
-    cone_unbounded: bool
+class CrossCheckResult(Record):
+    __slots__ = ("consistent", "discrepancies", "predicted", "direct", "cone_unbounded")
+
+    def __init__(self, consistent: bool, discrepancies: tuple[str, ...],
+                 predicted: StabilityReport, direct: Optional[StabilityReport],
+                 cone_unbounded: bool):
+        _set(self, "consistent", consistent)
+        _set(self, "discrepancies", discrepancies)
+        _set(self, "predicted", predicted)
+        _set(self, "direct", direct)
+        _set(self, "cone_unbounded", cone_unbounded)
 
     def to_json(self) -> dict:
         return {

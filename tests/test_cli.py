@@ -610,6 +610,35 @@ def _fresh_python(*args):
     )
 
 
+#: What importing sinecone.cli loads: the exact core every command uses.
+CLI_CORE = {"sinecone", "sinecone.cli", "sinecone.errors", "sinecone.exactreal", "sinecone.spectra"}
+
+#: The modules each command runs beyond the core.  The verify-radial
+#: statements below fail on a flag, before the command loads its engine.
+RUNS = {
+    None: set(),
+    "spectrum": {"catalog", "conemaps"},
+    "stability": {"catalog", "conemaps", "stability"},
+    "rigidity": {"catalog", "conemaps", "rigidity"},
+    "scan-products": {"catalog", "conemaps", "rigidity"},
+    "verify-radial": {"conemaps"},
+    "verify-symbolic": {"symcheck"},
+    "iterate": {"catalog", "conemaps"},
+}
+
+
+def test_importing_the_cli_loads_only_its_core():
+    script = (
+        "import json, sys; before = set(sys.modules); import sinecone.cli; "
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    proc = _fresh_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+    assert {m for m in loaded if m.split(".")[0] == "sinecone"} == CLI_CORE
+    assert not loaded & {"dataclasses", "inspect"}
+
+
 @pytest.mark.parametrize(
     "statement",
     [
@@ -617,16 +646,31 @@ def _fresh_python(*args):
         "cli.run(['spectrum', '--sphere', '3', '--cutoff', '20'])",
         "cli.run(['verify-radial', '--n', '3', '--coupling', '1/0'])",
         "cli.run(['verify-radial', '--n', '3', '--coupling', '3', '--modes', '0'])",
+        # the README's exact commands
+        "cli.run(['spectrum', '--sphere', '3', '--operator', 'laplace', '--cutoff', '100'])",
+        "cli.run(['spectrum', '--product', '4,5', '--operator', 'einstein', '--blocks', 'tt', "
+        "'--cutoff', '0'])",
+        "cli.run(['stability', '--product', '4,5', '--cross-check'])",
+        "cli.run(['rigidity', '--product', '4,5'])",
+        "cli.run(['scan-products', '--from', '4', '--to', '20'])",
+        "cli.run(['verify-symbolic', '--n', '3', '--k', '2', '--jmax', '4'])",
+        "cli.run(['iterate', '--sphere', '2', '--count', '2', '--cutoff', '40', '--parts', "
+        "'functions'])",
     ],
 )
 def test_exact_commands_do_not_load_numpy_or_scipy(statement):
+    # nor any sinecone module the command does not run
     script = (
-        "import sys; import sinecone.cli as cli; " + statement + "; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))"
+        "import json, sys; import sinecone.cli as cli; " + statement + "; "
+        "print(json.dumps(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('numpy', 'scipy', 'sinecone'))))"
     )
     proc = _fresh_python("-c", script)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+    command = re.match(r"cli\.run\(\['([a-z-]+)'", statement)
+    runs = RUNS[command and command.group(1)]
+    assert loaded == CLI_CORE | {f"sinecone.{m}" for m in runs}
 
 
 def _sinecone_modules_after(module):

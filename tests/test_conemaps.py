@@ -581,3 +581,63 @@ def test_merge_preserves_separate_counts_through_origins(rng):
         out = map_functions(gs, q(2 * (gs.n + 2)))
         for line in out.lines:
             assert sum(o.mult for o in line.origins) == line.multiplicity
+
+
+def test_a_cone_step_asks_each_output_shift_its_requirement_once(rng, monkeypatch):
+    # the feeds of a part share one output shift: a full cone step runs six
+    # feeds but asks required_source_cutoff, and the harmonic degree of its
+    # shifted cutoff over the dim-(n+1) cone, once per part
+    from tests.conftest import synthetic_base
+
+    real_need, real_degree = conemaps.required_source_cutoff, conemaps.harmonic_degree
+    needs, degrees = [], []
+
+    def counting_need(n, cutoff, out, inner=0):
+        needs.append((n, cutoff, out, inner))
+        return real_need(n, cutoff, out, inner)
+
+    def counting_degree(n, x):
+        degrees.append(n)
+        return real_degree(n, x)
+
+    monkeypatch.setattr(conemaps, "required_source_cutoff", counting_need)
+    monkeypatch.setattr(conemaps, "harmonic_degree", counting_degree)
+    for _ in range(20):
+        gs = synthetic_base(rng)
+        windows = [q(w) for w in supported_window(gs, ITERATE_PARTS)]
+        needs.clear()
+        degrees.clear()
+        conemaps.cone_step(gs, windows)
+        assert len(needs) == len(set(needs)) == len(ITERATE_PARTS), needs
+        assert degrees.count(gs.n + 1) == len(ITERATE_PARTS), degrees
+
+
+@pytest.mark.parametrize("part", sorted(conemaps.FEEDS))
+def test_a_short_source_is_named_with_its_feed_requirement(part, rng):
+    # the first feed, in FEEDS order, whose source is short is refused with
+    # required_source_cutoff(n, cutoff, out, inner) for that feed
+    from tests.conftest import synthetic_base
+
+    refused = 0
+    for _ in range(40):
+        gs = synthetic_base(rng)
+        cutoff = q(Fraction(rng.randint(2, 12 * gs.n), rng.randint(1, 2)))
+        short = [
+            (source, need)
+            for source, inner, out, _, _ in conemaps._feeds(part, gs.n)
+            for need in [required_source_cutoff(gs.n, cutoff, out, inner)]
+            if need is not None and compare(getattr(gs, source).cutoff, need) < 0
+        ]
+        if not short:
+            conemaps._ladders(gs, part, cutoff)
+            continue
+        source, need = short[0]
+        with pytest.raises(InsufficientBaseCutoff) as info:
+            conemaps._ladders(gs, part, cutoff)
+        assert str(info.value) == (
+            f"{conemaps.SOURCES[source]} is complete only up to {getattr(gs, source).cutoff} "
+            f"but the requested output window needs completeness up to {need}; refusing to "
+            "truncate silently"
+        )
+        refused += 1
+    assert 0 < refused < 40

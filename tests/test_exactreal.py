@@ -118,6 +118,28 @@ def test_squarefree_decompose_tests_primality_only_below_the_proven_bound(monkey
     assert asked == [36923527]
 
 
+@pytest.mark.parametrize(
+    "cofactor, t, s",
+    [
+        (399989, 1, 399989),  # primes on either side of the floor
+        (400009, 1, 400009),
+        (631 ** 2, 631, 1),  # squares
+        (641 ** 2, 641, 1),
+        (619 * 631, 1, 619 * 631),  # products of two primes
+        (631 * 641, 1, 631 * 641),
+    ],
+)
+def test_squarefree_decompose_tests_primality_only_above_its_floor(monkeypatch, cofactor, t, s):
+    # trial division under 100 leaves the cofactor; below the floor it is
+    # finished by trial division, above it Miller-Rabin is asked first
+    assert (cofactor < exactreal._MR_FLOOR) == (cofactor in (399989, 631 ** 2, 619 * 631))
+    asked = []
+    is_prime = exactreal._is_prime
+    monkeypatch.setattr(exactreal, "_is_prime", lambda m: asked.append(m) or is_prime(m))
+    assert squarefree_decompose(2**3 * 3 * 7**2 * cofactor) == (2 * 7 * t, 6 * s)
+    assert asked == ([] if cofactor < exactreal._MR_FLOOR else [cofactor])
+
+
 def test_squarefree_decompose_refuses_a_prime_cofactor_above_the_bound():
     # a prime is squarefree, but the cofactor bound of 10**18 is kept as it was
     p = 10**18 + 3

@@ -1,0 +1,247 @@
+"""The value-record contract of the package's twelve records.
+
+Each record is built positionally, by keyword and with its defaults left
+out; it validates what it validated before; it compares and hashes on its
+fields and only against its own class; it prints as ``Name(field=value, ...)``;
+it survives copy, deepcopy and pickle; and assigning or deleting a field
+raises ``dataclasses.FrozenInstanceError``.  The repr texts were recorded on
+the frozen-dataclass records these classes replace.
+"""
+
+import copy
+import dataclasses
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from sinecone.catalog import ProductMarker
+from sinecone.conemaps import ConeEinsteinSpectrum, ConeOneFormSpectrum
+from sinecone.errors import IllPosed, InvariantViolation
+from sinecone.exactreal import from_rational, make_quad
+from sinecone.radialoracle import RadialProblem
+from sinecone.rigidity import IEDCertificate, ProductScanRow
+from sinecone.spectra import GeometricSpectrum, Origin, SpectralLine, Spectrum, empty_spectrum
+from sinecone.stability import CrossCheckResult, NotionVerdict, StabilityReport
+
+
+def q(x):
+    return from_rational(Fraction(x))
+
+
+LINE = SpectralLine(q(4), 3, (Origin("fun", 1, 0, 3),))
+SPEC = Spectrum((LINE,), q(5))
+EMPTY = empty_spectrum(q(2))
+SCALARS = Spectrum((SpectralLine(q(0), 1),), q(2))
+VERDICT = NotionVerdict(True, False, make_quad(1, 1, 2), "tt")
+REPORT = StabilityReport(3, VERDICT, VERDICT, VERDICT, VERDICT, (("hardy", q(-1)),))
+CERT = IEDCertificate(q(-16), 4, False, 1)
+
+#: record -> (class, required fields, defaulted fields at their defaults,
+#: one field changed)
+CASES = {
+    "ProductMarker": (ProductMarker, {"n1": 4, "n2": 5}, {}, {"n2": 6}),
+    "ConeOneFormSpectrum": (
+        ConeOneFormSpectrum, {"exact_part": SPEC, "coclosed_part": EMPTY}, {},
+        {"coclosed_part": SPEC}),
+    "ConeEinsteinSpectrum": (
+        ConeEinsteinSpectrum,
+        {"conformal_block": EMPTY, "vector_block": EMPTY, "tt_block": SPEC,
+         "scalar_boundary_case": True, "oneform_boundary_case": False},
+        {}, {"oneform_boundary_case": True}),
+    "RadialProblem": (
+        RadialProblem, {"n": 3, "coupling": Fraction(3)},
+        {"block": "function", "grid_points": 4000, "boundary_offset": 1e-6},
+        {"coupling": Fraction(7, 2)}),
+    "IEDCertificate": (
+        IEDCertificate, {"kappa": q(-16), "j": 4, "bounded": False, "multiplicity": 1}, {},
+        {"j": 3}),
+    "ProductScanRow": (
+        ProductScanRow,
+        {"n": 9, "kappa": q(-16), "unbounded_below": False, "certificates": (CERT,)}, {},
+        {"certificates": ()}),
+    "SpectralLine": (
+        SpectralLine, {"value": q(4), "multiplicity": 3}, {"origins": ()},
+        {"origins": (Origin("fun", 1, 0, 3),)}),
+    "Spectrum": (Spectrum, {"lines": (LINE,), "cutoff": q(5)}, {}, {"cutoff": q(6)}),
+    "GeometricSpectrum": (
+        GeometricSpectrum,
+        {"n": 3, "spec0": SCALARS, "spec1D": EMPTY, "specE_TT": EMPTY},
+        {"hypothesis_override": False}, {"specE_TT": SPEC}),
+    "NotionVerdict": (
+        NotionVerdict,
+        {"holds": True, "strict": False, "witness_value": make_quad(1, 1, 2),
+         "witness_origin": "tt"},
+        {}, {"strict": None}),
+    "StabilityReport": (
+        StabilityReport,
+        {"n": 3, "eh": VERDICT, "linear": VERDICT, "tangential": VERDICT,
+         "physical": VERDICT, "thresholds": (("hardy", q(-1)),)},
+        {}, {"thresholds": ()}),
+    "CrossCheckResult": (
+        CrossCheckResult,
+        {"consistent": False, "discrepancies": ("eh.holds",), "predicted": REPORT,
+         "direct": None, "cone_unbounded": True},
+        {}, {"direct": REPORT}),
+}
+
+_VERDICT = (
+    "NotionVerdict(holds=True, strict=False, witness_value=QuadReal(a=Fraction(1, 1), "
+    "b=Fraction(1, 1), s=2), witness_origin='tt')"
+)
+_REPORT = (
+    f"StabilityReport(n=3, eh={_VERDICT}, linear={_VERDICT}, tangential={_VERDICT}, "
+    f"physical={_VERDICT}, thresholds=(('hardy', QuadReal(a=Fraction(-1, 1), "
+    "b=Fraction(0, 1), s=1)),))"
+)
+_LINE = (
+    "SpectralLine(value=QuadReal(a=Fraction(4, 1), b=Fraction(0, 1), s=1), "
+    "multiplicity=3, origins=(Origin(block='fun', i=1, j=0, mult=3),))"
+)
+_SPEC = (
+    f"Spectrum(lines=({_LINE},), cutoff=QuadReal(a=Fraction(5, 1), b=Fraction(0, 1), s=1))"
+)
+_EMPTY = "Spectrum(lines=(), cutoff=QuadReal(a=Fraction(2, 1), b=Fraction(0, 1), s=1))"
+_KAPPA = "QuadReal(a=Fraction(-16, 1), b=Fraction(0, 1), s=1)"
+_CERT = f"IEDCertificate(kappa={_KAPPA}, j=4, bounded=False, multiplicity=1)"
+
+#: The repr of each case, as the frozen dataclasses printed it.
+REPRS = {
+    "ProductMarker": "ProductMarker(n1=4, n2=5)",
+    "ConeOneFormSpectrum": f"ConeOneFormSpectrum(exact_part={_SPEC}, coclosed_part={_EMPTY})",
+    "ConeEinsteinSpectrum": (
+        f"ConeEinsteinSpectrum(conformal_block={_EMPTY}, vector_block={_EMPTY}, "
+        f"tt_block={_SPEC}, scalar_boundary_case=True, oneform_boundary_case=False)"
+    ),
+    "RadialProblem": (
+        "RadialProblem(n=3, coupling=Fraction(3, 1), block='function', grid_points=4000, "
+        "boundary_offset=1e-06)"
+    ),
+    "IEDCertificate": _CERT,
+    "ProductScanRow": (
+        f"ProductScanRow(n=9, kappa={_KAPPA}, unbounded_below=False, certificates=({_CERT},))"
+    ),
+    "SpectralLine": (
+        "SpectralLine(value=QuadReal(a=Fraction(4, 1), b=Fraction(0, 1), s=1), "
+        "multiplicity=3, origins=())"
+    ),
+    "Spectrum": _SPEC,
+    "GeometricSpectrum": (
+        "GeometricSpectrum(n=3, spec0=Spectrum(lines=(SpectralLine(value=QuadReal("
+        "a=Fraction(0, 1), b=Fraction(0, 1), s=1), multiplicity=1, origins=()),), "
+        "cutoff=QuadReal(a=Fraction(2, 1), b=Fraction(0, 1), s=1)), "
+        f"spec1D={_EMPTY}, specE_TT={_EMPTY}, hypothesis_override=False)"
+    ),
+    "NotionVerdict": _VERDICT,
+    "StabilityReport": _REPORT,
+    "CrossCheckResult": (
+        "CrossCheckResult(consistent=False, discrepancies=('eh.holds',), "
+        f"predicted={_REPORT}, direct=None, cone_unbounded=True)"
+    ),
+}
+
+RECORDS = sorted(CASES)
+
+
+def _build(name):
+    cls, required, defaults, _ = CASES[name]
+    return cls(**required, **defaults)
+
+
+def test_the_cases_cover_twelve_records():
+    assert len(CASES) == 12 and REPRS.keys() == CASES.keys()
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_positional_keyword_and_default_construction_agree(name):
+    cls, required, defaults, _ = CASES[name]
+    record = cls(*required.values(), *defaults.values())
+    assert cls(**required, **defaults) == record
+    assert cls(*required.values()) == record
+    assert cls(**required) == record
+    for field, value in {**required, **defaults}.items():
+        assert getattr(record, field) is value
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_equality_and_hash_are_type_strict_and_field_wise(name):
+    cls, required, defaults, changed = CASES[name]
+    record, twin = _build(name), cls(**required, **defaults)
+    assert record == twin and not record != twin and hash(record) == hash(twin)
+    other = cls(**{**required, **defaults, **changed})
+    assert record != other and other != record
+
+    class Sub(cls):
+        pass
+
+    look_alike = Sub(**required, **defaults)
+    assert record != look_alike and look_alike != record
+    assert record != tuple({**required, **defaults}.values())
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_repr_is_the_recorded_text(name):
+    assert repr(_build(name)) == REPRS[name]
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_copy_deepcopy_and_pickle_round_trip(name):
+    record = _build(name)
+    for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(clone) is type(record)
+        assert clone == record and hash(clone) == hash(record)
+        assert repr(clone) == repr(record)
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_fields_can_be_neither_assigned_nor_deleted(name):
+    cls, required, defaults, changed = CASES[name]
+    record = _build(name)
+    for field in {**required, **defaults}:
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot assign to field '{field}'"):
+            setattr(record, field, changed.get(field))
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot delete field '{field}'"):
+            delattr(record, field)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.extra = 1
+    assert record == _build(name)
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_are_slotted(name):
+    cls, required, defaults, _ = CASES[name]
+    assert set(cls.__slots__) == {**required, **defaults}.keys()
+    assert not hasattr(_build(name), "__dict__")
+
+
+@pytest.mark.parametrize(
+    "name, changed, error, message",
+    [
+        ("ProductMarker", {"n1": 1}, InvariantViolation, "product factors must each have dimension >= 2"),
+        ("ProductMarker", {"n2": 1}, InvariantViolation, "product factors must each have dimension >= 2"),
+        ("SpectralLine", {"multiplicity": 0}, InvariantViolation, "multiplicity must be positive"),
+        ("SpectralLine", {"origins": (Origin("fun", 1, 0, 2),)}, InvariantViolation,
+         "multiplicity must equal the sum over origins"),
+        ("Spectrum", {"lines": (LINE, LINE)}, InvariantViolation,
+         "spectrum lines must be strictly ascending"),
+        ("Spectrum", {"cutoff": q(3)}, InvariantViolation, "spectrum line exceeds its cutoff"),
+        ("GeometricSpectrum", {"n": 1}, InvariantViolation, "dimension n=1 below 2"),
+        ("GeometricSpectrum", {"spec0": EMPTY}, InvariantViolation,
+         "scalar spectrum must contain 0 (constants)"),
+        ("RadialProblem", {"block": "bogus"}, InvariantViolation, "unknown block 'bogus'"),
+        ("RadialProblem", {"block": "tt", "n": 2}, InvariantViolation,
+         "the tt block needs base dimension n >= 3, got 2"),
+        ("RadialProblem", {"grid_points": 99}, InvariantViolation, "need at least 100 grid points"),
+        ("RadialProblem", {"boundary_offset": 1.0}, InvariantViolation,
+         "boundary offset must lie in (0, pi/(4N))"),
+        ("RadialProblem", {"block": "tt", "coupling": Fraction(-2)}, IllPosed,
+         "coupling -2 below the Hardy bound -1: the form is unbounded below "
+         "(see rayleigh_unbounded_demo)"),
+        ("RadialProblem", {"coupling": Fraction(-1)}, IllPosed, "scalar couplings are nonnegative"),
+    ],
+)
+def test_validation_errors_are_unchanged(name, changed, error, message):
+    cls, required, defaults, _ = CASES[name]
+    with pytest.raises(error) as info:
+        cls(**{**required, **defaults, **changed})
+    assert str(info.value) == message
