@@ -20,12 +20,14 @@ All enumeration is exact and completeness-aware: a transform refuses to run
 (``InsufficientBaseCutoff``) when the base spectra are not known far enough to
 make the requested output window complete.  Each ladder is counted once, from
 an integer square-root bound refined by exact comparisons, and its rungs are
-then written in closed form in the field of its degree (:func:`_family`).
+then written in closed form in the field of its degree (:func:`_family`) as
+integer keys, on which a transform groups them: one ``QuadReal`` per line.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
@@ -49,7 +51,7 @@ from .exactreal import (
     rational_floor,
     squarefree_decompose,
 )
-from .spectra import GeometricSpectrum, Record, Spectrum, _set, empty_spectrum, merge
+from .spectra import GeometricSpectrum, Origin, Record, Spectrum, _set, empty_spectrum, grouped_spectrum
 
 
 def degree_eigenvalue(n: int, y: QuadReal | int | Fraction) -> QuadReal:
@@ -220,9 +222,10 @@ def _family(
     i: int,
     first: int = 0,
     doubled_from: Optional[int] = None,
-) -> list[tuple[QuadReal, int, tuple]]:
+) -> list[tuple[tuple[int, int, int, int], Origin]]:
     """The rungs of one ladder, degree_eigenvalue(n+1, degree + j) - out_shift
-    for j = ``first``, ``first`` + 1, ..., that lie at or below ``cutoff``.
+    for j = ``first``, ``first`` + 1, ..., that lie at or below ``cutoff``,
+    as (the integers (p, q, d, s) of the value, ``Origin(block, i, j, mult)``).
     Rungs j >= ``doubled_from`` carry ``2 * mult``.
 
     A harmonic degree is at least -(n-1)/2, so the ladder increases in j.
@@ -233,8 +236,8 @@ def _family(
 
         (p+j)(p+j+n) + q^2 s - out_shift  +  q (2(p+j) + n) sqrt(s)
 
-    as one :func:`exactreal._norm` of integer numerators, or directly when
-    the degree and the shift are integers.
+    reduced by the rule of :func:`exactreal._norm`, or directly when the
+    degree and the shift are integers.  Only a comparison builds a QuadReal.
     """
     # degree = (P + Q sqrt(s))/D and out_shift = sn/sd; with Y = P + j D the
     # rung is ((Y (Y + n D) + Q^2 s) sd - sn D^2 + Q (2Y + n D) sd sqrt(s)) / (D^2 sd)
@@ -245,13 +248,16 @@ def _family(
     nd = n * dd
 
     if big_q == 0 and den == 1:  # an integer degree and shift: integer rungs, no gcd
-        def rung(j: int) -> QuadReal:
+        def key(j: int) -> tuple[int, int, int, int]:
             y = big_p + j
-            return _make(y * (y + n) + const, 0, 1, 1)
+            return y * (y + n) + const, 0, 1, 1
     else:
-        def rung(j: int) -> QuadReal:
+        def key(j: int) -> tuple[int, int, int, int]:
+            # _norm's rule with den > 0: divide by gcd(p, q, den), s only if q
             y = big_p + j * dd
-            return _norm(y * (y + nd) * sd + const, big_q * (2 * y + nd) * sd, den, s)
+            p, q = y * (y + nd) * sd + const, big_q * (2 * y + nd) * sd
+            g = math.gcd(p, q, den)
+            return p // g, q // g, den // g, s if q else 1
 
     # y (y + n) <= c  holds for  -n/2 <= y <= top = (isqrt(4c + n^2) - n)/2,
     # with c = floor(cutoff) + floor(out_shift) <= cutoff + out_shift
@@ -261,18 +267,20 @@ def _family(
         top2 = math.isqrt(4 * c + n * n) - n
         # floor(top - degree) = floor((top2 D - 2P - 2Q sqrt(s)) / (2D))
         last = max(last, _floor_scaled(_norm(top2 * dd - 2 * big_p, -2 * big_q, 2 * dd, s), 0))
-    while compare(rung(last + 1), cutoff) <= 0:
+    while compare(_make(*key(last + 1)), cutoff) <= 0:
         last += 1
     doubled = last + 1 if doubled_from is None else doubled_from  # the first rung of 2 * mult
-    return [(rung(j), 2 * mult if j >= doubled else mult, (block, i, j)) for j in range(first, last + 1)]
+    return [(key(j), tuple.__new__(Origin, (block, i, j, 2 * mult if j >= doubled else mult)))
+            for j in range(first, last + 1)]
 
 
 def _ladders(base: GeometricSpectrum, part: str, cutoff: QuadReal) -> list:
     """Check that every source feeding ``part`` is complete far enough for
     ``cutoff``, then enumerate the ladders of their lines, tagged
     (block, line index, rung) with the feed's block, on the rungs the feed
-    names for each line.  The requirement of a feed is its output shift's
-    requirement less its inner shift, so each output shift is asked once."""
+    names for each line, grouped on their keys: one (value, origins) pair
+    per key.  The requirement of a feed is its output shift's requirement
+    less its inner shift, so each output shift is asked once."""
     n = base.n
     entries = _feeds(part, n)
     needs = {}
@@ -288,7 +296,7 @@ def _ladders(base: GeometricSpectrum, part: str, cutoff: QuadReal) -> list:
                 f"output window needs completeness up to {need}; refusing to "
                 "truncate silently"
             )
-    raw: list = []
+    groups = defaultdict(list)
     for source, inner, out, block, rungs in entries:
         boundary = {from_rational(k[0] * n + k[1]): r for k, r in rungs.items() if k is not None}
         other = rungs.get(None, (0, None))
@@ -297,14 +305,15 @@ def _ladders(base: GeometricSpectrum, part: str, cutoff: QuadReal) -> list:
             if pattern is None:
                 continue
             degree = harmonic_degree(n, line.value + inner)
-            raw.extend(_family(n, degree, out, cutoff, line.multiplicity, block, i, *pattern))
-    return raw
+            for key, origin in _family(n, degree, out, cutoff, line.multiplicity, block, i, *pattern):
+                groups[key].append(origin)
+    return [(_make(*key), origins) for key, origins in groups.items()]
 
 
 def map_functions(base: GeometricSpectrum, cutoff: QuadReal) -> Spectrum:
     """Scalar Laplace spectrum of the sine-cone from the base scalar spectrum:
     the full ladder of every base line, multiplicities inherited."""
-    return merge(_ladders(base, "functions", cutoff), cutoff)
+    return grouped_spectrum(_ladders(base, "functions", cutoff), cutoff)
 
 
 class ConeOneFormSpectrum(Record):
@@ -323,7 +332,7 @@ def map_coclosed_one_forms(base: GeometricSpectrum, cutoff: QuadReal) -> Spectru
     lines only) shifted down by 1, plus 1-form ladders seeded at degree
     harmonic_degree(n, mu+1), also shifted down by 1.  The constant family
     produces no coclosed forms."""
-    return merge(_ladders(base, "coclosed", cutoff), cutoff)
+    return grouped_spectrum(_ladders(base, "coclosed", cutoff), cutoff)
 
 
 def map_one_forms(base: GeometricSpectrum, cutoff: QuadReal) -> ConeOneFormSpectrum:
@@ -333,7 +342,7 @@ def map_one_forms(base: GeometricSpectrum, cutoff: QuadReal) -> ConeOneFormSpect
     rung (i=0, j=0) absent.  Coclosed part: see
     :func:`map_coclosed_one_forms`.
     """
-    exact = merge(_ladders(base, "exact", cutoff), cutoff)
+    exact = grouped_spectrum(_ladders(base, "exact", cutoff), cutoff)
     return ConeOneFormSpectrum(exact, map_coclosed_one_forms(base, cutoff))
 
 
@@ -382,7 +391,7 @@ def map_einstein(
     require_bounded_below(base)
 
     out = {
-        block: merge(_ladders(base, block, cutoff), cutoff)
+        block: grouped_spectrum(_ladders(base, block, cutoff), cutoff)
         if block in blocks
         else empty_spectrum(cutoff)
         for block in ALL_BLOCKS

@@ -61,9 +61,9 @@ def squarefree_decompose(m: int) -> tuple[int, int]:
     Trial division below 100 comes first.  A cofactor above 4*10**5 that
     Miller-Rabin at the first 13 prime bases proves prime (exact below
     3.317*10**24; Sorenson and Webster, Math. Comp. 86, 2017) is squarefree
-    and ends the search; otherwise trial division runs on to 10**6.  A
-    cofactor then left that is a square, or below 10**18, is 1, p, p**2 or
-    p*q; a larger one could be p**2*q or p*q*r, so it raises
+    at any size and ends the search; otherwise trial division runs on to
+    10**6.  A cofactor then left that is a square, or below 10**18, is 1,
+    p, p**2 or p*q; a larger one could be p**2*q or p*q*r, so it raises
     NotRepresentable, not a doubtful radicand.
     """
     if m <= 0:
@@ -71,6 +71,7 @@ def squarefree_decompose(m: int) -> tuple[int, int]:
     t = 1
     s = 1
     d = 2
+    refused = 0  # the cofactor Miller-Rabin last found composite: not asked twice
     for stop in (99, _TRIAL_LIMIT):
         while d <= stop and d * d <= m:
             if m % d == 0:
@@ -82,8 +83,10 @@ def squarefree_decompose(m: int) -> tuple[int, int]:
                 if e % 2:
                     s *= d
             d += 1 if d == 2 else 2
-        if _MR_FLOOR < m < _MR_LIMIT and d * d <= m and _is_prime(m):
-            break  # a prime cofactor is squarefree
+        if _MR_FLOOR < m < _MR_LIMIT and d * d <= m and m != refused:
+            if _is_prime(m):
+                return t, s * m  # a prime cofactor is squarefree
+            refused = m
     if m > 1:
         r = math.isqrt(m)
         if r * r == m:

@@ -5,7 +5,8 @@ multiplicities plus an explicit ``cutoff``: the completeness contract is that
 *every* eigenvalue of the represented operator up to ``cutoff`` appears with
 its full multiplicity.  Coincident values arriving from different generating
 families are merged, but the per-family counts stay recoverable through the
-``origins`` tags.
+``origins`` tags.  :func:`grouped_spectrum` builds the lines of every
+non-empty spectrum from its values, each with its origins.
 """
 
 from __future__ import annotations
@@ -134,13 +135,13 @@ class Spectrum(Record):
         return [{"value": l.value.to_json(), "mult": l.multiplicity} for l in self.lines]
 
 
-# merge fills each line through its slots, as exactreal._make does: no __init__ re-check
+# grouped_spectrum fills each line through its slots, as exactreal._make does: no __init__ re-check
 _set_value, _set_mult, _set_origins = (SpectralLine.__dict__[k].__set__ for k in SpectralLine.__slots__)
 _mult = itemgetter(3)  # Origin.mult
 
 
 def _spectrum(lines: tuple[SpectralLine, ...], cutoff: QuadReal) -> Spectrum:
-    """A Spectrum whose invariants :func:`merge` has already checked."""
+    """A Spectrum whose invariants :func:`grouped_spectrum` has already checked."""
     s = object.__new__(Spectrum)
     _set(s, "lines", lines)
     _set(s, "cutoff", cutoff)
@@ -153,18 +154,8 @@ def empty_spectrum(cutoff: QuadReal = UNKNOWN_CUTOFF) -> Spectrum:
 
 def merge(raw: Iterable[tuple[QuadReal, int, tuple[str, int, int]]], cutoff: QuadReal) -> Spectrum:
     """Combine raw family contributions, each tagged (block, i, j), into a
-    Spectrum complete up to ``cutoff``.
-
-    Coincident values are merged with multiplicities summed and origins
-    sorted by tag, so the result does not depend on the order of ``raw``.
-    Values are grouped on their integers ``(p, q, d, s)``: ``QuadReal`` is
-    canonical, so equal keys are equal values.  The distinct values are
-    sorted on ``(floor(1000 v), v)``, the floor ``p*1000 // d`` for a
-    rational; the floor is exact integer arithmetic and monotone, so
-    ``compare`` (through ``QuadReal.__lt__``) runs only for two values with
-    one floor, in the sort and in the check of strict ascent.  Each line is
-    built once; a value above the cutoff is refused, not dropped.
-    """
+    Spectrum complete up to ``cutoff``, grouped for :func:`grouped_spectrum`
+    on their values' integers ``(p, q, d, s)``: equal keys, equal values."""
     groups: dict[tuple[int, int, int, int], tuple[QuadReal, list]] = {}
     for value, mult, (block, i, j) in raw:
         if mult <= 0:
@@ -174,10 +165,26 @@ def merge(raw: Iterable[tuple[QuadReal, int, tuple[str, int, int]]], cutoff: Qua
         if group is None:
             groups[key] = group = (value, [])
         group[1].append(tuple.__new__(Origin, (block, i, j, mult)))
+    return grouped_spectrum(groups.values(), cutoff)
+
+
+def grouped_spectrum(groups: Iterable[tuple[QuadReal, list[Origin]]], cutoff: QuadReal) -> Spectrum:
+    """The Spectrum, complete up to ``cutoff``, with one line per group
+    ``(value, origins)``: distinct values, each with its origins (positive
+    multiplicities).  A line's origins are sorted by tag and summed, so the
+    result does not depend on their order.
+
+    The values are sorted on ``(floor(1000 v), v)``, the floor
+    ``p*1000 // d`` for a rational; the floor is exact integer arithmetic
+    and monotone, so ``compare`` (through ``QuadReal.__lt__``) runs only for
+    two values with one floor, in the sort and in the check of strict
+    ascent.  Each line is built once; a value above the cutoff is refused,
+    not dropped.
+    """
     # (floor, value, origins): values are distinct, so the origins are never compared
     entries = [
-        (p * 1000 // d if q == 0 else exactreal._floor_scaled(value, 3), value, origins)
-        for (p, q, d, _), (value, origins) in groups.items()
+        (v.p * 1000 // v.d if v.q == 0 else exactreal._floor_scaled(v, 3), v, origins)
+        for v, origins in groups
     ]
     entries.sort()
     if any(f == g and compare(v, w) >= 0 for (f, v, _), (g, w, _) in zip(entries, entries[1:])):

@@ -452,6 +452,25 @@ def test_negative_cutoff_is_passed_with_an_equals_sign(capsys):
     assert "(complete up to -3/4)" in out
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(["spectrum", "--sphere", "3"], "--cutoff"),
+     (["verify-radial", "--n", "3", "--block", "tt"], "--coupling")],
+)
+def test_a_negative_fraction_needs_an_equals_sign(capsys, argv, flag):
+    # argparse reads "-8/5" after a space as a flag (it takes "-14" as a
+    # number); README says to write the value with "="
+    code, out, err = _capture(capsys, [*argv, flag, "-8/5"])
+    assert (code, out) == (4, "")
+    assert json.loads(err) == {
+        "error": "ParseError",
+        "message": f"sinecone {argv[0]}: argument {flag}: expected one argument",
+    }
+    code, out, err = _capture(capsys, [*argv, f"{flag}=-8/5"])
+    assert (code, err) == (0, "")
+    assert "-8/5" in out
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["spectrum", "--help"]])
 def test_help_still_exits_0(capsys, argv):
     with pytest.raises(SystemExit) as exit_:

@@ -35,10 +35,17 @@ from sinecone.errors import (
     NotRepresentable,
     UnboundedBelow,
 )
-from sinecone.exactreal import _norm, compare, from_rational, make_quad, rational_ceiling
+from sinecone.exactreal import _make, _norm, compare, from_rational, make_quad, rational_ceiling
 from sinecone.radialoracle import RadialProblem
 from sinecone.rigidity import find_ieds
-from sinecone.spectra import UNKNOWN_CUTOFF, GeometricSpectrum, equal_up_to, merge
+from sinecone.spectra import (
+    UNKNOWN_CUTOFF,
+    GeometricSpectrum,
+    Origin,
+    equal_up_to,
+    grouped_spectrum,
+    merge,
+)
 from sinecone.stability import classify
 
 
@@ -174,15 +181,23 @@ def test_family_matches_the_per_rung_loop(irrational, kind):
         options = {"first": int(r.random() < 0.5), "doubled_from": r.choice((None, 0, 1, 2, 5))}
         args = (n, degree, shift, cutoff, r.randint(1, 5), "blk", r.randint(0, 3))
         got = _family(*args, **options)
-        assert got == _family_by_steps(*args, **options)
+        assert _as_triples(got) == _family_by_steps(*args, **options)
         if kind == "on-rung":  # empty only when the cutoff is the skipped rung 0
-            assert compare(got[-1][0], cutoff) == 0 if got else options["first"] == 1
+            assert compare(_make(*got[-1][0]), cutoff) == 0 if got else options["first"] == 1
         if kind == "below-first":
             assert got == []
 
 
 def _fields(x):
     return (x.p, x.q, x.d, x.s)
+
+
+def _as_triples(keyed):
+    """_family's (key, Origin) rungs as the reference's (value, mult, tag)
+    triples; a key that is not canonical makes a value unequal to the
+    reference's, since QuadReal equality compares the four integers."""
+    assert all(type(origin) is Origin for _, origin in keyed)
+    return [(_make(*key), o.mult, (o.block, o.i, o.j)) for key, o in keyed]
 
 
 # (n, base eigenvalue, output shift, the degree's (D, Q), integer rungs):
@@ -208,11 +223,73 @@ def test_family_paths_at_their_boundaries(case, first, doubled_from):
     for cutoff in (q(300), on_rung, q(-50)):
         args = (n, degree, shift, cutoff, 3, "blk", 1, first, doubled_from)
         got = _family(*args)
-        assert got == _family_by_steps(*args)
+        assert _as_triples(got) == _family_by_steps(*args)
         assert bool(got) == (cutoff != q(-50))
-        for value, _, _ in got:  # canonical: each rung is its own normal form
-            assert _fields(value) == _fields(_norm(*_fields(value)))
-            assert (value.q, value.d) == (0, 1) or not integer_rungs
+        for key, _ in got:  # canonical: each rung key is _norm's fields
+            assert key == _fields(_norm(*key))
+            assert key[1:3] == (0, 1) or not integer_rungs
+
+
+def test_family_key_of_a_rational_rung_of_an_irrational_degree():
+    # degree -n/2 + sqrt(2): rung 0 is (sqrt(2) - n/2)(sqrt(2) + n/2) = 2 - n^2/4,
+    # rational, so its key takes _norm's s = 1
+    for n in (3, 4, 7):
+        degree = make_quad(Fraction(-n, 2), 1, 2)
+        args = (n, degree, 0, q(60), 1, "blk", 0)
+        got = _family(*args)
+        assert got[0][0] == _fields(q(2 - Fraction(n * n, 4))) == _fields(_norm(*got[0][0]))
+        assert _as_triples(got) == _family_by_steps(*args)
+
+
+def _rungs_by_steps(base, part, cutoff):
+    """Every rung feeding ``part``, as (value, mult, tag) triples from the
+    per-rung reference loop, on the rungs FEEDS names for each line."""
+    n = base.n
+    raw = []
+    for source, inner, out, block, rungs in conemaps._feeds(part, n):
+        for i, line in enumerate(getattr(base, source).lines):
+            named = [k for k in rungs if k is not None and line.value == q(k[0] * n + k[1])]
+            pattern = rungs[named[0]] if named else rungs.get(None, (0, None))
+            if pattern is not None:
+                degree = harmonic_degree(n, line.value + inner)
+                raw += _family_by_steps(n, degree, out, cutoff, line.multiplicity, block, i, *pattern)
+    return raw
+
+
+#: The public cone map of each part, as (base, cutoff) -> Spectrum, and the
+#: parts whose completeness it asks for.
+PART_MAPS = {
+    "functions": (map_functions, ("functions",)),
+    "exact": (lambda b, c: map_one_forms(b, c).exact_part, ("exact", "coclosed")),
+    "coclosed": (map_coclosed_one_forms, ("coclosed",)),
+    "conformal": (lambda b, c: map_einstein(b, c, ("conformal",)).conformal_block, ("conformal",)),
+    "vector": (lambda b, c: map_einstein(b, c, ("vector",)).vector_block, ("vector",)),
+    "tt": (lambda b, c: map_einstein(b, c, ("tt",)).tt_block, ("tt",)),
+}
+
+
+@pytest.mark.parametrize("part", sorted(conemaps.FEEDS))
+def test_keyed_cone_map_equals_merge_over_the_same_rungs(part):
+    from tests.conftest import synthetic_base
+
+    r = random.Random(f"keyed-{part}")
+    cone_map, needs = PART_MAPS[part]
+    for _ in range(30):
+        base = synthetic_base(r)
+        window = min(supported_window(base, needs))
+        if r.random() < 0.3:  # an irrational cutoff, below the window
+            cutoff = make_quad(window - 2, Fraction(1, r.randint(2, 9)), r.choice((2, 3, 5)))
+        else:
+            cutoff = q(Fraction(r.randint(-4, 4 * int(window)), 4))
+        got = cone_map(base, cutoff)
+        # the same rungs, written as QuadReal triples from _ladders' groups
+        # and by the per-rung reference, which merge takes in shuffled order
+        groups = conemaps._ladders(base, part, cutoff)
+        keyed = [(value, o.mult, o[:3]) for value, origins in groups for o in origins]
+        by_steps = _rungs_by_steps(base, part, cutoff)
+        assert sorted(keyed, key=lambda t: t[2]) == sorted(by_steps, key=lambda t: t[2])
+        r.shuffle(by_steps)
+        assert got == merge(by_steps, cutoff) == grouped_spectrum(groups, cutoff)
 
 
 # -- scalar map --------------------------------------------------------------

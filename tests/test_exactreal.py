@@ -140,17 +140,36 @@ def test_squarefree_decompose_tests_primality_only_above_its_floor(monkeypatch, 
     assert asked == ([] if cofactor < exactreal._MR_FLOOR else [cofactor])
 
 
-def test_squarefree_decompose_refuses_a_prime_cofactor_above_the_bound():
-    # a prime is squarefree, but the cofactor bound of 10**18 is kept as it was
+def test_squarefree_decompose_takes_a_proven_prime_cofactor_above_the_bound(monkeypatch):
+    # a cofactor of at least 10**18 that Miller-Rabin proves prime is
+    # squarefree: it is the radicand, and the test runs once on it
     p = 10**18 + 3
+    asked = []
+    is_prime = exactreal._is_prime
+    monkeypatch.setattr(exactreal, "_is_prime", lambda m: asked.append(m) or is_prime(m))
+    assert squarefree_decompose(p) == (1, p)
+    assert squarefree_decompose(4 * 3 * p) == (2, 3 * p)
+    assert asked == [p, p]
+    x = make_quad(0, 1, 4 * p)
+    assert (x.p, x.q, x.d, x.s) == (0, 2, 1, p)
+
+
+def test_squarefree_decompose_refuses_a_composite_cofactor_above_the_bound(monkeypatch):
+    # three primes above 10**6: trial division leaves the cofactor as it is,
+    # so Miller-Rabin is asked once, and the cofactor is refused
+    m = 1000003 * 1000033 * 1000037
+    assert m >= 10**18
+    asked = []
+    is_prime = exactreal._is_prime
+    monkeypatch.setattr(exactreal, "_is_prime", lambda m: asked.append(m) or is_prime(m))
     message = (
-        f"radicand cofactor {p} has no prime factor up to 10**6 and is at least "
+        f"radicand cofactor {m} has no prime factor up to 10**6 and is at least "
         "10**18: its squarefree part cannot be certified"
     )
-    for m in (p, 4 * 3 * p):
-        with pytest.raises(NotRepresentable) as info:
-            squarefree_decompose(m)
-        assert str(info.value) == message
+    with pytest.raises(NotRepresentable) as info:
+        squarefree_decompose(m)
+    assert str(info.value) == message
+    assert asked == [m]
 
 
 def test_make_quad_examples():
