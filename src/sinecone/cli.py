@@ -18,7 +18,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .errors import ParseError, SineconeError
+from .errors import ParseError, SineconeError, VerificationFailed
 from .exactreal import QuadReal, _json_rational, from_rational, quad_from_json, to_decimal
 from .spectra import GeometricSpectrum, Spectrum, geometric_spectrum_to_json
 
@@ -270,6 +270,13 @@ def _cmd_verify_radial(args) -> int:
     from . import radialoracle
 
     if demo:
+        bound = radialoracle.rayleigh_blowdown_bound(args.n)
+        if coupling >= bound:
+            raise VerificationFailed(
+                f"TT coupling {coupling} lies in [{bound}, {conemaps.hardy_bound(args.n)}): the "
+                f"demonstrator's profile u^-p (1-u)^(p+1) blows down only below {bound}, so its "
+                "quotients cannot show the form unbounded below"
+            )
         quotients = radialoracle.rayleigh_unbounded_demo(args.n, float(coupling), epsilons)
         if args.csv:
             radialoracle.quotients_to_csv(args.csv, epsilons, quotients)

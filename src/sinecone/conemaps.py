@@ -16,6 +16,17 @@ one table, :data:`FEEDS`.  The completeness checks of every transform, the
 backward requirements of :func:`source_requirements` and the forward windows
 of :func:`supported_window` are all read off it.
 
+The windows and requirements are decided in integers.  Since
+y^2 + (k-1) y = x at y = harmonic_degree(k, x),
+
+    degree_eigenvalue(n+1, harmonic_degree(n, c)) = c + harmonic_degree(n, c)
+    degree_eigenvalue(n, harmonic_degree(n+1, x)) = x - harmonic_degree(n+1, x)
+
+so a window top and a requirement are each a rational plus or minus the
+square root of a rational, settled by one ``math.isqrt`` (:func:`_grid_bound`);
+a transform finds a rational source cutoff short by an integer inequality
+(:func:`_falls_short`).  No radicand is factored on this round trip.
+
 All enumeration is exact and completeness-aware: a transform refuses to run
 (``InsufficientBaseCutoff``) when the base spectra are not known far enough to
 make the requested output window complete.  Each ladder is counted once, from
@@ -48,7 +59,6 @@ from .exactreal import (
     compare,
     from_rational,
     rational_ceiling,
-    rational_floor,
     squarefree_decompose,
 )
 from .spectra import GeometricSpectrum, Origin, Record, Spectrum, _set, empty_spectrum, grouped_spectrum
@@ -161,6 +171,49 @@ def _feeds(part: str, n: int) -> list[tuple[str, int, int, str, dict]]:
     ]
 
 
+def _shifted_cutoff(n: int, cutoff: QuadReal, out_shift: int | Fraction) -> Optional[tuple[int, int]]:
+    """(xn, xd), xd > 0: x = cutoff + out_shift, the top of the cone ladders
+    over a dim-n base that a requirement serves, exact when rational and
+    else its ceiling on the 10**-6 grid; ``None`` when x lies below
+    -(n^2-1)/4, the least rung any source value can give."""
+    sn, sd = _ratio(out_shift)
+    if cutoff.q == 0:
+        xn, xd = cutoff.p * sd + sn * cutoff.d, cutoff.d * sd
+        return None if 4 * xn < (1 - n * n) * xd else (xn, xd)
+    x = cutoff + from_rational(out_shift)
+    if compare(x, from_rational(Fraction(1 - n * n, 4))) < 0:
+        return None
+    return _floor_scaled(x, 6) + 1, 10 ** 6
+
+
+def _requirement(n: int, x: tuple[int, int], inner_shift: int) -> tuple[int, int, int]:
+    """(p, r, d) with (p - sqrt(r))/d = x - harmonic_degree(n+1, x) - inner_shift
+    = x + n/2 - inner_shift - sqrt(n^2/4 + x), for x = xn/xd >= -n^2/4."""
+    xn, xd = x
+    return 2 * xn + (n - 2 * inner_shift) * xd, (n * n * xd + 4 * xn) * xd, 2 * xd
+
+
+def _grid_bound(p: int, sign: int, r: int, d: int, up: bool = False) -> tuple[int, int]:
+    """(num, den) of ``rational_floor`` (``rational_ceiling`` with ``up``) of
+    (p + sign*sqrt(r))/d, for integers r >= 0 and d > 0, from one integer
+    square root: the value itself when r is a square, else its floor
+    (ceiling) on the 10**-6 grid, as the QuadReal of the value would give."""
+    big = 10 ** 12 * r
+    root = math.isqrt(big)
+    if root * root == big:
+        return 10 ** 6 * p + sign * root, 10 ** 6 * d
+    # sqrt(big) is irrational: its floor is root, the floor of -sqrt(big) is -root-1
+    return (10 ** 6 * p + (root if sign > 0 else -root - 1)) // d + up, 10 ** 6
+
+
+def _falls_short(p: int, r: int, d: int, have: QuadReal) -> bool:
+    """Whether a rational ``have`` = hn/hd lies below (p - sqrt(r))/d: with
+    A = p hd - d hn, iff A > 0 and r hd^2 < A^2.  For a
+    :func:`_requirement`, A is 2 xd hd (x + n/2 - inner_shift - have)."""
+    a = p * have.d - d * have.p
+    return a > 0 and r * have.d * have.d < a * a
+
+
 def required_source_cutoff(
     n: int, cutoff: QuadReal, out_shift: int | Fraction, inner_shift: int = 0
 ) -> Optional[QuadReal]:
@@ -171,14 +224,13 @@ def required_source_cutoff(
     with value <= ``cutoff`` is enumerated.  ``None`` means no source value
     can land below the cutoff at all (nothing is required).  Irrational
     cutoffs are replaced by a rational upper bound, which can only demand
-    slightly more completeness than strictly necessary.
+    slightly more completeness than strictly necessary.  With x that bound
+    it is x + n/2 - inner_shift - sqrt(n^2/4 + x).
     """
-    x = cutoff + from_rational(out_shift)
-    if compare(x, from_rational(Fraction(-(n * n - 1), 4))) < 0:
+    x = _shifted_cutoff(n, cutoff, out_shift)
+    if x is None:
         return None
-    x_rat = x.as_fraction() if x.is_rational() else rational_ceiling(x)
-    top_degree = harmonic_degree(n + 1, x_rat)
-    return degree_eigenvalue(n, top_degree) - inner_shift
+    return degree_eigenvalue(n, harmonic_degree(n + 1, Fraction(*x))) - inner_shift
 
 
 def source_requirements(
@@ -186,13 +238,15 @@ def source_requirements(
 ) -> tuple[Fraction, Fraction, Fraction]:
     """Completeness (spec0, spec1D, TT), as rational upper bounds, that a
     dim-n base must certify so that each part named in ``windows`` can be
-    enumerated up to its window; -1 where nothing is required."""
+    enumerated up to its window; -1 where nothing is required.  Each is the
+    ``rational_ceiling`` of a :func:`required_source_cutoff`."""
     need = dict.fromkeys(SOURCES, Fraction(-1))
     for part, window in windows.items():
         for source, inner, out, _, _ in _feeds(part, n):
-            bound = required_source_cutoff(n, window, out, inner)
-            if bound is not None:
-                need[source] = max(need[source], rational_ceiling(bound))
+            x = _shifted_cutoff(n, window, out)
+            if x is not None:
+                p, r, d = _requirement(n, x, inner)
+                need[source] = max(need[source], Fraction(*_grid_bound(p, -1, r, d, up=True)))
     return need["spec0"], need["spec1D"], need["specE_TT"]
 
 
@@ -200,16 +254,29 @@ def supported_window(gs: GeometricSpectrum, parts: Sequence[str]) -> list[Fracti
     """Largest cone windows (rational lower bounds) that the declared
     completeness of ``gs`` fills for each of ``parts``: the inverse of
     :func:`source_requirements`, -1 when a source lies below the Hardy
-    bound.  Each (source, inner shift) gets its top degree once; every
-    output shift is an integer, so floor(top - out) = floor(top) - out."""
+    bound.  Each (source, inner shift) at a floored cutoff c gets its top
+    once, rational_floor(degree_eigenvalue(n+1, harmonic_degree(n, c))),
+    which is c - (n-1)/2 + sqrt((n-1)^2/4 + c); every output shift is an
+    integer, so floor(top - out) = floor(top) - out."""
     n = gs.n
     tops = dict.fromkeys(feed[:2] for part in parts for feed in FEEDS[part])
     for source, inner in tops:
-        c = rational_floor(getattr(gs, source).cutoff) + inner
-        if c >= hardy_bound(n):
-            tops[source, inner] = rational_floor(degree_eigenvalue(n + 1, harmonic_degree(n, c)))
-    return [min(Fraction(-1) if tops[source, inner] is None else tops[source, inner] - out
-                for source, inner, out, _, _ in _feeds(part, n)) for part in parts]
+        cut = getattr(gs, source).cutoff  # c = cn/cd = rational_floor(cut) + inner
+        cn, cd = (cut.p, cut.d) if cut.q == 0 else (_floor_scaled(cut, 6), 10 ** 6)
+        cn += inner * cd
+        r = 4 * cn + (n - 1) ** 2 * cd  # 4 cd (c - hardy_bound(n))
+        if r >= 0:
+            tops[source, inner] = _grid_bound(2 * cn - (n - 1) * cd, 1, r * cd, 2 * cd)
+    windows = []
+    for part in parts:
+        low = None
+        for source, inner, out, _, _ in _feeds(part, n):
+            top = tops[source, inner]
+            num, den = (-1, 1) if top is None else (top[0] - out * top[1], top[1])
+            if low is None or num * low[1] < low[0] * den:
+                low = num, den
+        windows.append(Fraction(*low))
+    return windows
 
 
 def _family(
@@ -279,18 +346,22 @@ def _ladders(base: GeometricSpectrum, part: str, cutoff: QuadReal) -> list:
     ``cutoff``, then enumerate the ladders of their lines, tagged
     (block, line index, rung) with the feed's block, on the rungs the feed
     names for each line, grouped on their keys: one (value, origins) pair
-    per key.  The requirement of a feed is its output shift's requirement
-    less its inner shift, so each output shift is asked once."""
+    per key.  Each output shift's cutoff is shifted once, and a rational
+    source cutoff is checked by :func:`_falls_short` in integers; the
+    QuadReal of :func:`required_source_cutoff` is built only against an
+    irrational source cutoff and to word a refusal."""
     n = base.n
     entries = _feeds(part, n)
-    needs = {}
+    shifted = {}
     for source, inner, out, _, _ in entries:
-        if out not in needs:
-            needs[out] = required_source_cutoff(n, cutoff, out)
-        if needs[out] is None:
+        if out not in shifted:
+            shifted[out] = _shifted_cutoff(n, cutoff, out)
+        x, have = shifted[out], getattr(base, source).cutoff
+        if x is None:
             continue
-        have, need = getattr(base, source).cutoff, needs[out] - inner
-        if compare(have, need) < 0:
+        if (_falls_short(*_requirement(n, x, inner), have) if have.q == 0
+                else compare(have, required_source_cutoff(n, cutoff, out, inner)) < 0):
+            need = required_source_cutoff(n, cutoff, out, inner)
             raise InsufficientBaseCutoff(
                 f"{SOURCES[source]} is complete only up to {have} but the requested "
                 f"output window needs completeness up to {need}; refusing to "

@@ -185,12 +185,28 @@ def verify_line(
     return report
 
 
-def _profile_exponent(n: int) -> float:
+def _profile_exponent(n: int) -> Fraction:
     # u^-p (1-u)^(p+1) with p = (n-2)/2: the inner exponent cancels the
     # sin^n weight degeneration exactly, keeping the Rayleigh ratio within a
     # few percent of the sharp bound (n-1)^2/4; bumps with nonnegative inner
     # powers sit at 2(n-1) or above and can never exhibit the blow-down.
-    return (n - 2) / 2.0
+    if n < 3:
+        raise InvariantViolation("the demonstrator profile needs n >= 3")
+    return Fraction(n - 2, 2)
+
+
+def rayleigh_blowdown_bound(n: int) -> Fraction:
+    """-S/C, exact: the demonstrator's profile blows down, eps^2 times its
+    quotient tending to (S + kappa C)/M < 0, only for a coupling kappa
+    below it.  With p = (n-2)/2 the Beta integrals are rational:
+
+        S = I[(p+u)^2 (1-u)^(2p)] = (p+1)^2/(2p+1) - 1 + 1/(2p+3)
+        C = I[(1-u)^(2p+2)]       = 1/(2p+3)
+
+    so -S/C = n - n^2 (n+1) / (4 (n-1)), which lies (n+1)/(4(n-1)) below
+    the Hardy bound -(n-1)^2/4."""
+    p = _profile_exponent(n)
+    return -((p + 1) ** 2 / (2 * p + 1) - 1 + 1 / (2 * p + 3)) * (2 * p + 3)
 
 
 def _simpson(y: np.ndarray, x: np.ndarray) -> float:
@@ -213,9 +229,7 @@ def rayleigh_quotient(n: int, kappa: float, eps: float) -> float:
     where r(u) = sin(eps u)/(eps u), so the quotient scales exactly like
     eps^-2 up to the r-corrections.
     """
-    if n < 3:
-        raise InvariantViolation("the demonstrator profile needs n >= 3")
-    p = _profile_exponent(n)
+    p = float(_profile_exponent(n))
     u = np.linspace(0.0, 1.0, 10 ** 4 + 1)
     r = np.sinc(eps * u / math.pi)  # sin(eps u)/(eps u), exact 1 at u = 0
     one_minus = 1.0 - u
@@ -228,9 +242,10 @@ def rayleigh_quotient(n: int, kappa: float, eps: float) -> float:
 def rayleigh_unbounded_demo(n: int, kappa: float, epsilons: Sequence[float]) -> list[float]:
     """Quotient sequence on shrinking supports.
 
-    For couplings strictly below -(n-1)^2/4 the sequence decreases without
-    bound like a negative constant times eps^-2; at or above the bound no
-    blow-down occurs (and for kappa >= 0 every quotient is nonnegative).
+    For couplings strictly below :func:`rayleigh_blowdown_bound` the
+    sequence decreases without bound like a negative constant times eps^-2;
+    at or above it no blow-down occurs, also in the gap up to the Hardy
+    bound -(n-1)^2/4 (and for kappa >= 0 every quotient is nonnegative).
     """
     return [rayleigh_quotient(n, kappa, e) for e in epsilons]
 

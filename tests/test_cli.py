@@ -1,22 +1,29 @@
 import argparse
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy.linalg.lapack import dpttrf
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from sinecone import radialoracle
+from sinecone import errors, radialoracle
 from sinecone.cli import build_parser, run
 from sinecone.errors import ConvergenceFailure, SineconeError
 from sinecone.exactreal import quad_from_json
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+#: The names a refusal may carry: the package's errors.
+SINECONE_ERRORS = {name for name, obj in vars(errors).items()
+                   if isinstance(obj, type) and issubclass(obj, errors.SineconeError)}
 
 
 def _capture(capsys, argv):
@@ -393,6 +400,42 @@ def test_verify_radial_refuses_a_flag_of_the_other_regime(tmp_path, capsys, flag
 
 
 @pytest.mark.parametrize(
+    "flags, bound, hardy",
+    [
+        (["--n", "3", "--block", "tt", "--coupling=-6/5"], "-3/2", "-1"),
+        (["--n", "9", "--block", "tt", "--coupling=-65/4"], "-261/16", "-16"),
+        (["--n", "9", "--block", "tt", "--coupling=-261/16"], "-261/16", "-16"),
+        (["--n", "12", "--block", "tt", "--coupling=-122/4", "--csv", "CSV"], "-336/11", "-121/4"),
+    ],
+)
+def test_verify_radial_refuses_a_coupling_its_profile_cannot_blow_down(tmp_path, capsys, flags,
+                                                                       bound, hardy):
+    # from -S/C up to the Hardy bound the demonstrator's quotients do not
+    # blow down: exit 2, naming -S/C exactly, and no CSV written
+    csv = tmp_path / "x.csv"
+    code, out, err = _capture(capsys, ["verify-radial", *(str(csv) if f == "CSV" else f for f in flags)])
+    assert (code, out) == (2, "")
+    error = json.loads(err)
+    assert error["error"] == "VerificationFailed"
+    coupling = flags[4].split("=")[1]
+    assert error["message"] == (
+        f"TT coupling {Fraction(coupling)} lies in [{bound}, {hardy}): the demonstrator's profile "
+        f"u^-p (1-u)^(p+1) blows down only below {bound}, so its quotients cannot show the form "
+        "unbounded below"
+    )
+    assert not csv.exists()
+
+
+def test_verify_radial_runs_the_demonstrator_just_below_the_bound(capsys):
+    code, out, err = _capture(capsys, ["verify-radial", "--n", "3", "--block", "tt",
+                                       "--coupling=-151/100", "--epsilons", "0.1,0.01"])
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["regime"] == "below the boundedness threshold"
+    assert payload["quotients"][1] < payload["quotients"][0] < 0
+
+
+@pytest.mark.parametrize(
     "flags",
     [
         ["--n", "-2", "--coupling", "3", "--modes", "2"],
@@ -753,3 +796,84 @@ def test_a_failed_radial_check_carries_its_report_as_json():
     report = json.loads(report)
     assert report["passed"] is False
     assert [row["j"] for row in report["modes"]] == list(range(100))
+
+
+# -- the total input contract, fuzzed ------------------------------------------
+
+def _rational_text(draw, lo, hi):
+    """A rational in [lo, hi] as the schema writes it: an int or "p/q"."""
+    den = draw(st.integers(min_value=1, max_value=6))
+    x = Fraction(draw(st.integers(min_value=math.ceil(lo * den), max_value=math.floor(hi * den))), den)
+    return x, x.numerator if x.denominator == 1 else str(x)
+
+
+#: what the schema refuses in a value, a cutoff or a multiplicity
+_BAD_VALUES = ["10.5", "1e3", "", "1/0", 2.5, True, None, [], {"a": 1, "c": 2}, {"a": 1, "b": 1, "s": -2}]
+_BAD_MULTS = [0, -1, "2", 1.0, None]
+
+
+@st.composite
+def _base_documents(draw):
+    """A base document: admissible lines under rational or irrational
+    per-spectrum cutoffs, then, in most documents, one defect."""
+    n = draw(st.integers(min_value=2, max_value=9))
+    hardy = Fraction(-((n - 1) ** 2), 4)
+    doc, cutoffs = {"n": n}, {}
+    for key, lo in (("spec0", Fraction(n)), ("spec1D", Fraction(n - 1)), ("specE_TT", hardy - 1)):
+        c, text = _rational_text(draw, lo - 2, 12 * n)
+        if draw(st.booleans()):  # irrational: c + b sqrt(s) with a small b
+            b = Fraction(draw(st.sampled_from([-1, 1])), draw(st.integers(min_value=2, max_value=50)))
+            text = {"a": str(c), "b": str(b), "s": draw(st.sampled_from([2, 3, 5]))}
+            c = c - 1
+        cutoffs[key] = text
+        entries = [{"value": 0, "mult": 1}] if key == "spec0" and c >= 0 else []
+        for _ in range(draw(st.integers(min_value=0, max_value=3)) if c >= lo else 0):
+            value, value_text = _rational_text(draw, lo, c)
+            if all(e["value"] != value_text for e in entries):
+                entries.append({"value": value_text, "mult": draw(st.integers(min_value=1, max_value=3))})
+        doc[key] = entries
+    doc["cutoff"] = cutoffs
+    defect = draw(st.sampled_from(["none", "n", "cutoff", "value", "mult", "above", "twice", "key"]))
+    spectrum = doc[draw(st.sampled_from(["spec0", "spec1D", "specE_TT"]))]
+    if defect == "n":
+        doc["n"] = draw(st.sampled_from([-1, 0, 1, "4", 4.0, True, None]))
+    elif defect == "cutoff":
+        doc["cutoff"][draw(st.sampled_from(sorted(cutoffs)))] = draw(st.sampled_from(_BAD_VALUES + [-10 ** 3]))
+    elif defect in ("value", "mult", "above", "twice") and spectrum:
+        entry = spectrum[-1]
+        if defect == "value":
+            entry["value"] = draw(st.sampled_from(_BAD_VALUES))
+        elif defect == "mult":
+            entry["mult"] = draw(st.sampled_from(_BAD_MULTS))
+        elif defect == "above":
+            entry["value"] = 20 * n
+        else:
+            spectrum.append(dict(entry))
+    elif defect == "key":
+        doc[draw(st.sampled_from(["normalized", "spec1d", "extra"]))] = draw(st.sampled_from([False, 1, "x"]))
+    return doc
+
+
+@given(_base_documents(),
+       st.sampled_from([["stability", "--cross-check"], ["rigidity"], ["spectrum", "--cutoff", "40"],
+                        ["spectrum", "--cutoff", "30", "--operator", "oneform"],
+                        ["spectrum", "--cutoff=-3/4", "--operator", "einstein"],
+                        ["spectrum", "--cutoff", '{"a": 20, "b": 1, "s": 2}', "--operator", "einstein"]]),
+       st.booleans())
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_every_input_document_exits_with_a_documented_code(tmp_path, capsys, doc, command, as_json):
+    # whatever the --input document holds, each command answers or refuses
+    # with exit 2, 3 or 4 and one JSON error on stderr; nothing raises
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    argv = ["--output", "json" if as_json else "table", command[0], "--input", str(path), *command[1:]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code, out, err = _capture(capsys, argv)
+    if code == 0:
+        assert err == "" and out, (doc, argv)
+        return
+    assert code in (2, 3, 4) and out == "", (doc, argv, code)
+    error = json.loads(err)
+    assert sorted(error) == ["error", "message"], (doc, argv, error)
+    assert error["error"] in SINECONE_ERRORS, (doc, argv, error)

@@ -1,11 +1,12 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sinecone import conemaps, stability
+from sinecone import conemaps, exactreal, stability
 from sinecone.catalog import (
     ProductMarker,
     product_geometric_spectrum,
@@ -35,13 +36,22 @@ from sinecone.errors import (
     NotRepresentable,
     UnboundedBelow,
 )
-from sinecone.exactreal import _make, _norm, compare, from_rational, make_quad, rational_ceiling
+from sinecone.exactreal import (
+    _make,
+    _norm,
+    compare,
+    from_rational,
+    make_quad,
+    rational_ceiling,
+    rational_floor,
+)
 from sinecone.radialoracle import RadialProblem
 from sinecone.rigidity import find_ieds
 from sinecone.spectra import (
     UNKNOWN_CUTOFF,
     GeometricSpectrum,
     Origin,
+    empty_spectrum,
     equal_up_to,
     grouped_spectrum,
     merge,
@@ -528,33 +538,51 @@ def test_window_round_trip(rng):
             assert any(compare(q(r), c) > 0 for r, c in zip(beyond, declared)), (gs, part, w)
 
 
-def test_window_step_of_a_cone_step_takes_each_source_degree_once(rng, monkeypatch):
-    # compute_cone asks for the windows of three parts fed by three sources:
-    # one harmonic degree per source, not one per (part, source) feed
-    from tests.conftest import synthetic_base
-
-    real_degree, real_window = conemaps.harmonic_degree, conemaps.supported_window
-    inside, degrees = [], []
+def _count_radicands(monkeypatch):
+    """Record each harmonic_degree call of conemaps as (n, x), and each
+    squarefree_decompose call as the n of the harmonic_degree call that
+    made it (None outside one)."""
+    real_degree, real_decompose = conemaps.harmonic_degree, conemaps.squarefree_decompose
+    degrees, decomposed, inside = [], [], []
 
     def counting_degree(n, x):
-        if inside:
-            degrees.append(x)
-        return real_degree(n, x)
-
-    def window_step(gs, parts):
-        inside.append(parts)
+        degrees.append((n, x))
+        inside.append(n)
         try:
-            return real_window(gs, parts)
+            return real_degree(n, x)
         finally:
             inside.pop()
 
+    def counting_decompose(m):
+        decomposed.append(inside[-1] if inside else None)
+        return real_decompose(m)
+
     monkeypatch.setattr(conemaps, "harmonic_degree", counting_degree)
+    monkeypatch.setattr(conemaps, "squarefree_decompose", counting_decompose)
+    monkeypatch.setattr(exactreal, "squarefree_decompose", counting_decompose)
+    return degrees, decomposed
+
+
+def test_window_step_of_a_cone_step_factors_no_radicand(rng, monkeypatch):
+    # compute_cone's window step decides every window top by an integer
+    # square root: no harmonic degree, no squarefree decomposition
+    from tests.conftest import synthetic_base
+
+    real_window = stability.supported_window
+    degrees, decomposed = _count_radicands(monkeypatch)
+    seen = []
+
+    def window_step(gs, parts):
+        degrees.clear()
+        decomposed.clear()
+        windows = real_window(gs, parts)
+        seen.append((list(degrees), list(decomposed)))
+        return windows
+
     monkeypatch.setattr(stability, "supported_window", window_step)
     for _ in range(20):
-        gs = synthetic_base(rng)
-        degrees.clear()
-        stability.compute_cone(gs)
-        assert 0 < len(degrees) <= len(conemaps.SOURCES), degrees
+        stability.compute_cone(synthetic_base(rng))
+    assert seen == [([], [])] * 20
 
 
 def test_window_keeps_a_source_at_two_inner_shifts_apart(rng, monkeypatch):
@@ -569,6 +597,172 @@ def test_window_keeps_a_source_at_two_inner_shifts_apart(rng, monkeypatch):
         low, high = supported_window(gs, ("low", "high"))
         assert [low, high] == supported_window(gs, ("low",)) + supported_window(gs, ("high",))
         assert low < high
+
+
+# The window algebra in integers against its QuadReal reference: a window
+# top is rational_floor(degree_eigenvalue(n+1, harmonic_degree(n, c))), a
+# requirement degree_eigenvalue(n, harmonic_degree(n+1, x)) - inner at the
+# shifted cutoff x, each built in QuadReal arithmetic.
+
+
+def _quad_windows(gs, parts):
+    tops = {}
+    for source, inner, out, _, _ in (f for part in parts for f in conemaps._feeds(part, gs.n)):
+        c = rational_floor(getattr(gs, source).cutoff) + inner
+        if c >= hardy_bound(gs.n):
+            tops[source, inner] = rational_floor(degree_eigenvalue(gs.n + 1, harmonic_degree(gs.n, c)))
+    return [min(tops[s, i] - out if (s, i) in tops else Fraction(-1)
+                for s, i, out, _, _ in conemaps._feeds(part, gs.n)) for part in parts]
+
+
+def _quad_requirement(n, cutoff, out, inner):
+    # required_source_cutoff in QuadReal arithmetic from end to end
+    x = cutoff + q(out)
+    if compare(x, q(Fraction(-(n * n - 1), 4))) < 0:
+        return None
+    x = x.as_fraction() if x.is_rational() else rational_ceiling(x)
+    return degree_eigenvalue(n, harmonic_degree(n + 1, x)) - inner
+
+
+def _quad_requirements(n, windows):
+    need = dict.fromkeys(conemaps.SOURCES, Fraction(-1))
+    for part, window in windows.items():
+        for source, inner, out, _, _ in conemaps._feeds(part, n):
+            bound = _quad_requirement(n, window, out, inner)
+            if bound is not None:
+                need[source] = max(need[source], rational_ceiling(bound))
+    return tuple(need.values())
+
+
+_ns = st.integers(min_value=2, max_value=14)
+_roots = st.fractions(min_value=0, max_value=60, max_denominator=12)
+
+
+@given(st.integers(min_value=-10 ** 6, max_value=10 ** 6), st.sampled_from([-1, 1]),
+       st.integers(min_value=0, max_value=10 ** 9), st.booleans(),
+       st.integers(min_value=1, max_value=10 ** 4), st.booleans())
+@example(p=7, sign=-1, r=9, square=False, d=2, up=True)  # (7 - 3)/2 = 2 exactly
+@example(p=0, sign=1, r=0, square=False, d=1, up=False)
+@settings(max_examples=300)
+def test_grid_bound_matches_the_quadreal_floor_and_ceiling(p, sign, r, square, d, up):
+    r = r * r if square else r
+    value = make_quad(Fraction(p, d), Fraction(sign, d), r)
+    bound = Fraction(*conemaps._grid_bound(p, sign, r, d, up))
+    assert bound == (rational_ceiling(value) if up else rational_floor(value))
+
+
+@given(_ns, _roots, st.booleans(), st.integers(min_value=0, max_value=2))
+@example(n=9, t=Fraction(0), square=True, inner=0)  # a cutoff at the Hardy bound
+@example(n=4, t=Fraction(5, 2), square=True, inner=0)  # a rational top
+@settings(max_examples=150)
+def test_window_top_matches_the_quadreal_top(n, t, square, inner):
+    # c = hardy(n) + t^2 gives a rational top, c = hardy(n) + t mostly not
+    c = hardy_bound(n) + (t * t if square else t)
+    cut = c - inner
+    gs = GeometricSpectrum(n, merge([(q(0), 1, ("g0", 0, 0))], q(max(cut, 0))),
+                           empty_spectrum(q(cut)), empty_spectrum(q(cut)))
+    parts = sorted(conemaps.FEEDS)
+    assert supported_window(gs, parts) == _quad_windows(gs, parts)
+
+
+def test_window_matches_the_quadreal_windows_on_declared_bases(rng):
+    # rational and irrational declared cutoffs, on every part of FEEDS
+    from tests.conftest import synthetic_base
+
+    parts = sorted(conemaps.FEEDS)
+    for k in range(200):
+        gs = synthetic_base(rng)
+        if k % 2:
+            tilt = make_quad(0, Fraction(rng.choice([-1, 1]), rng.randint(2, 10 ** 4)), rng.choice([2, 3, 7]))
+            gs = GeometricSpectrum(gs.n, gs.spec0, gs.spec1D,
+                                   merge([(line.value, line.multiplicity, ("gE", i, 0))
+                                          for i, line in enumerate(gs.specE_TT.lines)
+                                          if compare(line.value, gs.specE_TT.cutoff + tilt) <= 0],
+                                         gs.specE_TT.cutoff + tilt))
+        assert supported_window(gs, parts) == _quad_windows(gs, parts), gs
+
+
+@st.composite
+def _requirement_windows(draw):
+    """(n, windows): a window per drawn part, rational, irrational, one that
+    makes a feed's requirement rational (n^2 + 4x a square, x = window + out),
+    or one at the least rung -(n^2-1)/4 and just below it."""
+    n = draw(st.integers(min_value=3, max_value=14))
+    parts = draw(st.lists(st.sampled_from(sorted(conemaps.FEEDS)), min_size=1, unique=True))
+    windows = {}
+    for part in parts:
+        out = draw(st.sampled_from(conemaps._feeds(part, n)))[2]
+        kind = draw(st.sampled_from(["rational", "irrational", "square", "least", "below"]))
+        if kind == "rational":
+            windows[part] = q(draw(st.fractions(min_value=-n * n, max_value=40 * n, max_denominator=12)))
+        elif kind == "irrational":
+            a = draw(st.fractions(min_value=-n * n, max_value=40 * n, max_denominator=12))
+            b = draw(st.fractions(min_value=-3, max_value=3, max_denominator=12).filter(bool))
+            windows[part] = make_quad(a, b, draw(st.sampled_from([2, 3, 5, 30])))
+        elif kind == "square":
+            w = draw(st.fractions(min_value=1, max_value=40, max_denominator=12))
+            windows[part] = q((w * w - n * n) / 4 - out)
+        else:
+            below = Fraction(1, 10 ** 6) if kind == "below" else 0
+            windows[part] = q(Fraction(-(n * n - 1), 4) - out - below)
+    return n, windows
+
+
+@given(_requirement_windows())
+@example(case=(4, {"functions": q(10)}))  # an irrational requirement, 12 - sqrt(14)
+@settings(max_examples=100)
+def test_source_requirements_match_the_quadreal_ceilings(case):
+    n, windows = case
+    assert source_requirements(n, windows) == _quad_requirements(n, windows)
+
+
+@given(_requirement_windows(), st.integers(min_value=0, max_value=2),
+       st.fractions(min_value=-30, max_value=30, max_denominator=12))
+# n^2 + 4x = 9 at x = -7/4: the requirement is the rational -5/4 - inner
+@example(case=(4, {"functions": q(Fraction(-7, 4))}), inner=0, offset=Fraction(30))
+@settings(max_examples=100)
+def test_falls_short_matches_the_quadreal_comparison(case, inner, offset):
+    # haves: the requirement itself when it is rational, its rational floor
+    # and ceiling, and the requirement moved by a rational offset
+    n, windows = case
+    for part, window in windows.items():
+        for _, _, out, _, _ in conemaps._feeds(part, n):
+            need = _quad_requirement(n, window, out, inner)
+            assert required_source_cutoff(n, window, out, inner) == need
+            x = conemaps._shifted_cutoff(n, window, out)
+            assert (need is None) == (x is None)
+            if need is None:
+                continue
+            p, r, d = conemaps._requirement(n, x, inner)
+            assert make_quad(Fraction(p, d), Fraction(-1, d), r) == need
+            haves = [rational_floor(need), rational_ceiling(need), rational_floor(need) + offset]
+            if need.is_rational():
+                haves.append(need.as_fraction())
+            for have in haves:
+                assert conemaps._falls_short(p, r, d, q(have)) == (compare(q(have), need) < 0), (
+                    n, window, out, inner, have)
+
+
+@given(st.integers(min_value=2, max_value=14),
+       st.fractions(min_value=0, max_value=200, max_denominator=6),
+       st.sampled_from([-1, 1]), st.integers(min_value=0, max_value=8))
+@settings(max_examples=200)
+def test_an_irrational_source_cutoff_is_decided_against_the_quadreal_requirement(
+        n, window, side, digits):
+    # the scalar spectrum declared complete to its requirement moved by an
+    # irrational hair (in the requirement's field): refused exactly when the
+    # cutoff lies below it
+    cutoff = q(window)
+    need = _quad_requirement(n, cutoff, 0, 0)
+    have = need + make_quad(0, Fraction(side, 10 ** digits), need.s if need.q else 2)
+    gs = GeometricSpectrum(n, merge([(q(0), 1, ("g0", 0, 0))] if compare(have, q(0)) >= 0 else [], have),
+                           empty_spectrum(), empty_spectrum())
+    if compare(have, need) < 0:
+        with pytest.raises(InsufficientBaseCutoff, match=f"complete only up to {re.escape(str(have))} "
+                           f"but the requested output window needs completeness up to {re.escape(str(need))};"):
+            map_functions(gs, cutoff)
+    else:
+        assert map_functions(gs, cutoff).cutoff == cutoff
 
 
 # -- iteration ---------------------------------------------------------------
@@ -660,33 +854,30 @@ def test_merge_preserves_separate_counts_through_origins(rng):
             assert sum(o.mult for o in line.origins) == line.multiplicity
 
 
-def test_a_cone_step_asks_each_output_shift_its_requirement_once(rng, monkeypatch):
-    # the feeds of a part share one output shift: a full cone step runs six
-    # feeds but asks required_source_cutoff, and the harmonic degree of its
-    # shifted cutoff over the dim-(n+1) cone, once per part
+def test_a_cone_step_factors_no_requirement_radicand(rng, monkeypatch):
+    # a successful cone step decides each source's completeness by integers:
+    # it builds no required_source_cutoff, takes no harmonic degree over the
+    # dim-(n+1) cone, and factors a radicand only for its ladder degrees
     from tests.conftest import synthetic_base
 
-    real_need, real_degree = conemaps.required_source_cutoff, conemaps.harmonic_degree
-    needs, degrees = [], []
+    real_need = conemaps.required_source_cutoff
+    needs = []
 
-    def counting_need(n, cutoff, out, inner=0):
-        needs.append((n, cutoff, out, inner))
-        return real_need(n, cutoff, out, inner)
-
-    def counting_degree(n, x):
-        degrees.append(n)
-        return real_degree(n, x)
+    def counting_need(*args):
+        needs.append(args)
+        return real_need(*args)
 
     monkeypatch.setattr(conemaps, "required_source_cutoff", counting_need)
-    monkeypatch.setattr(conemaps, "harmonic_degree", counting_degree)
+    degrees, decomposed = _count_radicands(monkeypatch)
     for _ in range(20):
         gs = synthetic_base(rng)
         windows = [q(w) for w in supported_window(gs, ITERATE_PARTS)]
-        needs.clear()
         degrees.clear()
+        decomposed.clear()
         conemaps.cone_step(gs, windows)
-        assert len(needs) == len(set(needs)) == len(ITERATE_PARTS), needs
-        assert degrees.count(gs.n + 1) == len(ITERATE_PARTS), degrees
+        assert needs == [], needs
+        assert degrees and {n for n, _ in degrees} == {gs.n}, degrees
+        assert set(decomposed) <= {gs.n}, decomposed
 
 
 @pytest.mark.parametrize("part", sorted(conemaps.FEEDS))

@@ -189,6 +189,36 @@ def test_rayleigh_demo_boundary_case_stays_bounded():
     assert all(v > 0 for v in q)  # no blow-down at the boundary
 
 
+@pytest.mark.parametrize("n, bound", [(3, Fraction(-3, 2)), (8, Fraction(-88, 7)),
+                                      (9, Fraction(-261, 16)), (12, Fraction(-336, 11))])
+def test_rayleigh_blowdown_bound_values(n, bound):
+    # -(n+1)(n-2)^2/(4(n-1)) - 1, a closed form of -S/C
+    assert radialoracle.rayleigh_blowdown_bound(n) == bound
+    assert bound == Fraction(-(n + 1) * (n - 2) ** 2, 4 * (n - 1)) - 1
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_rayleigh_blowdown_bound_matches_the_quadrature(n):
+    # S = I[(p+u)^2 (1-u)^(2p)] and C = I[(1-u)^(2p+2)] by the demonstrator's
+    # Simpson rule, with p = (n-2)/2 written out here
+    import numpy as np
+
+    p = (n - 2) / 2
+    u = np.linspace(0.0, 1.0, 10 ** 4 + 1)
+    s = radialoracle._simpson((p + u) ** 2 * (1 - u) ** (2 * p), u)
+    c = radialoracle._simpson((1 - u) ** (2 * p + 2), u)
+    assert float(radialoracle.rayleigh_blowdown_bound(n)) == pytest.approx(-s / c, rel=1e-10)
+    assert radialoracle.rayleigh_blowdown_bound(n) < Fraction(-((n - 1) ** 2), 4)
+
+
+@pytest.mark.parametrize("n", [3, 9])
+def test_rayleigh_demo_does_not_blow_down_above_the_bound(n):
+    # halfway between -S/C and the Hardy bound eps^2 q stays positive
+    kappa = (radialoracle.rayleigh_blowdown_bound(n) + Fraction(-((n - 1) ** 2), 4)) / 2
+    eps = [0.1, 0.01, 0.001]
+    assert all(e * e * v > 0 for e, v in zip(eps, rayleigh_unbounded_demo(n, float(kappa), eps)))
+
+
 def test_rayleigh_demo_nonnegative_coupling():
     q = rayleigh_unbounded_demo(6, 0.0, [0.4, 0.2, 0.1])
     assert all(v >= 0 for v in q)
