@@ -62,7 +62,7 @@ def _add_source_args(p: argparse.ArgumentParser) -> None:
 
 def _resolve_source(args, spec0_need: Fraction) -> GeometricSpectrum:
     from . import catalog
-    if args.input:
+    if args.input is not None:
         return catalog.load_geometric_spectrum(
             args.input, hypothesis_override=args.allow_low_spectrum
         )
@@ -101,40 +101,28 @@ def _cmd_spectrum(args) -> int:
         need = conemaps.source_requirements(args.sphere, dict.fromkeys(parts, cutoff))[0]
     base = _resolve_source(args, need)
 
+    payload = {"n": base.n, "operator": args.operator}
+    # (payload key, spectrum, table title, whether the table is printed)
     if args.operator == "laplace":
         out = conemaps.map_functions(base, cutoff)
-        payload = {"n": base.n, "operator": "laplace", "spectrum": out.to_json()}
-        tables = [_spectrum_table(out, f"cone scalar spectrum (base n={base.n})")]
+        shown = [("spectrum", out, f"cone scalar spectrum (base n={base.n})", True)]
     elif args.operator == "oneform":
         out = conemaps.map_one_forms(base, cutoff)
-        payload = {
-            "n": base.n,
-            "operator": "oneform",
-            "exact_part": out.exact_part.to_json(),
-            "coclosed_part": out.coclosed_part.to_json(),
-        }
-        tables = [
-            _spectrum_table(out.exact_part, f"cone 1-form spectrum, exact part (base n={base.n})"),
-            _spectrum_table(out.coclosed_part, "cone 1-form spectrum, coclosed part"),
+        shown = [
+            ("exact_part", out.exact_part, f"cone 1-form spectrum, exact part (base n={base.n})", True),
+            ("coclosed_part", out.coclosed_part, "cone 1-form spectrum, coclosed part", True),
         ]
     else:
         out = conemaps.map_einstein(base, cutoff, blocks=blocks)
-        payload = {
-            "n": base.n,
-            "operator": "einstein",
-            "conformal_block": out.conformal_block.to_json(),
-            "vector_block": out.vector_block.to_json(),
-            "tt_block": out.tt_block.to_json(),
-            "scalar_boundary_case": out.scalar_boundary_case,
-            "oneform_boundary_case": out.oneform_boundary_case,
-        }
-        tables = []
-        if "conformal" in blocks:
-            tables.append(_spectrum_table(out.conformal_block, "Einstein operator, conformal block"))
-        if "vector" in blocks:
-            tables.append(_spectrum_table(out.vector_block, "Einstein operator, vector block"))
-        if "tt" in blocks:
-            tables.append(_spectrum_table(out.tt_block, "Einstein operator, TT block"))
+        payload["scalar_boundary_case"] = out.scalar_boundary_case
+        payload["oneform_boundary_case"] = out.oneform_boundary_case
+        shown = [
+            (f"{block}_block", getattr(out, f"{block}_block"),
+             f"Einstein operator, {'TT' if block == 'tt' else block} block", block in blocks)
+            for block in conemaps.ALL_BLOCKS
+        ]
+    payload.update((key, spec.to_json()) for key, spec, _, _ in shown)
+    tables = [_spectrum_table(spec, title) for _, spec, title, printed in shown if printed]
     _emit(args, payload, tables)
     return 0
 
@@ -146,6 +134,12 @@ def _verdict_row(name: str, v) -> str:
     strict = "strict" if v.strict else "non-strict"
     witness = "-" if v.witness_value is None else str(v.witness_value)
     return f"  {name:<12} {flag:<4} ({strict:<10})  witness {witness}"
+
+
+def _report_table(title: str, report) -> str:
+    return "\n".join(
+        [title] + [_verdict_row(k, getattr(report, k)) for k in ("eh", "linear", "tangential", "physical")]
+    )
 
 
 def _cmd_stability(args) -> int:
@@ -160,15 +154,9 @@ def _cmd_stability(args) -> int:
     }
     bounded = {True: "yes", False: "no", None: "undecided"}[report.bounded_below]
     tables = [
-        "\n".join(
-            [f"base classification (n={report.n})"]
-            + [_verdict_row(k, getattr(report, k)) for k in ("eh", "linear", "tangential", "physical")]
-            + [f"  bounded-below cone: {bounded}"]
-        ),
-        "\n".join(
-            [f"cone prediction (n={predicted.n})"]
-            + [_verdict_row(k, getattr(predicted, k)) for k in ("eh", "linear", "tangential", "physical")]
-        ),
+        _report_table(f"base classification (n={report.n})", report)
+        + f"\n  bounded-below cone: {bounded}",
+        _report_table(f"cone prediction (n={predicted.n})", predicted),
     ]
     if args.cross_check:
         result = stability.cross_check(base)
@@ -222,7 +210,7 @@ def _cmd_scan_products(args) -> int:
 def _parse_flag(flag: str, parse, text: str, expected: str):
     try:
         return parse(text)
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ArithmeticError):
         raise ParseError(f"{flag} needs {expected}, got {text!r}") from None
 
 
@@ -251,6 +239,7 @@ def _cmd_verify_radial(args) -> int:
     coupling = _parse_flag(
         "--coupling", lambda t: _json_rational(t, "--coupling"), args.coupling, "a rational p/q"
     )
+    kappa = _parse_flag("--coupling", lambda t: float(Fraction(t)), args.coupling, "a p/q in float range")
     demo = args.block == "tt" and coupling < conemaps.hardy_bound(args.n)
     for name in _RADIAL_FLAGS[not demo]:
         if getattr(args, name) is not None:
@@ -277,7 +266,10 @@ def _cmd_verify_radial(args) -> int:
                 f"demonstrator's profile u^-p (1-u)^(p+1) blows down only below {bound}, so its "
                 "quotients cannot show the form unbounded below"
             )
-        quotients = radialoracle.rayleigh_unbounded_demo(args.n, float(coupling), epsilons)
+        quotients = radialoracle.rayleigh_unbounded_demo(args.n, kappa, epsilons)
+        scaled = [e * e * q for e, q in zip(epsilons, quotients)]  # not finite where q is not
+        if not all(map(math.isfinite, scaled)):
+            raise ParseError(f"--epsilons needs support sizes with finite quotients, got {args.epsilons!r}")
         if args.csv:
             radialoracle.quotients_to_csv(args.csv, epsilons, quotients)
         payload = {
@@ -286,7 +278,7 @@ def _cmd_verify_radial(args) -> int:
             "regime": "below the boundedness threshold",
             "epsilons": epsilons,
             "quotients": quotients,
-            "eps2_quotients": [e * e * q for e, q in zip(epsilons, quotients)],
+            "eps2_quotients": scaled,
         }
         _emit(args, payload, [json.dumps(payload, indent=2, sort_keys=True)])
         return 0
@@ -329,11 +321,9 @@ def _cmd_iterate(args) -> int:
     base = _resolve_source(args, need)
     out = conemaps.iterate(base, args.count, cutoff, parts=parts)
     payload = geometric_spectrum_to_json(out)
-    tables = [
-        _spectrum_table(out.spec0, f"iterated scalar spectrum (n={out.n})"),
-        _spectrum_table(out.spec1D, "iterated coclosed 1-form spectrum"),
-        _spectrum_table(out.specE_TT, "iterated TT spectrum"),
-    ]
+    titles = [f"iterated {name}" for name in conemaps.SOURCES.values()]
+    titles[0] += f" (n={out.n})"
+    tables = [_spectrum_table(getattr(out, key), title) for key, title in zip(conemaps.SOURCES, titles)]
     _emit(args, payload, tables)
     return 0
 
@@ -411,6 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if [] in vars(args).values():  # argparse before Python 3.13 reads --flag=-- as no value
+            raise ParseError("sinecone: '--' attached to a flag, as in --count=--, is not a value")
         return args.func(args)
     except (SineconeError, ValueError) as exc:
         # a package error reports its own name and exit code, any other ValueError as such

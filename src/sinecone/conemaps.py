@@ -58,6 +58,7 @@ from .exactreal import (
     _ratio,
     compare,
     from_rational,
+    make_quad,
     rational_ceiling,
     squarefree_decompose,
 )
@@ -225,12 +226,13 @@ def required_source_cutoff(
     can land below the cutoff at all (nothing is required).  Irrational
     cutoffs are replaced by a rational upper bound, which can only demand
     slightly more completeness than strictly necessary.  With x that bound
-    it is x + n/2 - inner_shift - sqrt(n^2/4 + x).
+    it is :func:`_requirement`'s x + n/2 - inner_shift - sqrt(n^2/4 + x).
     """
     x = _shifted_cutoff(n, cutoff, out_shift)
     if x is None:
         return None
-    return degree_eigenvalue(n, harmonic_degree(n + 1, Fraction(*x))) - inner_shift
+    p, r, d = _requirement(n, x, inner_shift)
+    return make_quad(Fraction(p, d), Fraction(-1, d), r)
 
 
 def source_requirements(
@@ -254,25 +256,23 @@ def supported_window(gs: GeometricSpectrum, parts: Sequence[str]) -> list[Fracti
     """Largest cone windows (rational lower bounds) that the declared
     completeness of ``gs`` fills for each of ``parts``: the inverse of
     :func:`source_requirements`, -1 when a source lies below the Hardy
-    bound.  Each (source, inner shift) at a floored cutoff c gets its top
-    once, rational_floor(degree_eigenvalue(n+1, harmonic_degree(n, c))),
-    which is c - (n-1)/2 + sqrt((n-1)^2/4 + c); every output shift is an
-    integer, so floor(top - out) = floor(top) - out."""
+    bound.  A feed at a floored source cutoff c gets the top
+    rational_floor(degree_eigenvalue(n+1, harmonic_degree(n, c))), which is
+    c - (n-1)/2 + sqrt((n-1)^2/4 + c); every output shift is an integer, so
+    floor(top - out) = floor(top) - out."""
     n = gs.n
-    tops = dict.fromkeys(feed[:2] for part in parts for feed in FEEDS[part])
-    for source, inner in tops:
-        cut = getattr(gs, source).cutoff  # c = cn/cd = rational_floor(cut) + inner
-        cn, cd = (cut.p, cut.d) if cut.q == 0 else (_floor_scaled(cut, 6), 10 ** 6)
-        cn += inner * cd
-        r = 4 * cn + (n - 1) ** 2 * cd  # 4 cd (c - hardy_bound(n))
-        if r >= 0:
-            tops[source, inner] = _grid_bound(2 * cn - (n - 1) * cd, 1, r * cd, 2 * cd)
     windows = []
     for part in parts:
         low = None
         for source, inner, out, _, _ in _feeds(part, n):
-            top = tops[source, inner]
-            num, den = (-1, 1) if top is None else (top[0] - out * top[1], top[1])
+            cut = getattr(gs, source).cutoff  # c = cn/cd = rational_floor(cut) + inner
+            cn, cd = (cut.p, cut.d) if cut.q == 0 else (_floor_scaled(cut, 6), 10 ** 6)
+            cn += inner * cd
+            r = 4 * cn + (n - 1) ** 2 * cd  # 4 cd (c - hardy_bound(n))
+            num, den = -1, 1
+            if r >= 0:
+                num, den = _grid_bound(2 * cn - (n - 1) * cd, 1, r * cd, 2 * cd)
+                num -= out * den
             if low is None or num * low[1] < low[0] * den:
                 low = num, den
         windows.append(Fraction(*low))
@@ -346,17 +346,13 @@ def _ladders(base: GeometricSpectrum, part: str, cutoff: QuadReal) -> list:
     ``cutoff``, then enumerate the ladders of their lines, tagged
     (block, line index, rung) with the feed's block, on the rungs the feed
     names for each line, grouped on their keys: one (value, origins) pair
-    per key.  Each output shift's cutoff is shifted once, and a rational
-    source cutoff is checked by :func:`_falls_short` in integers; the
-    QuadReal of :func:`required_source_cutoff` is built only against an
-    irrational source cutoff and to word a refusal."""
+    per key.  A rational source cutoff is checked by :func:`_falls_short`
+    in integers; the QuadReal of :func:`required_source_cutoff` is built
+    only against an irrational source cutoff and to word a refusal."""
     n = base.n
     entries = _feeds(part, n)
-    shifted = {}
     for source, inner, out, _, _ in entries:
-        if out not in shifted:
-            shifted[out] = _shifted_cutoff(n, cutoff, out)
-        x, have = shifted[out], getattr(base, source).cutoff
+        x, have = _shifted_cutoff(n, cutoff, out), getattr(base, source).cutoff
         if x is None:
             continue
         if (_falls_short(*_requirement(n, x, inner), have) if have.q == 0

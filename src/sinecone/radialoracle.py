@@ -56,8 +56,12 @@ class RadialProblem(Record):
         least = 3 if block == "tt" else 2
         if n < least:
             raise InvariantViolation(f"the {block} block needs base dimension n >= {least}, got {n}")
+        if n > 10 ** 150:  # the pencil's coefficients, of order n^2, stay within the float range
+            raise InvariantViolation(f"the radial pencil needs base dimension n <= 10**150, got {n}")
         if grid_points < 100:
             raise InvariantViolation("need at least 100 grid points")
+        if grid_points > 10 ** 6:  # each point costs about 270 bytes
+            raise InvariantViolation(f"need at most 10**6 grid points, got {grid_points}")
         if not 0 < boundary_offset < math.pi / (4 * grid_points):
             raise InvariantViolation("boundary offset must lie in (0, pi/(4N))")
         hardy = hardy_bound(n)
@@ -236,7 +240,8 @@ def rayleigh_quotient(n: int, kappa: float, eps: float) -> float:
     i_stiff = _simpson((p + u) ** 2 * one_minus ** (2 * p) * r ** n, u)
     i_coupling = _simpson(one_minus ** (2 * p + 2) * r ** (n - 2), u)
     i_mass = _simpson(u ** 2 * one_minus ** (2 * p + 2) * r ** n, u)
-    return (i_stiff + kappa * i_coupling) / (eps * eps * i_mass)
+    with np.errstate(all="ignore"):  # an eps^2 that underflows to 0 gives inf or nan, not an error
+        return float((i_stiff + kappa * i_coupling) / np.float64(eps * eps * i_mass))
 
 
 def rayleigh_unbounded_demo(n: int, kappa: float, epsilons: Sequence[float]) -> list[float]:

@@ -112,8 +112,6 @@ def product_rigidity_scan(n_min: int, n_max: int) -> list[ProductScanRow]:
     under the Hardy bound and the cone operator is unbounded below, so those
     rows carry no zero-mode classification.
     """
-    if not 4 <= n_min <= n_max:
-        raise ValueError("scan range must satisfy 4 <= n_min <= n_max")
     rows = []
     for n in range(n_min, n_max + 1):
         marker = ProductMarker(2, n - 2)
@@ -121,7 +119,6 @@ def product_rigidity_scan(n_min: int, n_max: int) -> list[ProductScanRow]:
         try:
             certs = tuple(find_ieds(product_geometric_spectrum(marker)))
         except UnboundedBelow:
-            rows.append(ProductScanRow(n, kappa, True, ()))
-            continue
-        rows.append(ProductScanRow(n, kappa, False, certs))
+            certs = None
+        rows.append(ProductScanRow(n, kappa, certs is None, certs or ()))
     return rows

@@ -140,14 +140,6 @@ _set_value, _set_mult, _set_origins = (SpectralLine.__dict__[k].__set__ for k in
 _mult = itemgetter(3)  # Origin.mult
 
 
-def _spectrum(lines: tuple[SpectralLine, ...], cutoff: QuadReal) -> Spectrum:
-    """A Spectrum whose invariants :func:`grouped_spectrum` has already checked."""
-    s = object.__new__(Spectrum)
-    _set(s, "lines", lines)
-    _set(s, "cutoff", cutoff)
-    return s
-
-
 def empty_spectrum(cutoff: QuadReal = UNKNOWN_CUTOFF) -> Spectrum:
     return Spectrum((), cutoff)
 
@@ -199,7 +191,10 @@ def grouped_spectrum(groups: Iterable[tuple[QuadReal, list[Origin]]], cutoff: Qu
         lines.append(line)
     if lines and compare(lines[-1].value, cutoff) > 0:
         raise InvariantViolation("spectrum line exceeds its cutoff")
-    return _spectrum(tuple(lines), cutoff)
+    spectrum = object.__new__(Spectrum)  # both invariants checked above: no __init__ re-check
+    _set(spectrum, "lines", tuple(lines))
+    _set(spectrum, "cutoff", cutoff)
+    return spectrum
 
 
 def positive_min(s: Spectrum) -> Optional[QuadReal]:
@@ -240,6 +235,14 @@ class GeometricSpectrum(Record):
         validate_geometric_spectrum(self)
 
 
+def _hypothesis_bound(gs: GeometricSpectrum, msg: str) -> None:
+    """Refuse a line below a bound that closed Einstein spaces obey, or
+    under ``hypothesis_override`` warn and go on."""
+    if not gs.hypothesis_override:
+        raise InvariantViolation(msg)
+    warnings.warn(msg + "; proceeding outside the usual hypotheses")
+
+
 def validate_geometric_spectrum(gs: GeometricSpectrum) -> None:
     n = gs.n
     if n < 2:
@@ -258,41 +261,18 @@ def validate_geometric_spectrum(gs: GeometricSpectrum) -> None:
         if exactreal.sign(v) < 0:
             raise InvariantViolation(f"negative scalar eigenvalue {v}")
         if exactreal.sign(v) > 0 and compare(v, from_rational(n)) < 0:
-            msg = (
+            _hypothesis_bound(gs, (
                 f"positive scalar eigenvalue {v} below the dimension bound n={n} "
                 "(closed Einstein spaces with this normalization have no "
                 "spectrum in (0, n))"
-            )
-            if gs.hypothesis_override:
-                warnings.warn(msg + "; proceeding outside the usual hypotheses")
-            else:
-                raise InvariantViolation(msg)
+            ))
     bound_1f = from_rational(n - 1)
     for line in gs.spec1D.lines:
         if compare(line.value, bound_1f) < 0:
-            msg = (
+            _hypothesis_bound(gs, (
                 f"coclosed 1-form eigenvalue {line.value} below n-1={n - 1} "
                 "(the Killing bound for this normalization)"
-            )
-            if gs.hypothesis_override:
-                warnings.warn(msg + "; proceeding outside the usual hypotheses")
-            else:
-                raise InvariantViolation(msg)
-
-
-def geometric_spectrum_to_json(gs: GeometricSpectrum) -> dict:
-    return {
-        "n": gs.n,
-        "normalized": True,
-        "spec0": gs.spec0.to_json(),
-        "spec1D": gs.spec1D.to_json(),
-        "specE_TT": gs.specE_TT.to_json(),
-        "cutoff": {
-            "spec0": gs.spec0.cutoff.to_json(),
-            "spec1D": gs.spec1D.cutoff.to_json(),
-            "specE_TT": gs.specE_TT.cutoff.to_json(),
-        },
-    }
+            ))
 
 
 #: The keys of the base JSON schema, of its per-spectrum cutoff object and of
@@ -300,6 +280,15 @@ def geometric_spectrum_to_json(gs: GeometricSpectrum) -> dict:
 SOURCE_KEYS = ("spec0", "spec1D", "specE_TT")
 BASE_KEYS = ("n", "normalized", *SOURCE_KEYS, "cutoff")
 ENTRY_KEYS = ("value", "mult")
+
+
+def geometric_spectrum_to_json(gs: GeometricSpectrum) -> dict:
+    return {
+        "n": gs.n,
+        "normalized": True,
+        **{key: getattr(gs, key).to_json() for key in SOURCE_KEYS},
+        "cutoff": {key: getattr(gs, key).cutoff.to_json() for key in SOURCE_KEYS},
+    }
 
 
 def _spectrum_from_json(obj: dict, key: str, cutoff: QuadReal) -> Spectrum:
@@ -349,8 +338,6 @@ def geometric_spectrum_from_json(obj: dict, *, hypothesis_override: bool = False
         cuts = dict.fromkeys(SOURCE_KEYS, shared)
     return GeometricSpectrum(
         n=n,
-        spec0=_spectrum_from_json(obj, "spec0", cuts["spec0"]),
-        spec1D=_spectrum_from_json(obj, "spec1D", cuts["spec1D"]),
-        specE_TT=_spectrum_from_json(obj, "specE_TT", cuts["specE_TT"]),
+        **{key: _spectrum_from_json(obj, key, cuts[key]) for key in SOURCE_KEYS},
         hypothesis_override=hypothesis_override,
     )

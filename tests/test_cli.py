@@ -426,6 +426,34 @@ def test_verify_radial_refuses_a_coupling_its_profile_cannot_blow_down(tmp_path,
     assert not csv.exists()
 
 
+_BIG = "1" + "0" * 400  # a numeral beyond the float range
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        # the line check and the demonstrator compute in floats
+        (["verify-radial", "--n", "3", "--coupling", _BIG], "--coupling"),
+        (["verify-radial", "--n", "3", "--block", "tt", f"--coupling=-{_BIG}"], "--coupling"),
+        # eps^2 underflows to 0; a quotient overflows to -inf
+        (["verify-radial", "--n", "3", "--block", "tt", "--coupling=-10", "--epsilons", "1e-300"],
+         "--epsilons"),
+        (["--output", "json", "verify-radial", "--n", "3", "--block", "tt", "--coupling=-10",
+          "--epsilons", "0.4,1e-160"], "--epsilons"),
+    ],
+)
+def test_verify_radial_refuses_what_floats_cannot_hold(tmp_path, capsys, argv, flag):
+    # exit 4 with a ParseError naming the flag, also with --csv, which writes nothing
+    csv = tmp_path / "x.csv"
+    for extra in ([], ["--csv", str(csv)]):
+        code, out, err = _capture(capsys, argv + extra)
+        assert (code, out) == (4, ""), err
+        error = json.loads(err)
+        assert error["error"] == "ParseError"
+        assert error["message"].startswith(flag + " needs")
+    assert not csv.exists()
+
+
 def test_verify_radial_runs_the_demonstrator_just_below_the_bound(capsys):
     code, out, err = _capture(capsys, ["verify-radial", "--n", "3", "--block", "tt",
                                        "--coupling=-151/100", "--epsilons", "0.1,0.01"])
@@ -487,6 +515,32 @@ def test_flag_errors_are_parse_errors_naming_the_flag(capsys, argv, name):
     error = json.loads(err)
     assert error["error"] == "ParseError"
     assert name in error["message"]
+
+
+@pytest.mark.parametrize(
+    "argv, messages",
+    [
+        # argparse before Python 3.13 reads '--' attached to a flag as no value
+        # at all; from 3.13 on it is the value '--', which parses as no integer
+        (["iterate", "--sphere", "3", "--count=--", "--cutoff", "10"],
+         ("sinecone: '--' attached", "sinecone iterate: argument --count/-k: invalid int value: '--'")),
+        (["iterate", "--sphere", "3", "-k--", "--cutoff", "10"],
+         ("sinecone: '--' attached", "sinecone iterate: argument --count/-k: invalid int value: '--'")),
+        (["scan-products", "--from=--", "--to", "5"],
+         ("sinecone: '--' attached", "sinecone scan-products: argument --from: invalid int value: '--'")),
+        (["spectrum", "--sphere=--", "--cutoff", "4"],
+         ("sinecone: '--' attached", "sinecone spectrum: argument --sphere: invalid int value: '--'")),
+        (["stability", "--input=--"], ("sinecone: '--' attached", "cannot read --: ")),
+        # an empty path is a path that cannot be read, not a missing source
+        (["stability", "--input", ""], ("cannot read : ",)),
+    ],
+)
+def test_a_dashed_or_empty_value_is_a_parse_error(capsys, argv, messages):
+    code, out, err = _capture(capsys, argv)
+    assert (code, out) == (4, "")
+    error = json.loads(err)
+    assert error["error"] == "ParseError"
+    assert error["message"].startswith(messages), error["message"]
 
 
 def test_negative_cutoff_is_passed_with_an_equals_sign(capsys):
@@ -877,3 +931,139 @@ def test_every_input_document_exits_with_a_documented_code(tmp_path, capsys, doc
     error = json.loads(err)
     assert sorted(error) == ["error", "message"], (doc, argv, error)
     assert error["error"] in SINECONE_ERRORS, (doc, argv, error)
+
+
+#: numerals beyond the float range or below its resolution, and text that is
+#: no numeral; a flag whose value sets the amount of work (a window, a count,
+#: a degree) takes all but the first, a huge positive numeral
+_ODD_NUMERALS = [_BIG, "-" + _BIG, "1/" + _BIG, "-1/" + _BIG, "1e400", "1e-400", "1e-320", "-0", "1/0",
+                 "nan", "inf", "2.5", "x", "", "0x10"]
+_WORK_FLAGS = {"--cutoff", "--to", "--count", "--k", "--jmax"}
+_GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _fraction_text(draw, lo, hi):
+    return str(Fraction(draw(st.integers(min_value=lo * 6, max_value=hi * 6)), draw(st.integers(1, 6))))
+
+
+def _subset(draw, names):
+    return ",".join(draw(st.lists(st.sampled_from(names), min_size=1, max_size=len(names), unique=True)))
+
+
+def _source_items(draw):
+    kind = draw(st.sampled_from(["--sphere", "--product", "--input"]))
+    if kind == "--sphere":
+        item = [kind, str(draw(st.integers(2, 9)))]
+    elif kind == "--product":
+        item = [kind, f"{draw(st.integers(2, 6))},{draw(st.integers(2, 6))}"]
+    else:
+        name = draw(st.sampled_from(sorted(p.name for p in _GOLDEN.glob("base*.json")) + ["missing.json"]))
+        item = [kind, str(_GOLDEN / name)]
+    return [item] + ([["--allow-low-spectrum"]] if draw(st.booleans()) else [])
+
+
+def _cutoff_item(draw):
+    if draw(st.booleans()):
+        text = _fraction_text(draw, -50, 200)
+    else:
+        text = json.dumps({"a": _fraction_text(draw, -50, 150), "b": _fraction_text(draw, -3, 3),
+                           "s": draw(st.sampled_from([2, 3, 5]))})
+    return [f"--cutoff={text}"] if text.startswith("-") else ["--cutoff", text]
+
+
+def _valid_items(draw, command):
+    """The flags of one admissible call, as items of one or two tokens."""
+    def maybe(item):
+        return [item] if draw(st.booleans()) else []
+
+    if command in ("spectrum", "stability", "rigidity", "iterate"):
+        items = _source_items(draw)
+        if command == "spectrum":
+            operator = draw(st.sampled_from(["laplace", "oneform", "einstein"]))
+            items += [_cutoff_item(draw), ["--operator", operator]]
+            if operator == "einstein":
+                items += maybe(["--blocks", _subset(draw, ["conformal", "vector", "tt"])])
+        elif command == "stability":
+            items += maybe(["--cross-check"])
+        elif command == "iterate":
+            items += [["--count", str(draw(st.integers(0, 2)))], _cutoff_item(draw)]
+            items += maybe(["--parts", _subset(draw, ["functions", "coclosed", "tt"])])
+        return items
+    if command == "scan-products":
+        return [["--from", str(draw(st.integers(-2, 30)))], ["--to", str(draw(st.integers(-2, 30)))]]
+    if command == "verify-symbolic":
+        return [["--n", str(draw(st.integers(2, 8)))], ["--k", str(draw(st.integers(0, 3)))],
+                *maybe(["--jmax", str(draw(st.integers(0, 4)))])]
+    coupling = _fraction_text(draw, -100, 100)
+    items = [["--n", str(draw(st.integers(2, 12)))], ["--block", draw(st.sampled_from(["function", "tt"]))],
+             [f"--coupling={coupling}"] if coupling.startswith("-") else ["--coupling", coupling]]
+    if draw(st.booleans()):  # flags of the line check
+        items += maybe(["--modes", str(draw(st.integers(1, 4)))]) + maybe(["--tol", "1e-2"])
+        items += maybe(["--grid", str(draw(st.integers(100, 4000)))]) + maybe(["--eps", "1e-7"])
+    else:  # flags of the Rayleigh demonstrator
+        items += maybe(["--epsilons", "0.4,0.1"]) + maybe(["--csv", "CSV"])
+    return items
+
+
+@st.composite
+def _argument_lists(draw):
+    """(argv, json output): an admissible call to one of the seven commands,
+    then up to two defects: an unknown flag, a value of the wrong type, a
+    negative fraction with and without '=', an odd numeral, a dropped or a
+    repeated flag."""
+    command = draw(st.sampled_from(sorted(RUNS.keys() - {None})))
+    items = _valid_items(draw, command)
+    for _ in range(draw(st.integers(0, 2))):
+        defect = draw(st.sampled_from(["unknown", "type", "negative", "numeral", "drop", "repeat"]))
+        k = draw(st.integers(0, len(items)))
+        valued = [i for i, item in enumerate(items) if len(item) == 2 or "=" in item[0]]
+        if defect == "unknown":
+            items.insert(k, draw(st.sampled_from([["--bogus"], ["--bogus", "1"], ["-q"], ["--cutof", "3"]])))
+        elif defect == "drop" and items:
+            items.pop(k % len(items))
+        elif defect == "repeat" and items:
+            items.insert(k, items[k % len(items)])
+        elif valued and defect in ("type", "negative", "numeral"):
+            i = valued[k % len(valued)]
+            flag = items[i][0].split("=")[0]
+            if defect == "type":
+                value = draw(st.sampled_from(["three", "[1]", "1,2,3", "{}", "--", "1 2"]))
+            elif defect == "negative":
+                value = draw(st.sampled_from(["-6/5", "-1/3", "-40", "-0/7"]))
+            else:
+                value = draw(st.sampled_from(_ODD_NUMERALS[flag in _WORK_FLAGS:]))
+            items[i] = [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    as_json = draw(st.booleans())
+    output = ["--output", "json" if as_json else "table"]
+    tokens = [token for item in items for token in item]
+    if draw(st.booleans()):
+        return output + [command] + tokens, as_json
+    return [command] + tokens + output, as_json
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@given(_argument_lists())
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_every_argument_list_exits_with_a_documented_code(tmp_path, monkeypatch, capsys, case):
+    # whatever the flags, each command answers or refuses with exit 2, 3 or
+    # 4 and exactly one JSON error on stderr; JSON output holds no NaN or
+    # Infinity; nothing raises.  A --csv value is a path, so run in tmp_path
+    monkeypatch.chdir(tmp_path)
+    argv, as_json = case
+    argv = [str(tmp_path / "q.csv") if token == "CSV" else token for token in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code, out, err = _capture(capsys, argv)
+    if code == 0:
+        assert err == "" and out, argv
+        if as_json:
+            json.loads(out, parse_constant=_no_constant)
+        return
+    assert code in (2, 3, 4) and out == "", (argv, code, err)
+    assert err.endswith("\n") and err.count("\n") == 1, (argv, err)
+    error = json.loads(err)
+    assert sorted(error) == ["error", "message"], (argv, error)
+    assert error["error"] in SINECONE_ERRORS, (argv, error)

@@ -634,6 +634,25 @@ def _quad_requirements(n, windows):
     return tuple(need.values())
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 9, 12])
+def test_required_source_cutoff_is_the_quadreal_requirement_on_every_feed(n):
+    # every FEEDS entry, at cutoffs from below the least rung (None) through
+    # the least rung itself, a rational requirement (n^2 + 4x a square) and
+    # irrational cutoffs on either side of the least rung
+    for part in sorted(conemaps.FEEDS):
+        for _, inner, out, _, _ in conemaps._feeds(part, n):
+            least = Fraction(-(n * n - 1), 4) - out
+            below = q(least - Fraction(1, 10 ** 6))
+            cutoffs = [below, q(least - 7), q(least), q(0), q(Fraction(37, 3)), q(20 * n),
+                       q(Fraction(5 * 5 - n * n, 4) - out), make_quad(Fraction(7, 2), Fraction(-1, 3), 2),
+                       make_quad(least, Fraction(1, 10 ** 4), 3), make_quad(least, Fraction(-1, 10 ** 4), 3)]
+            assert _quad_requirement(n, below, out, inner) is None
+            assert _quad_requirement(n, q(least), out, inner) is not None
+            for cutoff in cutoffs:
+                assert required_source_cutoff(n, cutoff, out, inner) == _quad_requirement(
+                    n, cutoff, out, inner), (n, part, out, inner, cutoff)
+
+
 _ns = st.integers(min_value=2, max_value=14)
 _roots = st.fractions(min_value=0, max_value=60, max_denominator=12)
 

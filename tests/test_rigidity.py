@@ -8,10 +8,11 @@ import sinecone.rigidity as rigidity
 from sinecone.catalog import ProductMarker, product_geometric_spectrum
 from sinecone.cli import run
 from sinecone.conemaps import degree_eigenvalue, harmonic_degree
-from sinecone.errors import SolverDisagreement, UnboundedBelow
+from sinecone.errors import InvariantViolation, SolverDisagreement, UnboundedBelow
 from sinecone.exactreal import from_rational, sign
 from sinecone.rigidity import (
     IEDCertificate,
+    ProductScanRow,
     find_ieds,
     product_rigidity_scan,
     solve_zero_equation,
@@ -123,6 +124,27 @@ def test_scan_rows():
     assert {n for n in range(9, 21) if by_n[n].has_ied} == {9, 10}
     assert by_n[9].certificates[0].j == 4
     assert by_n[10].certificates[0].j == 3
+
+
+def test_scan_rows_from_4_to_12_are_pinned():
+    # the marker line -2(n-1) lies below the Hardy bound up to n = 8 (no
+    # certificates), and is a zero mode's source at n = 9 and n = 10 only
+    def certs(n, j):
+        return (IEDCertificate(kappa=q(-2 * (n - 1)), j=j, bounded=False, multiplicity=1),)
+
+    expected = [ProductScanRow(n, q(-2 * (n - 1)), n < 9, {9: certs(9, 4), 10: certs(10, 3)}.get(n, ()))
+                for n in range(4, 13)]
+    rows = product_rigidity_scan(4, 12)
+    assert rows == expected
+    assert all(type(row.certificates) is tuple for row in rows)
+
+
+def test_scan_ranges_outside_the_products():
+    # a total dimension below 4 has no two factors of dimension >= 2, and an
+    # empty range has no rows
+    with pytest.raises(InvariantViolation, match="product factors must each have dimension >= 2"):
+        product_rigidity_scan(3, 5)
+    assert product_rigidity_scan(6, 5) == []
 
 
 def test_a_wrong_harmonic_degree_is_a_solver_disagreement(monkeypatch, capsys):

@@ -369,6 +369,35 @@ def test_geometric_spectrum_override_warns_instead():
         )
 
 
+@pytest.mark.parametrize(
+    "scalars, oneforms, message",
+    [
+        ([2], [], "positive scalar eigenvalue 2 below the dimension bound n=4 (closed Einstein "
+                  "spaces with this normalization have no spectrum in (0, n))"),
+        ([], [Fraction(5, 2)], "coclosed 1-form eigenvalue 5/2 below n-1=3 (the Killing bound "
+                               "for this normalization)"),
+    ],
+)
+def test_a_hypothesis_bound_refuses_or_warns_with_one_message(scalars, oneforms, message):
+    # each bound refuses with its message, or under the override warns with
+    # that message and the departure named
+    def build(override):
+        return GeometricSpectrum(
+            n=4,
+            spec0=merge([(q(v), 1, ("g", i, 0)) for i, v in enumerate([0, *scalars])], q(5)),
+            spec1D=merge([(q(v), 1, ("g1", i, 0)) for i, v in enumerate(oneforms)], q(5)),
+            specE_TT=empty_spectrum(),
+            hypothesis_override=override,
+        )
+
+    with pytest.raises(InvariantViolation) as refused:
+        build(False)
+    assert str(refused.value) == message
+    with pytest.warns(UserWarning) as warned:
+        build(True)
+    assert [str(w.message) for w in warned] == [message + "; proceeding outside the usual hypotheses"]
+
+
 def _golden_base(name):
     path = Path(__file__).with_name("golden") / f"{name}.json"
     return geometric_spectrum_from_json(json.loads(path.read_text()))
