@@ -232,17 +232,17 @@ def test_records_are_slotted(name):
         ("RadialProblem", {"block": "tt", "n": 2}, InvariantViolation,
          "the tt block needs base dimension n >= 3, got 2"),
         ("RadialProblem", {"grid_points": 99}, InvariantViolation, "need at least 100 grid points"),
-        # the radial problem computes in floats, on arrays of the grid's length
-        ("RadialProblem", {"n": 10 ** 150 + 1}, InvariantViolation,
-         f"the radial pencil needs base dimension n <= 10**150, got {10 ** 150 + 1}"),
-        ("RadialProblem", {"grid_points": 10 ** 6 + 1}, InvariantViolation,
-         "need at most 10**6 grid points, got 1000001"),
         ("RadialProblem", {"boundary_offset": 1.0}, InvariantViolation,
          "boundary offset must lie in (0, pi/(4N))"),
         ("RadialProblem", {"block": "tt", "coupling": Fraction(-2)}, IllPosed,
          "coupling -2 below the Hardy bound -1: the form is unbounded below "
          "(see rayleigh_unbounded_demo)"),
         ("RadialProblem", {"coupling": Fraction(-1)}, IllPosed, "scalar couplings are nonnegative"),
+        # the radial problem computes in floats, on arrays of the grid's length
+        ("RadialProblem", {"n": 10 ** 150 + 1}, InvariantViolation,
+         f"the radial pencil needs base dimension n <= 10**150, got {10 ** 150 + 1}"),
+        ("RadialProblem", {"grid_points": 10 ** 6 + 1}, InvariantViolation,
+         "need at most 10**6 grid points, got 1000001"),
     ],
 )
 def test_validation_errors_are_unchanged(name, changed, error, message):
