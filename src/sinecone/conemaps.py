@@ -62,7 +62,7 @@ from .exactreal import (
     rational_ceiling,
     squarefree_decompose,
 )
-from .spectra import GeometricSpectrum, Origin, Record, Spectrum, _set, empty_spectrum, grouped_spectrum
+from .spectra import GeometricSpectrum, Origin, Record, Spectrum, empty_spectrum, grouped_spectrum
 
 
 def degree_eigenvalue(n: int, y: QuadReal | int | Fraction) -> QuadReal:
@@ -129,12 +129,12 @@ SOURCES = {
     "specE_TT": "TT spectrum",
 }
 
-#: The feed of every part of the cone spectra, as (source, inner shift,
-#: output shift, block, rungs) entries: each line x of the source seeds the
-#: ladder degree_eigenvalue(n+1, harmonic_degree(n, x + inner) + j) - out,
-#: whose rungs are tagged (block, line index, j).  An output shift (a, b)
-#: stands for a*n + b over a dim-n base.  A transform checks and enumerates
-#: a part's sources in the order listed.
+#: The feed of every part of the cone spectra: its output shift ``out`` and
+#: its (source, inner shift, block, rungs) entries.  Each line x of the
+#: source seeds the ladder degree_eigenvalue(n+1, harmonic_degree(n, x +
+#: inner) + j) - out, whose rungs are tagged (block, line index, j).  The
+#: output shift (a, b) stands for a*n + b over a dim-n base.  A transform
+#: checks and enumerates a part's sources in the order listed.
 #:
 #: ``rungs`` holds the boundary lines, keyed like the shifts: (0, 0) is the
 #: zero line, (1, 0) the dimension line n and (1, -1) the Killing line n-1.
@@ -142,34 +142,31 @@ SOURCES = {
 #: when that line has no ladder.  The key None stands for every other line;
 #: without it their ladders are whole and never doubled, (0, None).
 FEEDS = {
-    "functions": (("spec0", 0, (0, 0), "fun", {}),),
-    "exact": (("spec0", 0, (1, 0), "1f-exact", {(0, 0): (1, None)}),),
-    "coclosed": (
-        ("spec0", 0, (0, 1), "1f-co-scalar", {(0, 0): None}),
-        ("spec1D", 1, (0, 1), "1f-co-form", {}),
-    ),
+    "functions": ((0, 0), (("spec0", 0, "fun", {}),)),
+    "exact": ((1, 0), (("spec0", 0, "1f-exact", {(0, 0): (1, None)}),)),
+    "coclosed": ((0, 1), (
+        ("spec0", 0, "1f-co-scalar", {(0, 0): None}),
+        ("spec1D", 1, "1f-co-form", {}),
+    )),
     # a doubled rung is a conformal direction and its Hessian partner, which
     # vanishes on rungs 0 and 1 of the zero line and rung 0 of the dimension line
-    "conformal": (("spec0", 0, (2, 0), "E-conf", {None: (0, 0), (0, 0): (0, 2), (1, 0): (0, 1)}),),
-    "vector": (
-        ("spec0", 0, (1, 1), "E-vec-scalar", {(0, 0): None, (1, 0): (1, None)}),
-        ("spec1D", 1, (1, 1), "E-vec-form", {(1, -1): (1, None)}),
-    ),
-    "tt": (
-        ("spec0", 0, (0, 0), "E-tt-scalar", {(0, 0): None, (1, 0): None}),
-        ("spec1D", 1, (0, 0), "E-tt-form", {(1, -1): None}),
-        ("specE_TT", 0, (0, 0), "E-tt-tensor", {}),
-    ),
+    "conformal": ((2, 0), (("spec0", 0, "E-conf", {None: (0, 0), (0, 0): (0, 2), (1, 0): (0, 1)}),)),
+    "vector": ((1, 1), (
+        ("spec0", 0, "E-vec-scalar", {(0, 0): None, (1, 0): (1, None)}),
+        ("spec1D", 1, "E-vec-form", {(1, -1): (1, None)}),
+    )),
+    "tt": ((0, 0), (
+        ("spec0", 0, "E-tt-scalar", {(0, 0): None, (1, 0): None}),
+        ("spec1D", 1, "E-tt-form", {(1, -1): None}),
+        ("specE_TT", 0, "E-tt-tensor", {}),
+    )),
 }
 
 
-def _feeds(part: str, n: int) -> list[tuple[str, int, int, str, dict]]:
-    """The (source, inner shift, output shift, block, rungs) entries of
-    ``part`` over a dim-n base."""
-    return [
-        (source, inner, a * n + b, block, rungs)
-        for source, inner, (a, b), block, rungs in FEEDS[part]
-    ]
+def _feeds(part: str, n: int) -> tuple[int, tuple[tuple[str, int, str, dict], ...]]:
+    """The output shift of ``part`` over a dim-n base, and its feed entries."""
+    (a, b), entries = FEEDS[part]
+    return a * n + b, entries
 
 
 def _shifted_cutoff(n: int, cutoff: QuadReal, out_shift: int | Fraction) -> Optional[tuple[int, int]]:
@@ -244,11 +241,11 @@ def source_requirements(
     ``rational_ceiling`` of a :func:`required_source_cutoff`."""
     need = dict.fromkeys(SOURCES, Fraction(-1))
     for part, window in windows.items():
-        for source, inner, out, _, _ in _feeds(part, n):
-            x = _shifted_cutoff(n, window, out)
-            if x is not None:
-                p, r, d = _requirement(n, x, inner)
-                need[source] = max(need[source], Fraction(*_grid_bound(p, -1, r, d, up=True)))
+        out, entries = _feeds(part, n)
+        x = _shifted_cutoff(n, window, out)
+        for source, inner, _, _ in entries if x is not None else ():
+            p, r, d = _requirement(n, x, inner)
+            need[source] = max(need[source], Fraction(*_grid_bound(p, -1, r, d, up=True)))
     return need["spec0"], need["spec1D"], need["specE_TT"]
 
 
@@ -259,23 +256,23 @@ def supported_window(gs: GeometricSpectrum, parts: Sequence[str]) -> list[Fracti
     bound.  A feed at a floored source cutoff c gets the top
     rational_floor(degree_eigenvalue(n+1, harmonic_degree(n, c))), which is
     c - (n-1)/2 + sqrt((n-1)^2/4 + c); every output shift is an integer, so
-    floor(top - out) = floor(top) - out."""
+    floor(top - out) = floor(top) - out, taken once from the least top."""
     n = gs.n
     windows = []
     for part in parts:
+        out, entries = _feeds(part, n)
         low = None
-        for source, inner, out, _, _ in _feeds(part, n):
+        for source, inner, _, _ in entries:
             cut = getattr(gs, source).cutoff  # c = cn/cd = rational_floor(cut) + inner
             cn, cd = (cut.p, cut.d) if cut.q == 0 else (_floor_scaled(cut, 6), 10 ** 6)
             cn += inner * cd
             r = 4 * cn + (n - 1) ** 2 * cd  # 4 cd (c - hardy_bound(n))
-            num, den = -1, 1
+            num, den = out - 1, 1  # the window -1 once the shift is taken off
             if r >= 0:
                 num, den = _grid_bound(2 * cn - (n - 1) * cd, 1, r * cd, 2 * cd)
-                num -= out * den
             if low is None or num * low[1] < low[0] * den:
                 low = num, den
-        windows.append(Fraction(*low))
+        windows.append(Fraction(low[0] - out * low[1], low[1]))
     return windows
 
 
@@ -350,11 +347,10 @@ def _ladders(base: GeometricSpectrum, part: str, cutoff: QuadReal) -> list:
     in integers; the QuadReal of :func:`required_source_cutoff` is built
     only against an irrational source cutoff and to word a refusal."""
     n = base.n
-    entries = _feeds(part, n)
-    for source, inner, out, _, _ in entries:
-        x, have = _shifted_cutoff(n, cutoff, out), getattr(base, source).cutoff
-        if x is None:
-            continue
+    out, entries = _feeds(part, n)
+    x = _shifted_cutoff(n, cutoff, out)
+    for source, inner, _, _ in entries if x is not None else ():
+        have = getattr(base, source).cutoff
         if (_falls_short(*_requirement(n, x, inner), have) if have.q == 0
                 else compare(have, required_source_cutoff(n, cutoff, out, inner)) < 0):
             need = required_source_cutoff(n, cutoff, out, inner)
@@ -364,7 +360,7 @@ def _ladders(base: GeometricSpectrum, part: str, cutoff: QuadReal) -> list:
                 "truncate silently"
             )
     groups = defaultdict(list)
-    for source, inner, out, block, rungs in entries:
+    for source, inner, block, rungs in entries:
         boundary = {from_rational(k[0] * n + k[1]): r for k, r in rungs.items() if k is not None}
         other = rungs.get(None, (0, None))
         for i, line in enumerate(getattr(base, source).lines):
@@ -388,11 +384,6 @@ class ConeOneFormSpectrum(Record):
     exact part (differentials of functions) and the coclosed part."""
 
     __slots__ = ("exact_part", "coclosed_part")
-
-    def __init__(self, exact_part: Spectrum, coclosed_part: Spectrum):
-        _set(self, "exact_part", exact_part)
-        _set(self, "coclosed_part", coclosed_part)
-
 
 def map_coclosed_one_forms(base: GeometricSpectrum, cutoff: QuadReal) -> Spectrum:
     """Coclosed part of the cone 1-form spectrum: scalar ladders (positive
@@ -427,15 +418,6 @@ class ConeEinsteinSpectrum(Record):
 
     __slots__ = ("conformal_block", "vector_block", "tt_block", "scalar_boundary_case",
                  "oneform_boundary_case")
-
-    def __init__(self, conformal_block: Spectrum, vector_block: Spectrum, tt_block: Spectrum,
-                 scalar_boundary_case: bool, oneform_boundary_case: bool):
-        _set(self, "conformal_block", conformal_block)
-        _set(self, "vector_block", vector_block)
-        _set(self, "tt_block", tt_block)
-        _set(self, "scalar_boundary_case", scalar_boundary_case)
-        _set(self, "oneform_boundary_case", oneform_boundary_case)
-
 
 def map_einstein(
     base: GeometricSpectrum,
@@ -510,7 +492,7 @@ def _closure_of_parts(parts: Sequence[str]) -> tuple[str, ...]:
     producer = dict(zip(SOURCES, ITERATE_PARTS))
     for part in reversed(ITERATE_PARTS):
         if part in parts:
-            parts |= {producer[entry[0]] for entry in FEEDS[part]}
+            parts |= {producer[entry[0]] for entry in FEEDS[part][1]}
     return tuple(p for p in ITERATE_PARTS if p in parts)
 
 

@@ -12,7 +12,8 @@ indicial root -(n-1)/2 + sqrt((n-1)^2/4 + c); the Friedrichs extension keeps
 the sin^m branch.  This module writes phi = sin^m psi (the ground-state
 gauge), in which that branch is the regular one, and discretizes the gauged
 form by second-order finite differences on a uniform grid over
-[eps, pi - eps] with natural endpoint handling.  Without the gauge the
+[theta0, pi - theta0] with natural endpoint handling, theta0 the offset eps
+unless the weight underflows there (:func:`grid_start`).  Without the gauge the
 natural condition at eps mixes in the other branch, which at the
 Hardy-critical coupling c = -(n-1)^2/4 is sin^m log(sin) and costs
 O(1/log(1/eps)).  The pencil is a tridiagonal stiffness against a diagonal
@@ -79,6 +80,24 @@ class RadialProblem(Record):
         _set(self, "boundary_offset", boundary_offset)
 
 
+def _exponents(problem: RadialProblem) -> tuple[float, float, float]:
+    """(c, m, k): the coupling, its larger indicial root (the Friedrichs
+    branch; the clamp absorbs roundoff) and the gauged weight's k = n + 2m."""
+    c, half = float(problem.coupling), (problem.n - 1) / 2
+    m = -half + math.sqrt(max(half * half + c, 0.0))
+    return c, m, problem.n + 2 * m
+
+
+def grid_start(problem: RadialProblem) -> float:
+    """The first grid point theta0 = max(eps, asin(10**(-250/k))): the weight
+    sin^k stays above 10**-250 on [theta0, pi - theta0], never 0 in floats."""
+    k = _exponents(problem)[2]
+    theta0 = max(problem.boundary_offset, math.asin(10.0 ** (-250 / k)))
+    if theta0 >= math.pi / 2:  # 10**(-250/k) rounds to 1
+        raise ConvergenceFailure(f"the weight sin^{k:.6g} is below 10**-250 off the equator")
+    return theta0
+
+
 def _assemble(problem: RadialProblem):
     """The stiffness diagonal and off-diagonal and the diagonal mass."""
     # Ground-state gauge phi = sin^m psi: integrating the cross term by parts
@@ -90,15 +109,11 @@ def _assemble(problem: RadialProblem):
     # the sin^(k-2) coefficient vanishes and psi is regular at the poles, so
     # the natural condition at eps does not mix in the second branch.
     n = problem.n
-    c = float(problem.coupling)
-    # larger indicial root (Friedrichs branch); the clamp absorbs roundoff
-    half = (n - 1) / 2
-    m = -half + math.sqrt(max(half * half + c, 0.0))
-    k = n + 2 * m
+    c, m, k = _exponents(problem)
     N = problem.grid_points
-    eps = problem.boundary_offset
-    h = (math.pi - 2 * eps) / N
-    theta = eps + h * np.arange(N + 1)
+    theta0 = grid_start(problem)
+    h = (math.pi - 2 * theta0) / N
+    theta = theta0 + h * np.arange(N + 1)
     mid = theta[:-1] + h / 2
     s_mid = np.sin(mid) ** k
     s = np.sin(theta)
@@ -177,6 +192,7 @@ def verify_line(
         "coupling": str(Fraction(coupling)),
         "N": grid_points,
         "eps": boundary_offset,
+        "theta0": grid_start(problem),
         "tol": tol,
         "modes": rows,
         "passed": worst[0] <= tol,

@@ -18,7 +18,7 @@ from .catalog import ProductMarker, product_geometric_spectrum, product_tt_marke
 from .conemaps import degree_eigenvalue, harmonic_degree, require_bounded_below
 from .errors import InsufficientBaseCutoff, SolverDisagreement, UnboundedBelow
 from .exactreal import QuadReal, sign
-from .spectra import GeometricSpectrum, Record, _set
+from .spectra import GeometricSpectrum, Record
 
 
 class IEDCertificate(Record):
@@ -31,12 +31,6 @@ class IEDCertificate(Record):
     """
 
     __slots__ = ("kappa", "j", "bounded", "multiplicity")
-
-    def __init__(self, kappa: QuadReal, j: int, bounded: bool, multiplicity: int):
-        _set(self, "kappa", kappa)
-        _set(self, "j", j)
-        _set(self, "bounded", bounded)
-        _set(self, "multiplicity", multiplicity)
 
     def to_json(self) -> dict:
         return {
@@ -81,13 +75,6 @@ def find_ieds(gs: GeometricSpectrum) -> list[IEDCertificate]:
 
 class ProductScanRow(Record):
     __slots__ = ("n", "kappa", "unbounded_below", "certificates")
-
-    def __init__(self, n: int, kappa: QuadReal, unbounded_below: bool,
-                 certificates: tuple[IEDCertificate, ...]):
-        _set(self, "n", n)
-        _set(self, "kappa", kappa)
-        _set(self, "unbounded_below", unbounded_below)
-        _set(self, "certificates", certificates)
 
     @property
     def has_ied(self) -> bool:

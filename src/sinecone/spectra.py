@@ -6,7 +6,9 @@ multiplicities plus an explicit ``cutoff``: the completeness contract is that
 its full multiplicity.  Coincident values arriving from different generating
 families are merged, but the per-family counts stay recoverable through the
 ``origins`` tags.  :func:`grouped_spectrum` builds the lines of every
-non-empty spectrum from its values, each with its origins.
+non-empty spectrum from its values, each with its origins.  :class:`Record`,
+the base of every value record, compiles the constructor of one that only
+holds its fields from its ``__slots__``.
 """
 
 from __future__ import annotations
@@ -40,14 +42,25 @@ _set = object.__setattr__
 class Record:
     """An immutable value record whose fields are its ``__slots__``.
 
-    A subclass lists its fields in ``__slots__`` and fills them in its own
-    ``__init__`` through :data:`_set`.  Records compare and hash on their
-    fields, only against their own class; they print as
-    ``Name(field=value, ...)``, copy and pickle without running ``__init__``
-    again, and refuse assignment and deletion with ``FrozenInstanceError``.
+    A subclass that only holds its fields writes no ``__init__``: it gets one
+    compiled from ``__slots__``, taking every field, in slot order.  A
+    subclass writes its own, filling the fields through :data:`_set`, only to
+    validate or default a field.  Records compare and hash on their fields,
+    only against their own class; they print as ``Name(field=value, ...)``,
+    copy and pickle without running ``__init__`` again, and refuse
+    assignment and deletion with ``FrozenInstanceError``.
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls):
+        if cls.__init__ is object.__init__:  # plain parameters: Python binds the arguments itself
+            fields = cls.__slots__
+            body = "".join(f"    _set(self, {name!r}, {name})\n" for name in fields) or "    pass\n"
+            scope = {"_set": _set, "__name__": cls.__module__}
+            exec(f"def __init__(self, {', '.join(fields)}):\n{body}", scope)
+            cls.__init__ = scope["__init__"]
+            cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"  # argument errors name the record
 
     def __getstate__(self) -> tuple:
         """The field values, in slot order."""

@@ -38,20 +38,13 @@ from typing import Optional
 from .conemaps import ITERATE_PARTS, cone_step, hardy_bound, require_bounded_below, supported_window
 from .errors import UnboundedBelow
 from .exactreal import QuadReal, compare, from_rational, make_quad, sign
-from .spectra import GeometricSpectrum, Record, _set
+from .spectra import GeometricSpectrum, Record
 
 Verdict = Optional[bool]  # None: undecidable from the declared completeness
 
 
 class NotionVerdict(Record):
     __slots__ = ("holds", "strict", "witness_value", "witness_origin")
-
-    def __init__(self, holds: Verdict, strict: Verdict, witness_value: Optional[QuadReal],
-                 witness_origin: str):
-        _set(self, "holds", holds)
-        _set(self, "strict", strict)
-        _set(self, "witness_value", witness_value)
-        _set(self, "witness_origin", witness_origin)
 
     def to_json(self) -> dict:
         return {
@@ -67,16 +60,6 @@ _UNDECIDED = NotionVerdict(None, None, None, "insufficient declared completeness
 
 class StabilityReport(Record):
     __slots__ = ("n", "eh", "linear", "tangential", "physical", "thresholds")
-
-    def __init__(self, n: int, eh: NotionVerdict, linear: NotionVerdict,
-                 tangential: NotionVerdict, physical: NotionVerdict,
-                 thresholds: tuple[tuple[str, QuadReal], ...]):
-        _set(self, "n", n)
-        _set(self, "eh", eh)
-        _set(self, "linear", linear)
-        _set(self, "tangential", tangential)
-        _set(self, "physical", physical)
-        _set(self, "thresholds", thresholds)
 
     @property
     def bounded_below(self) -> Verdict:
@@ -139,8 +122,7 @@ def classify(gs: GeometricSpectrum) -> StabilityReport:
     tt_known = compare(gs.specE_TT.cutoff, zero) >= 0
     tt_min = gs.specE_TT.min_value()
     if not tt_known:
-        eh = _UNDECIDED
-        physical = _UNDECIDED
+        eh = physical = _UNDECIDED
     else:
         origin = "tt-min" if tt_min is not None else "tt-empty"
         eh_holds = tt_min is None or sign(tt_min) >= 0
@@ -245,15 +227,6 @@ def compute_cone(gs: GeometricSpectrum) -> GeometricSpectrum:
 class CrossCheckResult(Record):
     __slots__ = ("consistent", "discrepancies", "predicted", "direct", "cone_unbounded")
 
-    def __init__(self, consistent: bool, discrepancies: tuple[str, ...],
-                 predicted: StabilityReport, direct: Optional[StabilityReport],
-                 cone_unbounded: bool):
-        _set(self, "consistent", consistent)
-        _set(self, "discrepancies", discrepancies)
-        _set(self, "predicted", predicted)
-        _set(self, "direct", direct)
-        _set(self, "cone_unbounded", cone_unbounded)
-
     def to_json(self) -> dict:
         return {
             "consistent": self.consistent,
@@ -276,11 +249,7 @@ def cross_check(gs: GeometricSpectrum) -> CrossCheckResult:
         except UnboundedBelow:
             return CrossCheckResult(True, (), pred, None, True)
         return CrossCheckResult(
-            False,
-            ("prediction says unbounded below but the cone transform succeeded",),
-            pred,
-            None,
-            False,
+            False, ("prediction says unbounded below but the cone transform succeeded",), pred, None, False
         )
 
     cone = compute_cone(gs)

@@ -181,6 +181,27 @@ def test_verify_radial_tt_critical_coupling(capsys):
     assert json.loads(out)["report"]["passed"] is True
 
 
+@pytest.mark.parametrize("n, coupling", [(100, "3"), (200, "3"), (1000, "7")])
+def test_verify_radial_starts_the_grid_where_the_weight_is_representable(capsys, n, coupling):
+    # sin^k, k = n + 2m, underflowed to 0 at the first grid point; the grid
+    # now starts at theta0 = asin(10**(-250/k)) > eps
+    code, out, _ = _capture(
+        capsys, ["--output", "json", "verify-radial", "--n", str(n), "--coupling", coupling]
+    )
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert report["passed"] is True and report["eps"] == 1e-6 < report["theta0"] < 1
+    assert max(row["rel_error"] for row in report["modes"]) < 1e-6
+
+
+def test_verify_radial_without_a_trim_starts_the_grid_at_eps(capsys):
+    code, out, _ = _capture(
+        capsys, ["--output", "json", "verify-radial", "--n", "20", "--coupling", "3", "--eps", "1e-5"]
+    )
+    assert code == 0
+    assert json.loads(out)["report"]["theta0"] == 1e-5
+
+
 def _indefinite_factor(d, e):
     # a sound factorization reported as a leading minor that is not positive:
     # only the info check can refuse it

@@ -256,7 +256,8 @@ def _rungs_by_steps(base, part, cutoff):
     per-rung reference loop, on the rungs FEEDS names for each line."""
     n = base.n
     raw = []
-    for source, inner, out, block, rungs in conemaps._feeds(part, n):
+    out, entries = conemaps._feeds(part, n)
+    for source, inner, block, rungs in entries:
         for i, line in enumerate(getattr(base, source).lines):
             named = [k for k in rungs if k is not None and line.value == q(k[0] * n + k[1])]
             pattern = rungs[named[0]] if named else rungs.get(None, (0, None))
@@ -590,8 +591,8 @@ def test_window_keeps_a_source_at_two_inner_shifts_apart(rng, monkeypatch):
     # needs both degrees, so one call must agree with a call per part
     from tests.conftest import synthetic_base
 
-    monkeypatch.setitem(conemaps.FEEDS, "low", (("spec0", 0, (0, 0), "low", {}),))
-    monkeypatch.setitem(conemaps.FEEDS, "high", (("spec0", 2, (0, 1), "high", {}),))
+    monkeypatch.setitem(conemaps.FEEDS, "low", ((0, 0), (("spec0", 0, "low", {}),)))
+    monkeypatch.setitem(conemaps.FEEDS, "high", ((0, 1), (("spec0", 2, "high", {}),)))
     for _ in range(50):
         gs = synthetic_base(rng)
         low, high = supported_window(gs, ("low", "high"))
@@ -607,12 +608,13 @@ def test_window_keeps_a_source_at_two_inner_shifts_apart(rng, monkeypatch):
 
 def _quad_windows(gs, parts):
     tops = {}
-    for source, inner, out, _, _ in (f for part in parts for f in conemaps._feeds(part, gs.n)):
+    feeds = {part: conemaps._feeds(part, gs.n) for part in parts}
+    for source, inner, _, _ in (f for _, entries in feeds.values() for f in entries):
         c = rational_floor(getattr(gs, source).cutoff) + inner
         if c >= hardy_bound(gs.n):
             tops[source, inner] = rational_floor(degree_eigenvalue(gs.n + 1, harmonic_degree(gs.n, c)))
     return [min(tops[s, i] - out if (s, i) in tops else Fraction(-1)
-                for s, i, out, _, _ in conemaps._feeds(part, gs.n)) for part in parts]
+                for s, i, _, _ in entries) for out, entries in feeds.values()]
 
 
 def _quad_requirement(n, cutoff, out, inner):
@@ -627,7 +629,8 @@ def _quad_requirement(n, cutoff, out, inner):
 def _quad_requirements(n, windows):
     need = dict.fromkeys(conemaps.SOURCES, Fraction(-1))
     for part, window in windows.items():
-        for source, inner, out, _, _ in conemaps._feeds(part, n):
+        out, entries = conemaps._feeds(part, n)
+        for source, inner, _, _ in entries:
             bound = _quad_requirement(n, window, out, inner)
             if bound is not None:
                 need[source] = max(need[source], rational_ceiling(bound))
@@ -640,7 +643,8 @@ def test_required_source_cutoff_is_the_quadreal_requirement_on_every_feed(n):
     # the least rung itself, a rational requirement (n^2 + 4x a square) and
     # irrational cutoffs on either side of the least rung
     for part in sorted(conemaps.FEEDS):
-        for _, inner, out, _, _ in conemaps._feeds(part, n):
+        out, entries = conemaps._feeds(part, n)
+        for _, inner, _, _ in entries:
             least = Fraction(-(n * n - 1), 4) - out
             below = q(least - Fraction(1, 10 ** 6))
             cutoffs = [below, q(least - 7), q(least), q(0), q(Fraction(37, 3)), q(20 * n),
@@ -710,7 +714,7 @@ def _requirement_windows(draw):
     parts = draw(st.lists(st.sampled_from(sorted(conemaps.FEEDS)), min_size=1, unique=True))
     windows = {}
     for part in parts:
-        out = draw(st.sampled_from(conemaps._feeds(part, n)))[2]
+        out = conemaps._feeds(part, n)[0]
         kind = draw(st.sampled_from(["rational", "irrational", "square", "least", "below"]))
         if kind == "rational":
             windows[part] = q(draw(st.fractions(min_value=-n * n, max_value=40 * n, max_denominator=12)))
@@ -745,21 +749,21 @@ def test_falls_short_matches_the_quadreal_comparison(case, inner, offset):
     # and ceiling, and the requirement moved by a rational offset
     n, windows = case
     for part, window in windows.items():
-        for _, _, out, _, _ in conemaps._feeds(part, n):
-            need = _quad_requirement(n, window, out, inner)
-            assert required_source_cutoff(n, window, out, inner) == need
-            x = conemaps._shifted_cutoff(n, window, out)
-            assert (need is None) == (x is None)
-            if need is None:
-                continue
-            p, r, d = conemaps._requirement(n, x, inner)
-            assert make_quad(Fraction(p, d), Fraction(-1, d), r) == need
-            haves = [rational_floor(need), rational_ceiling(need), rational_floor(need) + offset]
-            if need.is_rational():
-                haves.append(need.as_fraction())
-            for have in haves:
-                assert conemaps._falls_short(p, r, d, q(have)) == (compare(q(have), need) < 0), (
-                    n, window, out, inner, have)
+        out = conemaps._feeds(part, n)[0]  # one output shift serves every feed of the part
+        need = _quad_requirement(n, window, out, inner)
+        assert required_source_cutoff(n, window, out, inner) == need
+        x = conemaps._shifted_cutoff(n, window, out)
+        assert (need is None) == (x is None)
+        if need is None:
+            continue
+        p, r, d = conemaps._requirement(n, x, inner)
+        assert make_quad(Fraction(p, d), Fraction(-1, d), r) == need
+        haves = [rational_floor(need), rational_ceiling(need), rational_floor(need) + offset]
+        if need.is_rational():
+            haves.append(need.as_fraction())
+        for have in haves:
+            assert conemaps._falls_short(p, r, d, q(have)) == (compare(q(have), need) < 0), (
+                n, window, out, inner, have)
 
 
 @given(st.integers(min_value=2, max_value=14),
@@ -909,9 +913,10 @@ def test_a_short_source_is_named_with_its_feed_requirement(part, rng):
     for _ in range(40):
         gs = synthetic_base(rng)
         cutoff = q(Fraction(rng.randint(2, 12 * gs.n), rng.randint(1, 2)))
+        out, entries = conemaps._feeds(part, gs.n)
         short = [
             (source, need)
-            for source, inner, out, _, _ in conemaps._feeds(part, gs.n)
+            for source, inner, _, _ in entries
             for need in [required_source_cutoff(gs.n, cutoff, out, inner)]
             if need is not None and compare(getattr(gs, source).cutoff, need) < 0
         ]

@@ -195,6 +195,14 @@ def test_add_and_mul_examples():
     assert (xi + 4) * (xi + 4 + 10) == from_rational(0)
 
 
+def test_division_by_a_negative_denominator_moves_every_sign():
+    # _norm's rule d > 0: the sign of d moves to both p and q
+    one_plus = make_quad(1, 1, 2)
+    assert one_plus / -2 == make_quad(Fraction(-1, 2), Fraction(-1, 2), 2)
+    # the conjugate's norm 1 - 2 is negative: (1 + √2)/(1 - √2) = -3 - 2√2
+    assert one_plus / make_quad(1, -1, 2) == make_quad(-3, -2, 2)
+
+
 def test_mixed_field_rejected():
     with pytest.raises(MixedField):
         add_same_field(make_quad(0, 1, 2), make_quad(0, 1, 3))

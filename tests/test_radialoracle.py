@@ -1,12 +1,14 @@
+import math
 from fractions import Fraction
 
 import pytest
 
 from sinecone import radialoracle
-from sinecone.errors import IllPosed, InvariantViolation, VerificationFailed
+from sinecone.errors import ConvergenceFailure, IllPosed, InvariantViolation, VerificationFailed
 from sinecone.radialoracle import (
     RadialProblem,
     closed_form_values,
+    grid_start,
     rayleigh_unbounded_demo,
     quotients_to_csv,
     solve_radial,
@@ -23,6 +25,33 @@ def test_problem_invariants():
         RadialProblem(8, Fraction(-14), block="tt")
     with pytest.raises(IllPosed):
         RadialProblem(3, Fraction(-1), block="function")
+
+
+@pytest.mark.parametrize(
+    "n, block, coupling, theta0",
+    [
+        (3, "function", 3, 1e-6),  # k = 5: sin^k at eps is 1e-30
+        (100, "tt", -2400, 1e-6),  # m = -49.5 + sqrt(50.25), k = 1 + 2 sqrt(50.25)
+        (100, "function", 3, None),
+        (10 ** 5, "function", 3, None),
+    ],
+)
+def test_grid_start_keeps_the_weight_above_1e_minus_250(n, block, coupling, theta0):
+    problem = RadialProblem(n, Fraction(coupling), block)
+    start = grid_start(problem)
+    half = (n - 1) / 2
+    k = n + 2 * (math.sqrt(half * half + coupling) - half)
+    if theta0 is not None:
+        assert start == theta0
+    else:
+        assert start > problem.boundary_offset
+        assert k * math.log10(math.sin(start)) == pytest.approx(-250)
+
+
+def test_a_weight_below_1e_minus_250_everywhere_is_a_convergence_failure():
+    # 10**(-250/k) rounds to 1: the grid [theta0, pi - theta0] is empty
+    with pytest.raises(ConvergenceFailure, match=r"sin\^1e\+20 is below 10\*\*-250 off the equator"):
+        solve_radial(RadialProblem(10 ** 20, Fraction(3)), 1)
 
 
 def test_closed_forms():

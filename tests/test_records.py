@@ -10,6 +10,7 @@ the frozen-dataclass records these classes replace.
 
 import copy
 import dataclasses
+import inspect
 import pickle
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from sinecone.errors import IllPosed, InvariantViolation
 from sinecone.exactreal import from_rational, make_quad
 from sinecone.radialoracle import RadialProblem
 from sinecone.rigidity import IEDCertificate, ProductScanRow
-from sinecone.spectra import GeometricSpectrum, Origin, SpectralLine, Spectrum, empty_spectrum
+from sinecone.spectra import GeometricSpectrum, Origin, Record, SpectralLine, Spectrum, empty_spectrum
 from sinecone.stability import CrossCheckResult, NotionVerdict, StabilityReport
 
 
@@ -250,3 +251,97 @@ def test_validation_errors_are_unchanged(name, changed, error, message):
     with pytest.raises(error) as info:
         cls(**{**required, **defaults, **changed})
     assert str(info.value) == message
+
+
+#: The seven records whose constructor only fills its fields, and the
+#: TypeError texts that a missing field, an unknown keyword and one
+#: positional argument too many raise.
+COPYING = {
+    "ConeEinsteinSpectrum": (
+        "ConeEinsteinSpectrum.__init__() missing 1 required positional argument: "
+        "'oneform_boundary_case'",
+        "ConeEinsteinSpectrum.__init__() got an unexpected keyword argument 'bogus'",
+        "ConeEinsteinSpectrum.__init__() takes 6 positional arguments but 7 were given",
+    ),
+    "ConeOneFormSpectrum": (
+        "ConeOneFormSpectrum.__init__() missing 1 required positional argument: 'coclosed_part'",
+        "ConeOneFormSpectrum.__init__() got an unexpected keyword argument 'bogus'",
+        "ConeOneFormSpectrum.__init__() takes 3 positional arguments but 4 were given",
+    ),
+    "CrossCheckResult": (
+        "CrossCheckResult.__init__() missing 1 required positional argument: 'cone_unbounded'",
+        "CrossCheckResult.__init__() got an unexpected keyword argument 'bogus'",
+        "CrossCheckResult.__init__() takes 6 positional arguments but 7 were given",
+    ),
+    "IEDCertificate": (
+        "IEDCertificate.__init__() missing 1 required positional argument: 'multiplicity'",
+        "IEDCertificate.__init__() got an unexpected keyword argument 'bogus'",
+        "IEDCertificate.__init__() takes 5 positional arguments but 6 were given",
+    ),
+    "NotionVerdict": (
+        "NotionVerdict.__init__() missing 1 required positional argument: 'witness_origin'",
+        "NotionVerdict.__init__() got an unexpected keyword argument 'bogus'",
+        "NotionVerdict.__init__() takes 5 positional arguments but 6 were given",
+    ),
+    "ProductScanRow": (
+        "ProductScanRow.__init__() missing 1 required positional argument: 'certificates'",
+        "ProductScanRow.__init__() got an unexpected keyword argument 'bogus'",
+        "ProductScanRow.__init__() takes 5 positional arguments but 6 were given",
+    ),
+    "StabilityReport": (
+        "StabilityReport.__init__() missing 1 required positional argument: 'thresholds'",
+        "StabilityReport.__init__() got an unexpected keyword argument 'bogus'",
+        "StabilityReport.__init__() takes 7 positional arguments but 8 were given",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COPYING))
+def test_argument_errors_name_the_record_and_the_field(name):
+    cls, required, _, _ = CASES[name]
+    missing, unknown, too_many = COPYING[name]
+    *head, _ = required.values()
+    for args, kwargs, text in (
+        (head, {}, missing),
+        ((), dict(zip(required, head)), missing),
+        ((), {**required, "bogus": 1}, unknown),
+        ((*required.values(), None), {}, too_many),
+    ):
+        with pytest.raises(TypeError) as info:
+            cls(*args, **kwargs)
+        assert str(info.value) == text
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_the_signature_lists_the_slots_in_order(name):
+    cls = CASES[name][0]
+    assert list(inspect.signature(cls).parameters) == list(cls.__slots__)
+
+
+def test_a_subclass_keeps_its_parents_validation_and_defaults():
+    class Sub(GeometricSpectrum):
+        pass
+
+    required = CASES["GeometricSpectrum"][1]
+    record = Sub(*required.values())
+    assert record.hypothesis_override is False
+    assert record.__getstate__() == _build("GeometricSpectrum").__getstate__()
+    with pytest.raises(InvariantViolation, match="dimension n=1 below 2"):
+        Sub(**{**required, "n": 1})
+    with pytest.raises(InvariantViolation, match="scalar spectrum must contain 0"):
+        Sub(**{**required, "spec0": EMPTY})
+
+
+def test_a_record_that_only_holds_its_fields_needs_no_constructor():
+    class Pair(Record):
+        __slots__ = ("left", "right")
+
+    class Nothing(Record):
+        __slots__ = ()
+
+    pair = Pair(1, right=2)
+    assert (pair.left, pair.right) == (1, 2) and pair == Pair(left=1, right=2)
+    assert Pair.__init__.__qualname__.endswith("Pair.__init__")
+    assert repr(Nothing()) == "test_a_record_that_only_holds_its_fields_needs_no_constructor.<locals>.Nothing()"
+    with pytest.raises(TypeError, match=r"Pair.__init__\(\) missing 1 required positional argument: 'right'"):
+        Pair(1)
