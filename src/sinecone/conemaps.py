@@ -29,17 +29,23 @@ a transform finds a rational source cutoff short by an integer inequality
 
 All enumeration is exact and completeness-aware: a transform refuses to run
 (``InsufficientBaseCutoff``) when the base spectra are not known far enough to
-make the requested output window complete.  Each ladder is counted once, from
-an integer square-root bound refined by exact comparisons, and its rungs are
-then written in closed form in the field of its degree (:func:`_family`) as
-integer keys, on which a transform groups them: one ``QuadReal`` per line.
+make the requested output window complete.  Within one part, two rungs
+coincide exactly when their seed degrees differ by an integer, so a transform
+enumerates the part one degree class at a time (:func:`_class_lines`): each
+class is counted once, from an integer square-root bound refined by exact
+comparisons, and each of its lines is written once in closed form in the
+field of its degree, one ``QuadReal`` per line.  A line's multiplicity is a
+running sum over the seeds that reach it, and its origins come out in tag
+order, so the lines need no grouping and no sorting of origins.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from fractions import Fraction
+from functools import partial
+from itertools import accumulate, chain, repeat
+from operator import itemgetter
 from typing import Mapping, Optional, Sequence
 
 from .errors import (
@@ -62,7 +68,7 @@ from .exactreal import (
     rational_ceiling,
     squarefree_decompose,
 )
-from .spectra import GeometricSpectrum, Origin, Record, Spectrum, empty_spectrum, grouped_spectrum
+from .spectra import GeometricSpectrum, Origin, Record, Spectrum, empty_spectrum, line_spectrum
 
 
 def degree_eigenvalue(n: int, y: QuadReal | int | Fraction) -> QuadReal:
@@ -276,76 +282,112 @@ def supported_window(gs: GeometricSpectrum, parts: Sequence[str]) -> list[Fracti
     return windows
 
 
-def _family(
-    n: int,
-    degree: QuadReal,
-    out_shift: int | Fraction,
-    cutoff: QuadReal,
-    mult: int,
-    block: str,
-    i: int,
-    first: int = 0,
-    doubled_from: Optional[int] = None,
-) -> list[tuple[tuple[int, int, int, int], Origin]]:
-    """The rungs of one ladder, degree_eigenvalue(n+1, degree + j) - out_shift
-    for j = ``first``, ``first`` + 1, ..., that lie at or below ``cutoff``,
-    as (the integers (p, q, d, s) of the value, ``Origin(block, i, j, mult)``).
-    Rungs j >= ``doubled_from`` carry ``2 * mult``.
+_origin = partial(tuple.__new__, Origin)  # an Origin from its four fields, with no argument binding
+_tag = itemgetter(1, 2)  # a seed's (block, i)
+_started = partial(filter, None)  # the origins of a line, without the seeds not yet started
 
-    A harmonic degree is at least -(n-1)/2, so the ladder increases in j.
-    Count, then fill: an integer square root and one exact floor give a
-    lower bound on the last rung index, exact comparisons step it up to the
-    last rung at or below the cutoff, and each rung is written in closed
-    form in the degree's field, Q(sqrt(s)) for degree = p + q sqrt(s):
 
-        (p+j)(p+j+n) + q^2 s - out_shift  +  q (2(p+j) + n) sqrt(s)
+def _tags(block: str, i: int, rungs: range, mult: int):
+    """The Origins (block, i, j, mult) of the rungs j in ``rungs``."""
+    return map(_origin, zip(repeat(block), repeat(i), rungs, repeat(mult)))
+
+
+def _top2(n: int, cutoff: QuadReal, out: int) -> Optional[int]:
+    """2 top, with y (y + n) - out <= cutoff for every degree -n/2 <= y <= top:
+    isqrt(4c + n^2) - n for c = floor(cutoff) + out, the root of y (y + n) = c
+    rounded down; ``None`` when 4c + n^2 < 0."""
+    c = _floor_scaled(cutoff, 0) + out
+    return math.isqrt(4 * c + n * n) - n if 4 * c + n * n >= 0 else None
+
+
+def _class_lines(
+    n: int, out: int, cutoff: QuadReal, top2: Optional[int], key: tuple[int, int, int, int], seeds: list
+) -> list[tuple[QuadReal, int, tuple[Origin, ...]]]:
+    """The lines at or below ``cutoff`` of one degree class of a part with
+    output shift ``out``, ascending, as (value, multiplicity, origins).
+
+    The class ``key`` (Q, D, s, P) holds the degrees y0 + u, for integers u,
+    of y0 = (P + Q sqrt(s))/D with 0 <= P < D; its line u is
+    degree_eigenvalue(n+1, y0 + u) - out.  A seed (t, block, i, first,
+    doubled, mult) is the ladder of line i of a feed at degree y0 + t: it
+    puts ``mult`` on the lines u >= t + first, and ``2 * mult`` from
+    t + doubled on (None: never).  Count, then fill: the part's integer
+    square-root bound ``top2`` (:func:`_top2`) and one exact floor give a
+    lower bound on the class's last line, exact comparisons step it up, and
+    each line's value is written once in closed form in Q(sqrt(s)),
+
+        (Y (Y + n D) + Q^2 s - out D^2 + Q (2Y + n D) sqrt(s)) / D^2,  Y = P + u D,
 
     reduced by the rule of :func:`exactreal._norm`, or directly when the
-    degree and the shift are integers.  Only a comparison builds a QuadReal.
+    class is the integers.  Each multiplicity is a running sum over the
+    seeds' start and doubling events, and the origins of a line are taken
+    seed by seed in (block, i) order, so they come out sorted.
     """
-    # degree = (P + Q sqrt(s))/D and out_shift = sn/sd; with Y = P + j D the
-    # rung is ((Y (Y + n D) + Q^2 s) sd - sn D^2 + Q (2Y + n D) sd sqrt(s)) / (D^2 sd)
-    big_p, big_q, dd, s = degree.p, degree.q, degree.d, degree.s
-    sn, sd = _ratio(out_shift)
-    const = big_q * big_q * s * sd - sn * dd * dd
-    den = dd * dd * sd
-    nd = n * dd
-
-    if big_q == 0 and den == 1:  # an integer degree and shift: integer rungs, no gcd
-        def key(j: int) -> tuple[int, int, int, int]:
-            y = big_p + j
-            return y * (y + n) + const, 0, 1, 1
+    big_q, dd, s, big_p = key
+    if big_q == 0 and dd == 1:  # integer degrees and shift: integer lines, no gcd
+        def value(u: int) -> QuadReal:
+            return _make(u * (u + n) - out, 0, 1, 1)
     else:
-        def key(j: int) -> tuple[int, int, int, int]:
-            # _norm's rule with den > 0: divide by gcd(p, q, den), s only if q
-            y = big_p + j * dd
-            p, q = y * (y + nd) * sd + const, big_q * (2 * y + nd) * sd
-            g = math.gcd(p, q, den)
-            return p // g, q // g, den // g, s if q else 1
+        const, den, nd = big_q * big_q * s - out * dd * dd, dd * dd, n * dd
 
-    # y (y + n) <= c  holds for  -n/2 <= y <= top = (isqrt(4c + n^2) - n)/2,
-    # with c = floor(cutoff) + floor(out_shift) <= cutoff + out_shift
-    c = _floor_scaled(cutoff, 0) + sn // sd
-    last = -1
-    if 4 * c + n * n >= 0:
-        top2 = math.isqrt(4 * c + n * n) - n
-        # floor(top - degree) = floor((top2 D - 2P - 2Q sqrt(s)) / (2D))
+        def value(u: int) -> QuadReal:
+            y = big_p + u * dd
+            p, q = y * (y + nd) + const, big_q * (2 * y + nd)
+            g = math.gcd(p, q, den)
+            return _make(p // g, q // g, den // g, s if q else 1)
+
+    # a harmonic degree is at least -(n-1)/2, so the lines increase in u from
+    # the least seed degree on
+    least = min(seeds)[0]
+    last = least - 1
+    if top2 is not None:  # floor(top - y0) = floor((top2 D - 2P - 2Q sqrt(s)) / (2D))
         last = max(last, _floor_scaled(_norm(top2 * dd - 2 * big_p, -2 * big_q, 2 * dd, s), 0))
-    while compare(_make(*key(last + 1)), cutoff) <= 0:
+    while compare(value(last + 1), cutoff) <= 0:
         last += 1
-    doubled = last + 1 if doubled_from is None else doubled_from  # the first rung of 2 * mult
-    return [(key(j), tuple.__new__(Origin, (block, i, j, 2 * mult if j >= doubled else mult)))
-            for j in range(first, last + 1)]
+    # line k below is line u = least + k of the class
+    size = last + 1 - least
+    events = [0] * (size + 1)
+    columns = []  # (first line, the seed's origins from that line on)
+    if len(seeds) > 1:
+        seeds.sort(key=_tag)
+    for t, block, i, first, doubled, mult in seeds:
+        start = t - least + first
+        if start >= size:  # the seed's first rung lies above the class's last line
+            continue
+        double = size if doubled is None else min(max(t - least + doubled, start), size)
+        events[start] += mult
+        events[double] += mult
+        j = least - t  # the seed's rung on line k is j + k
+        column = list(_tags(block, i, range(j + start, j + double), mult))
+        if double < size:
+            column += _tags(block, i, range(j + double, j + size), 2 * mult)
+        columns.append((start, column))
+    if not columns:
+        return []
+    if len(columns) == 1:  # one ladder: its rungs are the lines
+        (low, column), = columns
+        origins = zip(column)
+    else:  # a line takes a rung from every seed started at or below it, in seed order
+        low = min(start for start, _ in columns)
+        padded = zip(*[chain(repeat(None, start - low), column) for start, column in columns])
+        origins = map(tuple, map(_started, padded))
+    # every event lies at or above the first start
+    return list(zip(map(value, range(least + low, last + 1)), accumulate(events[low:size]), origins))
 
 
 def _ladders(base: GeometricSpectrum, part: str, cutoff: QuadReal) -> list:
     """Check that every source feeding ``part`` is complete far enough for
-    ``cutoff``, then enumerate the ladders of their lines, tagged
-    (block, line index, rung) with the feed's block, on the rungs the feed
-    names for each line, grouped on their keys: one (value, origins) pair
-    per key.  A rational source cutoff is checked by :func:`_falls_short`
-    in integers; the QuadReal of :func:`required_source_cutoff` is built
-    only against an irrational source cutoff and to word a refusal."""
+    ``cutoff``, then enumerate the part's lines, one degree class at a time
+    (:func:`_class_lines`), as (value, multiplicity, origins).  Each line of
+    a source on the rungs its feed names seeds one ladder at its harmonic
+    degree (P + Q sqrt(s))/D, tagged (block, line index, rung) with the
+    feed's block.  Every feed of a part has one output shift, and
+    y -> y (y + n) is injective above -n/2, so two rungs of a part coincide
+    exactly when their seed degrees differ by an integer: the seeds group on
+    the class key (Q, D, s, P mod D), at offset P div D.  A rational source
+    cutoff is checked by :func:`_falls_short` in integers; the QuadReal of
+    :func:`required_source_cutoff` is built only against an irrational
+    source cutoff and to word a refusal."""
     n = base.n
     out, entries = _feeds(part, n)
     x = _shifted_cutoff(n, cutoff, out)
@@ -359,7 +401,7 @@ def _ladders(base: GeometricSpectrum, part: str, cutoff: QuadReal) -> list:
                 f"output window needs completeness up to {need}; refusing to "
                 "truncate silently"
             )
-    groups = defaultdict(list)
+    classes: dict[tuple[int, int, int, int], list] = {}
     for source, inner, block, rungs in entries:
         boundary = {from_rational(k[0] * n + k[1]): r for k, r in rungs.items() if k is not None}
         other = rungs.get(None, (0, None))
@@ -368,15 +410,20 @@ def _ladders(base: GeometricSpectrum, part: str, cutoff: QuadReal) -> list:
             if pattern is None:
                 continue
             degree = harmonic_degree(n, line.value + inner)
-            for key, origin in _family(n, degree, out, cutoff, line.multiplicity, block, i, *pattern):
-                groups[key].append(origin)
-    return [(_make(*key), origins) for key, origins in groups.items()]
+            big_p, dd = degree.p, degree.d
+            seed = (big_p // dd, block, i, *pattern, line.multiplicity)
+            classes.setdefault((degree.q, dd, degree.s, big_p % dd), []).append(seed)
+    top2 = _top2(n, cutoff, out)
+    lines = []
+    for key, seeds in classes.items():
+        lines += _class_lines(n, out, cutoff, top2, key, seeds)
+    return lines
 
 
 def map_functions(base: GeometricSpectrum, cutoff: QuadReal) -> Spectrum:
     """Scalar Laplace spectrum of the sine-cone from the base scalar spectrum:
     the full ladder of every base line, multiplicities inherited."""
-    return grouped_spectrum(_ladders(base, "functions", cutoff), cutoff)
+    return line_spectrum(_ladders(base, "functions", cutoff), cutoff)
 
 
 class ConeOneFormSpectrum(Record):
@@ -390,7 +437,7 @@ def map_coclosed_one_forms(base: GeometricSpectrum, cutoff: QuadReal) -> Spectru
     lines only) shifted down by 1, plus 1-form ladders seeded at degree
     harmonic_degree(n, mu+1), also shifted down by 1.  The constant family
     produces no coclosed forms."""
-    return grouped_spectrum(_ladders(base, "coclosed", cutoff), cutoff)
+    return line_spectrum(_ladders(base, "coclosed", cutoff), cutoff)
 
 
 def map_one_forms(base: GeometricSpectrum, cutoff: QuadReal) -> ConeOneFormSpectrum:
@@ -400,7 +447,7 @@ def map_one_forms(base: GeometricSpectrum, cutoff: QuadReal) -> ConeOneFormSpect
     rung (i=0, j=0) absent.  Coclosed part: see
     :func:`map_coclosed_one_forms`.
     """
-    exact = grouped_spectrum(_ladders(base, "exact", cutoff), cutoff)
+    exact = line_spectrum(_ladders(base, "exact", cutoff), cutoff)
     return ConeOneFormSpectrum(exact, map_coclosed_one_forms(base, cutoff))
 
 
@@ -440,7 +487,7 @@ def map_einstein(
     require_bounded_below(base)
 
     out = {
-        block: grouped_spectrum(_ladders(base, block, cutoff), cutoff)
+        block: line_spectrum(_ladders(base, block, cutoff), cutoff)
         if block in blocks
         else empty_spectrum(cutoff)
         for block in ALL_BLOCKS

@@ -5,10 +5,10 @@ multiplicities plus an explicit ``cutoff``: the completeness contract is that
 *every* eigenvalue of the represented operator up to ``cutoff`` appears with
 its full multiplicity.  Coincident values arriving from different generating
 families are merged, but the per-family counts stay recoverable through the
-``origins`` tags.  :func:`grouped_spectrum` builds the lines of every
-non-empty spectrum from its values, each with its origins.  :class:`Record`,
-the base of every value record, compiles the constructor of one that only
-holds its fields from its ``__slots__``.
+``origins`` tags.  :func:`line_spectrum` builds the lines of every
+non-empty spectrum, each from its value, multiplicity and origins.
+:class:`Record`, the base of every value record, compiles the constructor
+of one that only holds its fields from its ``__slots__``.
 """
 
 from __future__ import annotations
@@ -40,11 +40,12 @@ _set = object.__setattr__
 
 
 class Record:
-    """An immutable value record whose fields are its ``__slots__``.
+    """An immutable value record whose fields are the ``__slots__`` of its
+    classes, from ``Record`` down, collected once per class as ``_fields``.
 
     A subclass that only holds its fields writes no ``__init__``: it gets one
-    compiled from ``__slots__``, taking every field, in slot order.  A
-    subclass writes its own, filling the fields through :data:`_set`, only to
+    compiled from its fields, taking every field, in that order.  A subclass
+    writes its own, filling the fields through :data:`_set`, only to
     validate or default a field.  Records compare and hash on their fields,
     only against their own class; they print as ``Name(field=value, ...)``,
     copy and pickle without running ``__init__`` again, and refuse
@@ -52,10 +53,12 @@ class Record:
     """
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls):
+        cls._fields = fields = tuple(
+            name for klass in reversed(cls.__mro__) for name in klass.__dict__.get("__slots__", ()))
         if cls.__init__ is object.__init__:  # plain parameters: Python binds the arguments itself
-            fields = cls.__slots__
             body = "".join(f"    _set(self, {name!r}, {name})\n" for name in fields) or "    pass\n"
             scope = {"_set": _set, "__name__": cls.__module__}
             exec(f"def __init__(self, {', '.join(fields)}):\n{body}", scope)
@@ -63,8 +66,8 @@ class Record:
             cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"  # argument errors name the record
 
     def __getstate__(self) -> tuple:
-        """The field values, in slot order."""
-        return tuple(getattr(self, name) for name in self.__slots__)
+        """The field values, in field order."""
+        return tuple(getattr(self, name) for name in self._fields)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -75,11 +78,11 @@ class Record:
         return hash(self.__getstate__())
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __setstate__(self, state):
-        for name, value in zip(self.__slots__, state):
+        for name, value in zip(self._fields, state):
             _set(self, name, value)
 
     def __setattr__(self, name, value):
@@ -148,7 +151,7 @@ class Spectrum(Record):
         return [{"value": l.value.to_json(), "mult": l.multiplicity} for l in self.lines]
 
 
-# grouped_spectrum fills each line through its slots, as exactreal._make does: no __init__ re-check
+# line_spectrum fills each line through its slots, as exactreal._make does: no __init__ re-check
 _set_value, _set_mult, _set_origins = (SpectralLine.__dict__[k].__set__ for k in SpectralLine.__slots__)
 _mult = itemgetter(3)  # Origin.mult
 
@@ -159,8 +162,9 @@ def empty_spectrum(cutoff: QuadReal = UNKNOWN_CUTOFF) -> Spectrum:
 
 def merge(raw: Iterable[tuple[QuadReal, int, tuple[str, int, int]]], cutoff: QuadReal) -> Spectrum:
     """Combine raw family contributions, each tagged (block, i, j), into a
-    Spectrum complete up to ``cutoff``, grouped for :func:`grouped_spectrum`
-    on their values' integers ``(p, q, d, s)``: equal keys, equal values."""
+    Spectrum complete up to ``cutoff``, grouped on their values' integers
+    ``(p, q, d, s)`` (equal keys, equal values): each line's origins are
+    sorted by tag and summed, so the result does not depend on their order."""
     groups: dict[tuple[int, int, int, int], tuple[QuadReal, list]] = {}
     for value, mult, (block, i, j) in raw:
         if mult <= 0:
@@ -170,14 +174,19 @@ def merge(raw: Iterable[tuple[QuadReal, int, tuple[str, int, int]]], cutoff: Qua
         if group is None:
             groups[key] = group = (value, [])
         group[1].append(tuple.__new__(Origin, (block, i, j, mult)))
-    return grouped_spectrum(groups.values(), cutoff)
+    lines = []
+    for value, origins in groups.values():
+        origins.sort()
+        lines.append((value, sum(map(_mult, origins)), tuple(origins)))
+    return line_spectrum(lines, cutoff)
 
 
-def grouped_spectrum(groups: Iterable[tuple[QuadReal, list[Origin]]], cutoff: QuadReal) -> Spectrum:
-    """The Spectrum, complete up to ``cutoff``, with one line per group
-    ``(value, origins)``: distinct values, each with its origins (positive
-    multiplicities).  A line's origins are sorted by tag and summed, so the
-    result does not depend on their order.
+def line_spectrum(lines: Iterable[tuple[QuadReal, int, tuple[Origin, ...]]], cutoff: QuadReal) -> Spectrum:
+    """The Spectrum, complete up to ``cutoff``, with one line per
+    ``(value, multiplicity, origins)``: distinct values, each with a
+    positive multiplicity that its origins, in tag order, sum to.  The
+    lines may come in any order; runs of ascending values, as a cone part
+    yields them class by class, sort in time linear in the lines.
 
     The values are sorted on ``(floor(1000 v), v)``, the floor
     ``p*1000 // d`` for a rational; the floor is exact integer arithmetic
@@ -186,26 +195,25 @@ def grouped_spectrum(groups: Iterable[tuple[QuadReal, list[Origin]]], cutoff: Qu
     ascent.  Each line is built once; a value above the cutoff is refused,
     not dropped.
     """
-    # (floor, value, origins): values are distinct, so the origins are never compared
+    # (floor, value, multiplicity, origins): values are distinct, so nothing after them is compared
     entries = [
-        (v.p * 1000 // v.d if v.q == 0 else exactreal._floor_scaled(v, 3), v, origins)
-        for v, origins in groups
+        (v.p * 1000 // v.d if v.q == 0 else exactreal._floor_scaled(v, 3), v, m, origins)
+        for v, m, origins in lines
     ]
     entries.sort()
-    if any(f == g and compare(v, w) >= 0 for (f, v, _), (g, w, _) in zip(entries, entries[1:])):
+    if any(f == g and compare(v, w) >= 0 for (f, v, _, _), (g, w, _, _) in zip(entries, entries[1:])):
         raise InvariantViolation("spectrum lines must be strictly ascending")
-    lines = []
-    for _, value, origins in entries:
-        origins.sort()
+    built = []
+    for _, value, mult, origins in entries:
         line = object.__new__(SpectralLine)
         _set_value(line, value)
-        _set_mult(line, sum(map(_mult, origins)))
-        _set_origins(line, tuple(origins))
-        lines.append(line)
-    if lines and compare(lines[-1].value, cutoff) > 0:
+        _set_mult(line, mult)
+        _set_origins(line, origins)
+        built.append(line)
+    if built and compare(built[-1].value, cutoff) > 0:
         raise InvariantViolation("spectrum line exceeds its cutoff")
     spectrum = object.__new__(Spectrum)  # both invariants checked above: no __init__ re-check
-    _set(spectrum, "lines", tuple(lines))
+    _set(spectrum, "lines", tuple(built))
     _set(spectrum, "cutoff", cutoff)
     return spectrum
 

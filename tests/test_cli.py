@@ -876,10 +876,23 @@ def test_a_failed_radial_check_carries_its_report_as_json():
 # -- the total input contract, fuzzed ------------------------------------------
 
 def _rational_text(draw, lo, hi):
-    """A rational in [lo, hi] as the schema writes it: an int or "p/q"."""
-    den = draw(st.integers(min_value=1, max_value=6))
+    """A rational in [lo, hi], lo <= hi, as the schema writes it: an int or
+    "p/q".  Its denominator is one whose grid meets [lo, hi]: one of 1..6,
+    or lo's own, which always does."""
+    dens = sorted({lo.denominator} | {d for d in range(1, 7) if math.ceil(lo * d) <= math.floor(hi * d)})
+    den = draw(st.sampled_from(dens))
     x = Fraction(draw(st.integers(min_value=math.ceil(lo * den), max_value=math.floor(hi * den))), den)
     return x, x.numerator if x.denominator == 1 else str(x)
+
+
+@given(st.data())
+def test_a_drawn_rational_lies_on_a_grid_that_meets_its_interval(data):
+    # n = 4: the TT lower end -(n-1)^2/4 - 1 = -13/4 and a cutoff -16/5; no
+    # integer lies in between, and neither does a multiple of 1/2, 1/3 or 1/6
+    lo, hi = Fraction(-13, 4), Fraction(-16, 5)
+    x, text = _rational_text(data.draw, lo, hi)
+    assert lo <= x <= hi and x.denominator in (4, 5)
+    assert Fraction(text) == x
 
 
 #: what the schema refuses in a value, a cutoff or a multiplicity

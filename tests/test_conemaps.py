@@ -15,7 +15,6 @@ from sinecone.catalog import (
 )
 from sinecone.conemaps import (
     ITERATE_PARTS,
-    _family,
     degree_eigenvalue,
     hardy_bound,
     harmonic_degree,
@@ -37,7 +36,6 @@ from sinecone.errors import (
     UnboundedBelow,
 )
 from sinecone.exactreal import (
-    _make,
     _norm,
     compare,
     from_rational,
@@ -53,7 +51,7 @@ from sinecone.spectra import (
     Origin,
     empty_spectrum,
     equal_up_to,
-    grouped_spectrum,
+    line_spectrum,
     merge,
 )
 from sinecone.stability import classify
@@ -179,6 +177,26 @@ def _random_cutoff(r: random.Random, kind: str, n: int, degree, shift: int):
 CUTOFF_KINDS = ("rational", "same-field", "other-field", "on-rung", "below-rung", "below-first")
 
 
+def _one_ladder(n, degree, out_shift, cutoff, mult, block, i, first=0, doubled_from=None):
+    """The class enumerator over the class of ``degree`` with this one
+    seed: its lines, ascending, and their (value, mult, tag) triples."""
+    key = (degree.q, degree.d, degree.s, degree.p % degree.d)
+    seed = (degree.p // degree.d, block, i, first, doubled_from, mult)
+    top2 = conemaps._top2(n, cutoff, out_shift)
+    lines = conemaps._class_lines(n, out_shift, cutoff, top2, key, [seed])
+    assert all(compare(a[0], b[0]) < 0 for a, b in zip(lines, lines[1:]))
+    return _as_triples(lines)
+
+
+def _as_triples(lines):
+    """One seed's class lines, (value, mult, (origin,)), as the reference's
+    (value, mult, tag) triples; a value that is not canonical is unequal to
+    the reference's, since QuadReal equality compares the four integers."""
+    assert all(len(origins) == 1 and type(origins[0]) is Origin and origins[0].mult == mult
+               for _, mult, origins in lines)
+    return [(value, o.mult, (o.block, o.i, o.j)) for value, _, (o,) in lines]
+
+
 @pytest.mark.parametrize("irrational", [False, True], ids=["rational-degree", "irrational-degree"])
 @pytest.mark.parametrize("kind", CUTOFF_KINDS)
 def test_family_matches_the_per_rung_loop(irrational, kind):
@@ -190,10 +208,10 @@ def test_family_matches_the_per_rung_loop(irrational, kind):
         cutoff = _random_cutoff(r, kind, n, degree, shift)
         options = {"first": int(r.random() < 0.5), "doubled_from": r.choice((None, 0, 1, 2, 5))}
         args = (n, degree, shift, cutoff, r.randint(1, 5), "blk", r.randint(0, 3))
-        got = _family(*args, **options)
-        assert _as_triples(got) == _family_by_steps(*args, **options)
+        got = _one_ladder(*args, **options)
+        assert got == _family_by_steps(*args, **options)
         if kind == "on-rung":  # empty only when the cutoff is the skipped rung 0
-            assert compare(_make(*got[-1][0]), cutoff) == 0 if got else options["first"] == 1
+            assert compare(got[-1][0], cutoff) == 0 if got else options["first"] == 1
         if kind == "below-first":
             assert got == []
 
@@ -202,21 +220,14 @@ def _fields(x):
     return (x.p, x.q, x.d, x.s)
 
 
-def _as_triples(keyed):
-    """_family's (key, Origin) rungs as the reference's (value, mult, tag)
-    triples; a key that is not canonical makes a value unequal to the
-    reference's, since QuadReal equality compares the four integers."""
-    assert all(type(origin) is Origin for _, origin in keyed)
-    return [(_make(*key), o.mult, (o.block, o.i, o.j)) for key, o in keyed]
-
-
-# (n, base eigenvalue, output shift, the degree's (D, Q), integer rungs):
-# _family writes integer rungs without a gcd exactly when Q == 0 and
-# D**2 * sd == 1, an integer degree with an integer shift
+# (n, base eigenvalue, output shift, the degree's (D, Q), integer lines):
+# the class enumerator writes integer lines without a gcd exactly when
+# Q == 0 and D == 1, the class of the integers (every output shift is an
+# integer); a degree at -(n-1)/2 for even n sits at a negative class offset
 FAMILY_BOUNDARIES = {
     "integer-degree-integer-shift": (3, 24, 4, (1, 0), True),
     "negative-integer-degree": (3, -1, 0, (1, 0), True),
-    "integer-degree-half-shift": (3, 24, Fraction(1, 2), (1, 0), False),
+    "negative-half-integer-degree": (4, Fraction(-9, 4), 1, (2, 0), False),
     "half-integer-degree": (4, Fraction(7, 4), 5, (2, 0), False),
     "irrational-degree-denominator-1": (3, 1, 4, (1, 1), False),
 }
@@ -226,29 +237,30 @@ FAMILY_BOUNDARIES = {
 @pytest.mark.parametrize("first", [0, 1])
 @pytest.mark.parametrize("doubled_from", [None, 0, 2])
 def test_family_paths_at_their_boundaries(case, first, doubled_from):
-    n, x, shift, (big_d, big_q), integer_rungs = FAMILY_BOUNDARIES[case]
+    n, x, shift, (big_d, big_q), integer_lines = FAMILY_BOUNDARIES[case]
     degree = harmonic_degree(n, x)
     assert (degree.d, degree.q) == (big_d, big_q)
     on_rung = degree_eigenvalue(n + 1, degree + 7) - from_rational(shift)
     for cutoff in (q(300), on_rung, q(-50)):
         args = (n, degree, shift, cutoff, 3, "blk", 1, first, doubled_from)
-        got = _family(*args)
-        assert _as_triples(got) == _family_by_steps(*args)
+        got = _one_ladder(*args)
+        assert got == _family_by_steps(*args)
         assert bool(got) == (cutoff != q(-50))
-        for key, _ in got:  # canonical: each rung key is _norm's fields
-            assert key == _fields(_norm(*key))
-            assert key[1:3] == (0, 1) or not integer_rungs
+        for value, _, _ in got:  # canonical: each line value is _norm's fields
+            assert _fields(value) == _fields(_norm(*_fields(value)))
+            assert (value.q, value.d) == (0, 1) or not integer_lines
 
 
 def test_family_key_of_a_rational_rung_of_an_irrational_degree():
     # degree -n/2 + sqrt(2): rung 0 is (sqrt(2) - n/2)(sqrt(2) + n/2) = 2 - n^2/4,
-    # rational, so its key takes _norm's s = 1
+    # rational, so its value takes _norm's s = 1
     for n in (3, 4, 7):
         degree = make_quad(Fraction(-n, 2), 1, 2)
         args = (n, degree, 0, q(60), 1, "blk", 0)
-        got = _family(*args)
-        assert got[0][0] == _fields(q(2 - Fraction(n * n, 4))) == _fields(_norm(*got[0][0]))
-        assert _as_triples(got) == _family_by_steps(*args)
+        got = _one_ladder(*args)
+        first = got[0][0]
+        assert _fields(first) == _fields(q(2 - Fraction(n * n, 4))) == _fields(_norm(*_fields(first)))
+        assert got == _family_by_steps(*args)
 
 
 def _rungs_by_steps(base, part, cutoff):
@@ -279,6 +291,16 @@ PART_MAPS = {
 }
 
 
+def _part_lines(base, part, cutoff):
+    """The lines ``_ladders`` enumerates for ``part``, after checking each
+    one: origins in tag order, summing to the line's multiplicity."""
+    lines = conemaps._ladders(base, part, cutoff)
+    for _, mult, origins in lines:
+        assert all(type(o) is Origin for o in origins)
+        assert list(origins) == sorted(origins) and mult == sum(o.mult for o in origins)
+    return lines
+
+
 @pytest.mark.parametrize("part", sorted(conemaps.FEEDS))
 def test_keyed_cone_map_equals_merge_over_the_same_rungs(part):
     from tests.conftest import synthetic_base
@@ -293,14 +315,165 @@ def test_keyed_cone_map_equals_merge_over_the_same_rungs(part):
         else:
             cutoff = q(Fraction(r.randint(-4, 4 * int(window)), 4))
         got = cone_map(base, cutoff)
-        # the same rungs, written as QuadReal triples from _ladders' groups
-        # and by the per-rung reference, which merge takes in shuffled order
-        groups = conemaps._ladders(base, part, cutoff)
-        keyed = [(value, o.mult, o[:3]) for value, origins in groups for o in origins]
+        # the same rungs, as QuadReal triples from _ladders' class lines
+        # and from the per-rung reference, which merge takes in shuffled order
+        lines = _part_lines(base, part, cutoff)
+        keyed = [(value, o.mult, o[:3]) for value, _, origins in lines for o in origins]
         by_steps = _rungs_by_steps(base, part, cutoff)
         assert sorted(keyed, key=lambda t: t[2]) == sorted(by_steps, key=lambda t: t[2])
         r.shuffle(by_steps)
-        assert got == merge(by_steps, cutoff) == grouped_spectrum(groups, cutoff)
+        assert got == merge(by_steps, cutoff) == line_spectrum(lines, cutoff)
+
+
+def _assert_part_matches_reference(base, part, cutoff):
+    """Every line of ``part``, value, multiplicity and origins in order,
+    equals the per-rung reference merged; returns the class lines."""
+    lines = _part_lines(base, part, cutoff)
+    assert line_spectrum(lines, cutoff) == merge(_rungs_by_steps(base, part, cutoff), cutoff)
+    return lines
+
+
+#: the boundary pattern of a ladder-deep-style base: (scalar line on n,
+#: coclosed 1-form line on the Killing value n - 1)
+BOUNDARY_PATTERNS = ((False, False), (True, False), (False, True), (True, True))
+
+
+def _ladder_base(r: random.Random, k: int, rungs: int = 14):
+    """A base in the style of the ladder-deep benchmark, and its window:
+    every line is y(y+n-1) for a rational y of one denominator, one
+    nonzero scalar line, one coclosed 1-form line (eigenvalue
+    y(y+n-1) - 1, at ladder degree y) and two TT lines, on boundary
+    pattern k % 4; every third base puts a TT line on the Hardy bound."""
+    n = 3 + k % 6
+    den = (1, 2, 3, 4, 6)[k % 5]
+    on_n, on_killing = BOUNDARY_PATTERNS[k % 4]
+
+    def draw(lo, hi):
+        return Fraction(r.randint(-((-lo * den) // 1), (hi * den) // 1), den)
+
+    def value(y):
+        return y * (y + n - 1)
+
+    y0 = Fraction(1) if on_n else draw(Fraction(5, 4), 4)
+    y1 = Fraction(1) if on_killing else draw(Fraction(5, 4), 4)
+    tt = {Fraction(-(n - 1), 2)} if k % 3 == 0 else set()
+    while len(tt) < 2:
+        tt.add(draw(Fraction(-(n - 1), 2), 3))
+    window = Fraction(rungs * (rungs + n))
+    cut = window + 2 * n + 1
+    base = _simple_base(n, [(0, 1), (value(y0), r.randint(1, 4))], [(value(y1) - 1, r.randint(1, 4))],
+                        [(value(y), r.randint(1, 3)) for y in sorted(tt)], (cut, cut, cut))
+    return base, window
+
+
+@pytest.mark.parametrize("part", sorted(conemaps.FEEDS))
+def test_class_lines_match_the_per_rung_reference_on_ladder_bases(part):
+    r = random.Random(f"classes-{part}")
+    for k in range(24):  # every boundary pattern, denominator and dimension
+        base, window = _ladder_base(r, k)
+        for cutoff in (q(window), q(window - Fraction(1, 7)), make_quad(window - 3, 1, 2)):
+            _assert_part_matches_reference(base, part, cutoff)
+
+
+@pytest.mark.parametrize("part", sorted(conemaps.FEEDS))
+def test_class_lines_match_the_per_rung_reference_on_irrational_degrees(part):
+    from tests.conftest import synthetic_base
+
+    r = random.Random(f"irrational-classes-{part}")
+    _, needs = PART_MAPS[part]
+    irrational = 0
+    for _ in range(30):
+        base = synthetic_base(r, n=r.randint(3, 6), max_den=7)
+        window = min(supported_window(base, needs))
+        cutoff = (make_quad(window - 2, Fraction(r.choice((-1, 1)), r.randint(2, 9)), r.choice((2, 3, 5)))
+                  if r.random() < 0.5 else q(Fraction(r.randint(0, 7 * int(window)), 7)))
+        lines = _assert_part_matches_reference(base, part, cutoff)
+        irrational += sum(1 for value, _, _ in lines if value.q != 0)
+    assert irrational > 0
+
+
+def test_feeds_of_tt_meet_in_one_class_at_a_negative_offset():
+    # n = 4, all degrees in 1/2 + Z: scalar 5/2, 1-form 3/2, TT -3/2 (the
+    # Hardy bound, class offset -2) and 1/2; every line of the class above
+    # 5/2 takes a rung of each of the four seeds, in (block, i) order
+    n = 4
+
+    def value(y):
+        return y * (y + n - 1)
+
+    base = _simple_base(n, [(0, 1), (value(Fraction(5, 2)), 2)], [(value(Fraction(3, 2)) - 1, 3)],
+                        [(hardy_bound(n), 1), (value(Fraction(1, 2)), 2)], (80, 80, 80))
+    for cutoff in (q(60), q(Fraction(129, 4)), make_quad(30, 1, 3)):
+        lines = _assert_part_matches_reference(base, "tt", cutoff)
+        blocks = [tuple(o.block for o in origins) for _, _, origins in lines]
+        assert blocks[-1] == ("E-tt-form", "E-tt-scalar", "E-tt-tensor", "E-tt-tensor")
+        assert lines[0][0] == q(Fraction(-15, 4)) and lines[0][2] == (Origin("E-tt-tensor", 0, 0, 1),)
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_conformal_doubling_inside_the_integer_class(n):
+    # over a sphere every scalar degree is an integer: the zero line (doubled
+    # from rung 2), the dimension line (from rung 1) and the rest (from rung
+    # 0) share the class of the integers, as do the vector block's seeds
+    big = q(200)
+    forms = [(q(n - 1), n * (n + 1) // 2, ("b1", 0, 0)), (q(2 * n + 1), 3, ("b1", 1, 0))]  # degrees 1, 2
+    base = GeometricSpectrum(n=n, spec0=sphere_functions(n, big), spec1D=merge(forms, big),
+                             specE_TT=empty_spectrum(big))
+    for part in ("conformal", "vector", "exact", "functions"):
+        for cutoff in (q(60), q(59), make_quad(40, -1, 5)):
+            lines = _assert_part_matches_reference(base, part, cutoff)
+            assert any(len(origins) > 1 for _, _, origins in lines)
+    lines = conemaps._ladders(base, "conformal", q(60))
+    mults = {o[:3]: o.mult for _, _, origins in lines for o in origins}
+    assert [mults.get(("E-conf", 0, j)) for j in range(4)] == [1, 1, 2, 2]
+    assert [mults.get(("E-conf", 1, j)) for j in range(3)] == [n + 1, 2 * (n + 1), 2 * (n + 1)]
+
+
+def test_a_seed_whose_first_rung_lies_above_the_class_last_line():
+    # n = 4: the TT line 0 sits at degree 0 and the scalar line 18 at degree
+    # 3, one class; at cutoff 11/2 the class ends at degree 1, below the
+    # scalar seed's first rung, which adds nothing
+    base = _simple_base(4, [(0, 1), (18, 2)], [], [(0, 1)], (40, 40, 40))
+    cutoff = q(Fraction(11, 2))
+    lines = _assert_part_matches_reference(base, "tt", cutoff)
+    assert [(value, mult) for value, mult, _ in lines] == [(q(0), 1), (q(5), 1)]
+    seeds = [(3, "E-tt-scalar", 1, 0, None, 2), (0, "E-tt-tensor", 0, 0, None, 1)]
+    assert conemaps._class_lines(4, 0, cutoff, conemaps._top2(4, cutoff, 0), (0, 1, 1, 0), seeds) == lines
+
+
+@pytest.mark.parametrize("part", ["tt", "conformal"])
+def test_a_cutoff_below_the_integer_bound_but_not_below_the_ladders(part):
+    # n = 3, the TT degree -1 on the Hardy bound and the scalar degree 0:
+    # with cutoff + out = -17/8, 4 c + n^2 = -3 < 0 for c = floor(cutoff) +
+    # out, yet cutoff + out >= -n^2/4; no line lies that low, and none is made
+    n = 3
+    out = conemaps._feeds(part, n)[0]
+    cutoff = q(Fraction(-17, 8) - out)
+    c = cutoff.p // cutoff.d + out
+    assert 4 * c + n * n < 0 <= cutoff.as_fraction() + out + Fraction(n * n, 4)
+    base = _simple_base(n, [(0, 1), (3, 1)], [], [(hardy_bound(n), 2)], (20, 20, 20))
+    assert _assert_part_matches_reference(base, part, cutoff) == []
+    assert _one_ladder(n, harmonic_degree(n, hardy_bound(n)), out, cutoff, 1, "blk", 0) == []
+
+
+def test_the_class_enumerator_counts_a_class_once(monkeypatch):
+    # the scalar cone of S^3 at 2 * 10**4: 140 seeds in the class of the
+    # integers, one harmonic degree each and at most two step-up comparisons
+    cutoff = q(20000)
+    base = _sphere_base(3, 20000)
+    calls = {"compare": 0, "harmonic_degree": 0}
+    for name in calls:
+        original = getattr(conemaps, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(conemaps, name, counted)
+    spectrum = map_functions(base, cutoff)
+    assert len(base.spec0.lines) == calls["harmonic_degree"] == 140
+    assert calls["compare"] <= 2
+    assert spectrum.lines[-1].multiplicity == sum(o.mult for o in spectrum.lines[-1].origins)
 
 
 # -- scalar map --------------------------------------------------------------

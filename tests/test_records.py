@@ -345,3 +345,30 @@ def test_a_record_that_only_holds_its_fields_needs_no_constructor():
     assert repr(Nothing()) == "test_a_record_that_only_holds_its_fields_needs_no_constructor.<locals>.Nothing()"
     with pytest.raises(TypeError, match=r"Pair.__init__\(\) missing 1 required positional argument: 'right'"):
         Pair(1)
+
+
+class SlottedGeometricSpectrum(GeometricSpectrum):
+    """A subclass of a record with a written constructor, adding no field."""
+
+    __slots__ = ()
+
+
+class SlottedVerdict(NotionVerdict):
+    """A subclass of a record with a compiled constructor, adding no field."""
+
+    __slots__ = ()
+
+
+@pytest.mark.parametrize("sub, name", [(SlottedGeometricSpectrum, "GeometricSpectrum"),
+                                       (SlottedVerdict, "NotionVerdict")])
+def test_a_slotted_subclass_keeps_its_parents_fields(sub, name):
+    cls, required, defaults, changed = CASES[name]
+    assert sub._fields == cls._fields == cls.__slots__
+    record, twin = sub(**required, **defaults), sub(*required.values())
+    other = sub(**{**required, **defaults, **changed})
+    assert repr(record) == sub.__qualname__ + REPRS[name].removeprefix(name)
+    assert record == twin and hash(record) == hash(twin)
+    assert record != other and hash(record) != hash(other)
+    assert record != _build(name) and record.__getstate__() == _build(name).__getstate__()
+    for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(clone) is sub and clone == record and repr(clone) == repr(record)

@@ -54,9 +54,18 @@ MUTANTS = {
     "predict_cone puts the transfer threshold below itself": (
         "src/sinecone/stability.py", "if compare(v, t) < 0]", "if compare(v, t) <= 0]",
         ("tests/test_stability.py",)),
-    "grouped_spectrum skips its ascent check": (
+    "line_spectrum skips its ascent check": (
         "src/sinecone/spectra.py", "if any(f == g and compare(v, w) >= 0", "if any(f == g and compare(v, w) > 0",
         ("tests/test_spectra.py",)),
+    "the class key leaves out P mod D": (
+        "src/sinecone/conemaps.py", "(degree.q, dd, degree.s, big_p % dd)", "(degree.q, dd, degree.s, 0)",
+        CONEMAPS),
+    "the running multiplicity drops the doubling event": (
+        "src/sinecone/conemaps.py", "events[double] += mult", "events[double] += 0", CONEMAPS),
+    "the class ends one line early": (
+        "src/sinecone/conemaps.py", "size = last + 1 - least", "size = last - least", CONEMAPS),
+    "a class's seeds keep their feed order": (
+        "src/sinecone/conemaps.py", "        seeds.sort(key=_tag)\n", "        pass\n", CONEMAPS),
     "solve_radial returns sigma - 1/mu": (
         "src/sinecone/radialoracle.py", "sigma + 1.0 / float(mu)", "sigma - 1.0 / float(mu)", RADIAL),
     "solve_radial ignores a positive dpttrf info": (
@@ -71,6 +80,8 @@ MUTANTS = {
     "Record.__eq__ accepts a subclass": (
         "src/sinecone/spectra.py", "if other.__class__ is not self.__class__:",
         "if not isinstance(other, self.__class__):", RECORDS),
+    "a record's fields are its own class's slots": (
+        "src/sinecone/spectra.py", "for klass in reversed(cls.__mro__)", "for klass in (cls,)", RECORDS),
     "Record.__setstate__ sets nothing": (
         "src/sinecone/spectra.py", "            _set(self, name, value)\n",
         "            pass\n", RECORDS),
