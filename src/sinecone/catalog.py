@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 
 from .errors import InvariantViolation, ParseError
-from .exactreal import QuadReal, from_rational
+from .exactreal import QuadReal, _floor_scaled, from_rational
 from .spectra import (
     GeometricSpectrum,
     Record,
@@ -59,18 +59,14 @@ def sphere_multiplicity(n: int, k: int) -> int:
 
 def sphere_functions(n: int, cutoff: QuadReal) -> Spectrum:
     """Scalar Laplace spectrum of the unit round n-sphere up to ``cutoff``:
-    lines k(k+n-1) with harmonic-polynomial multiplicities."""
+    lines k(k+n-1) with harmonic-polynomial multiplicities.  For c =
+    floor(cutoff), k(k+n-1) <= c exactly when 2k + n - 1 <= isqrt((n-1)^2 + 4c)."""
     if n < 2:
         raise InvariantViolation("sphere dimension must be at least 2")
-    raw = []
-    k = 0
-    while True:
-        value = from_rational(k * (k + n - 1))
-        if value > cutoff:
-            break
-        raw.append((value, sphere_multiplicity(n, k), ("sphere", k, 0)))
-        k += 1
-    return merge(raw, cutoff)
+    disc = (n - 1) ** 2 + 4 * _floor_scaled(cutoff, 0)
+    top = (math.isqrt(disc) - n + 1) // 2 if disc >= 0 else -1
+    return merge([(from_rational(k * (k + n - 1)), sphere_multiplicity(n, k), ("sphere", k, 0))
+                  for k in range(top + 1)], cutoff)
 
 
 def product_tt_marker(marker: ProductMarker) -> tuple[QuadReal, int]:

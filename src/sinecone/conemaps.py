@@ -61,7 +61,6 @@ from .exactreal import (
     _floor_scaled,
     _make,
     _norm,
-    _ratio,
     compare,
     from_rational,
     make_quad,
@@ -175,19 +174,18 @@ def _feeds(part: str, n: int) -> tuple[int, tuple[tuple[str, int, str, dict], ..
     return a * n + b, entries
 
 
-def _shifted_cutoff(n: int, cutoff: QuadReal, out_shift: int | Fraction) -> Optional[tuple[int, int]]:
+def _shifted_cutoff(n: int, cutoff: QuadReal, out_shift: int) -> Optional[tuple[int, int]]:
     """(xn, xd), xd > 0: x = cutoff + out_shift, the top of the cone ladders
     over a dim-n base that a requirement serves, exact when rational and
     else its ceiling on the 10**-6 grid; ``None`` when x lies below
-    -(n^2-1)/4, the least rung any source value can give."""
-    sn, sd = _ratio(out_shift)
+    -(n^2-1)/4, the least rung any source value can give.  An irrational x
+    is never on the grid, so with low = floor(10**6 x) it lies below the
+    rung exactly when low < 250000 (1 - n^2), and its ceiling is low + 1."""
     if cutoff.q == 0:
-        xn, xd = cutoff.p * sd + sn * cutoff.d, cutoff.d * sd
+        xn, xd = cutoff.p + out_shift * cutoff.d, cutoff.d
         return None if 4 * xn < (1 - n * n) * xd else (xn, xd)
-    x = cutoff + from_rational(out_shift)
-    if compare(x, from_rational(Fraction(1 - n * n, 4))) < 0:
-        return None
-    return _floor_scaled(x, 6) + 1, 10 ** 6
+    low = _floor_scaled(cutoff, 6) + 10 ** 6 * out_shift
+    return None if low < 250000 * (1 - n * n) else (low + 1, 10 ** 6)
 
 
 def _requirement(n: int, x: tuple[int, int], inner_shift: int) -> tuple[int, int, int]:
@@ -219,7 +217,7 @@ def _falls_short(p: int, r: int, d: int, have: QuadReal) -> bool:
 
 
 def required_source_cutoff(
-    n: int, cutoff: QuadReal, out_shift: int | Fraction, inner_shift: int = 0
+    n: int, cutoff: QuadReal, out_shift: int, inner_shift: int = 0
 ) -> Optional[QuadReal]:
     """Completeness a source spectrum must certify so that every cone line
 
@@ -348,8 +346,7 @@ def _class_lines(
     size = last + 1 - least
     events = [0] * (size + 1)
     columns = []  # (first line, the seed's origins from that line on)
-    if len(seeds) > 1:
-        seeds.sort(key=_tag)
+    seeds.sort(key=_tag)
     for t, block, i, first, doubled, mult in seeds:
         start = t - least + first
         if start >= size:  # the seed's first rung lies above the class's last line

@@ -330,8 +330,6 @@ def add_same_field(x: QuadReal, y: QuadReal) -> QuadReal:
         elif y.q != 0:
             raise MixedField(f"cannot add values from Q(√{x.s}) and Q(√{y.s})")
     xd, yd = x.d, y.d
-    if xd == yd:
-        return _norm(x.p + y.p, x.q + y.q, xd, s)
     return _norm(x.p * yd + y.p * xd, x.q * yd + y.q * xd, xd * yd, s)
 
 
@@ -356,8 +354,6 @@ def compare(x: QuadReal, y: QuadReal) -> int:
     """
     xq, yq, xd, yd = x.q, y.q, x.d, y.d
     a = x.p * yd - y.p * xd
-    if xq == 0 and yq == 0:
-        return (a > 0) - (a < 0)
     u = x.s
     if u == y.s:
         return _sign(a, xq * yd - yq * xd, u)
@@ -401,15 +397,9 @@ def to_decimal(x: QuadReal, digits: int) -> str:
         if twice > x.d or (twice == x.d and q % 2):
             q += 1
         return _format_scaled(q, digits)
-    # irrational: never sits exactly on a rounding boundary, so a widening
-    # guard always terminates
-    guard = 2
-    while True:
-        lo = _floor_scaled(x, digits + guard)
-        shifted = lo + 10 ** guard // 2
-        if shifted % 10 ** guard != 10 ** guard - 1:
-            return _format_scaled(shifted // 10 ** guard, digits)
-        guard += 4
+    # irrational: never on a rounding boundary, so with a = x 10**digits it rounds
+    # to floor(a + 1/2) = (floor(10 a) + 5) // 10, as floor(b/10) = floor(floor(b)/10)
+    return _format_scaled((_floor_scaled(x, digits + 1) + 5) // 10, digits)
 
 
 def _format_scaled(q: int, digits: int) -> str:

@@ -137,9 +137,11 @@ def solve_radial(problem: RadialProblem, modes: int) -> list[float]:
             f"{problem.grid_points} modes, got {modes}"
         )
     diag, off, mass = _assemble(problem)
-    # the discrete Rayleigh quotient is at least m(m+n) >= -n^2/4, so
-    # K - sigma*M is positive definite and dpttrf needs no pivoting
-    sigma = -(problem.n ** 2 / 4 + abs(min(float(problem.coupling), 0.0)) + 10.0)
+    # the gauged discrete Rayleigh quotient is at least m(m+n), so K - sigma*M
+    # is positive definite for sigma one below it and dpttrf needs no pivoting;
+    # a shift that close keeps sigma + 1/mu from cancelling the low modes
+    m = _exponents(problem)[1]
+    sigma = m * (m + problem.n) - 1.0
     d, e, info = dpttrf(diag - sigma * mass, off)
     if info != 0:
         raise ConvergenceFailure(f"K - sigma*M is not positive definite (dpttrf info {info})")

@@ -188,11 +188,11 @@ def line_spectrum(lines: Iterable[tuple[QuadReal, int, tuple[Origin, ...]]], cut
     lines may come in any order; runs of ascending values, as a cone part
     yields them class by class, sort in time linear in the lines.
 
-    The values are sorted on ``(floor(1000 v), v)``, the floor
-    ``p*1000 // d`` for a rational; the floor is exact integer arithmetic
-    and monotone, so ``compare`` (through ``QuadReal.__lt__``) runs only for
-    two values with one floor, in the sort and in the check of strict
-    ascent.  Each line is built once; a value above the cutoff is refused,
+    The values are sorted on ``(floor(1000 v), v)``; the floor is exact
+    and monotone, ``p*1000 // d`` inline for a rational and one integer
+    square root for an irrational, so ``compare`` (through
+    ``QuadReal.__lt__``) runs only for two values with one floor, in the
+    sort and in the check of strict ascent.  Each line is built once; a value above the cutoff is refused,
     not dropped.
     """
     # (floor, value, multiplicity, origins): values are distinct, so nothing after them is compared
@@ -277,11 +277,12 @@ def validate_geometric_spectrum(gs: GeometricSpectrum) -> None:
                 "eigenvalue 0 has multiplicity "
                 f"{zero_mult}: multi-component bases are rejected"
             )
+    bound_0 = from_rational(n)
     for line in gs.spec0.lines:
         v = line.value
         if exactreal.sign(v) < 0:
             raise InvariantViolation(f"negative scalar eigenvalue {v}")
-        if exactreal.sign(v) > 0 and compare(v, from_rational(n)) < 0:
+        if exactreal.sign(v) > 0 and compare(v, bound_0) < 0:
             _hypothesis_bound(gs, (
                 f"positive scalar eigenvalue {v} below the dimension bound n={n} "
                 "(closed Einstein spaces with this normalization have no "

@@ -49,7 +49,7 @@ def _coeff(c) -> Coeff:
 
 def _nonzero(out: Terms) -> "LaurentPoly2":
     """The polynomial of merged terms, zeros dropped."""
-    return _poly({key: c if type(c) is int else _exact(c) for key, c in out.items() if c})
+    return _poly({key: _exact(c) for key, c in out.items() if c})
 
 
 def _exponent(e) -> int:
@@ -138,7 +138,7 @@ def _merge(a: Terms, b: Terms, sign: int) -> LaurentPoly2:
         if not c:
             del out[key]
         else:
-            out[key] = c if type(c) is int else _exact(c)
+            out[key] = _exact(c)
     return _poly(out)
 
 
@@ -161,9 +161,7 @@ def mul_monomial(f: LaurentPoly2, p: int, q: int, coeff=1) -> LaurentPoly2:
         raise InvariantViolation("z-exponents must stay nonnegative")
     if coeff == 0:
         return _poly({})
-    ints = type(coeff) is int  # a product of two ints needs no _exact
-    return _poly({(pp + p, qq + q): coeff * c if ints and type(c) is int else _exact(coeff * c)
-                  for (pp, qq), c in f._d.items()})
+    return _poly({(pp + p, qq + q): _exact(coeff * c) for (pp, qq), c in f._d.items()})
 
 
 def hat_laplacian(n: int, f: LaurentPoly2) -> LaurentPoly2:
@@ -297,16 +295,9 @@ def verify_decomposition(n: int, k: int, j: int) -> dict:
     is direct exactly when phi does not vanish on the kernel line."""
     if j < 2:
         return {"n": n, "k": k, "j": j, "vacuous": True, "passed": True}
-    basis = ladder_basis(k, j)
-    dim = len(basis)
-    shifted = ladder_basis(k, j - 2)
-    if len(shifted) + 1 != dim:
-        raise DecompositionFailed(
-            f"dimension count failed at (n={n}, k={k}, j={j}): "
-            f"{len(shifted) + 1} generators for a {dim}-dimensional space"
-        )
+    basis = ladder_basis(k, j)  # j//2 + 1 vectors, one more than the shifted ladder's j//2
     s2 = LaurentPoly2.from_terms({(2, 0): 1, (0, 2): 1})
-    for i, (p, q) in enumerate(shifted):
+    for i, (p, q) in enumerate(ladder_basis(k, j - 2)):
         if mul_monomial(s2, p, q)._d != {basis[i]: 1, basis[i + 1]: 1}:
             raise DecompositionFailed(
                 f"shifted generator {i} at (n={n}, k={k}, j={j}) is not "
@@ -317,7 +308,7 @@ def verify_decomposition(n: int, k: int, j: int) -> dict:
         raise DecompositionFailed(
             f"kernel line and shifted ladder overlap at (n={n}, k={k}, j={j})"
         )
-    return {"n": n, "k": k, "j": j, "dim": dim, "rank": dim, "passed": True}
+    return {"n": n, "k": k, "j": j, "dim": len(basis), "rank": len(basis), "passed": True}
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from sinecone.catalog import (
     sphere_multiplicity,
 )
 from sinecone.errors import InvariantViolation, ParseError
-from sinecone.exactreal import from_rational
+from sinecone.exactreal import compare, from_rational, make_quad
 from sinecone.spectra import geometric_spectrum_to_json
 
 
@@ -63,6 +63,22 @@ def test_sphere_functions_examples():
     assert [(l.value, l.multiplicity) for l in s2.lines] == [
         (q(0), 1), (q(2), 3), (q(6), 5)
     ]
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_sphere_functions_top_degree_at_every_boundary(n):
+    # cutoffs on each line k(k+n-1), one below it, an irrational hair to
+    # either side of it, and below 0: the top degree from one integer square
+    # root is the last k with k(k+n-1) <= cutoff
+    for k in range(12):
+        line = k * (k + n - 1)
+        for cutoff in (q(line), q(line - 1), make_quad(line, Fraction(1, 10 ** 9), 2),
+                       make_quad(line, Fraction(-1, 10 ** 9), 2), q(Fraction(-1, 3) - k)):
+            want = [j * (j + n - 1) for j in range(k + 2) if compare(q(j * (j + n - 1)), cutoff) <= 0]
+            got = sphere_functions(n, cutoff)
+            assert [l.value for l in got.lines] == [q(v) for v in want], (n, cutoff)
+            assert [l.multiplicity for l in got.lines] == [sphere_multiplicity(n, j) for j in range(len(want))]
+            assert got.cutoff == cutoff
 
 
 def test_product_markers():

@@ -194,6 +194,17 @@ def test_verify_radial_starts_the_grid_where_the_weight_is_representable(capsys,
     assert max(row["rel_error"] for row in report["modes"]) < 1e-6
 
 
+@pytest.mark.parametrize("n", [10 ** 7, 10 ** 9])
+def test_verify_radial_keeps_the_low_modes_at_a_large_dimension(capsys, n):
+    # a shift of -(n^2/4 + 10) cancelled sigma + 1/mu against modes near 3
+    # (10**7 was off by 1.0e-1); one below the gauged bound m(m+n) keeps them
+    code, out, _ = _capture(
+        capsys, ["--output", "json", "verify-radial", "--n", str(n), "--coupling", "3"]
+    )
+    assert code == 0
+    assert json.loads(out)["report"]["passed"] is True
+
+
 def test_verify_radial_without_a_trim_starts_the_grid_at_eps(capsys):
     code, out, _ = _capture(
         capsys, ["--output", "json", "verify-radial", "--n", "20", "--coupling", "3", "--eps", "1e-5"]

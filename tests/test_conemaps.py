@@ -814,7 +814,8 @@ def _quad_requirements(n, windows):
 def test_required_source_cutoff_is_the_quadreal_requirement_on_every_feed(n):
     # every FEEDS entry, at cutoffs from below the least rung (None) through
     # the least rung itself, a rational requirement (n^2 + 4x a square) and
-    # irrational cutoffs on either side of the least rung
+    # irrational cutoffs on either side of the least rung, 10**-4 away and
+    # within 10**-6, where 10**6 x floors to the rung's own grid point
     for part in sorted(conemaps.FEEDS):
         out, entries = conemaps._feeds(part, n)
         for _, inner, _, _ in entries:
@@ -822,7 +823,8 @@ def test_required_source_cutoff_is_the_quadreal_requirement_on_every_feed(n):
             below = q(least - Fraction(1, 10 ** 6))
             cutoffs = [below, q(least - 7), q(least), q(0), q(Fraction(37, 3)), q(20 * n),
                        q(Fraction(5 * 5 - n * n, 4) - out), make_quad(Fraction(7, 2), Fraction(-1, 3), 2),
-                       make_quad(least, Fraction(1, 10 ** 4), 3), make_quad(least, Fraction(-1, 10 ** 4), 3)]
+                       make_quad(least, Fraction(1, 10 ** 4), 3), make_quad(least, Fraction(-1, 10 ** 4), 3),
+                       make_quad(least, Fraction(1, 10 ** 7), 3), make_quad(least, Fraction(-1, 10 ** 7), 3)]
             assert _quad_requirement(n, below, out, inner) is None
             assert _quad_requirement(n, q(least), out, inner) is not None
             for cutoff in cutoffs:
@@ -941,13 +943,14 @@ def test_falls_short_matches_the_quadreal_comparison(case, inner, offset):
 
 @given(st.integers(min_value=2, max_value=14),
        st.fractions(min_value=0, max_value=200, max_denominator=6),
-       st.sampled_from([-1, 1]), st.integers(min_value=0, max_value=8))
+       st.sampled_from([-1, 0, 1]), st.integers(min_value=0, max_value=8))
+@example(n=4, window=Fraction(10), side=0, digits=0)  # exactly the irrational 12 - sqrt(14)
 @settings(max_examples=200)
 def test_an_irrational_source_cutoff_is_decided_against_the_quadreal_requirement(
         n, window, side, digits):
-    # the scalar spectrum declared complete to its requirement moved by an
-    # irrational hair (in the requirement's field): refused exactly when the
-    # cutoff lies below it
+    # the scalar spectrum declared complete to its requirement, or to it
+    # moved by an irrational hair (in the requirement's field): refused
+    # exactly when the cutoff lies below it
     cutoff = q(window)
     need = _quad_requirement(n, cutoff, 0, 0)
     have = need + make_quad(0, Fraction(side, 10 ** digits), need.s if need.q else 2)

@@ -1,6 +1,6 @@
 import math
 import random
-from decimal import Decimal, getcontext
+from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 
 import pytest
@@ -239,6 +239,21 @@ def test_to_decimal_against_decimal_module():
     value = Decimal(45) / 2 - Decimal(3) / 2 * Decimal(17).sqrt()
     want = str(value.quantize(Decimal("1.0000")))
     assert to_decimal(make_quad(Fraction(45, 2), Fraction(-3, 2), 17), 4) == want
+
+
+@pytest.mark.parametrize("side", [-1, 1])
+@pytest.mark.parametrize("digits", [1, 3, 12])
+def test_to_decimal_rounds_an_irrational_a_hair_from_a_boundary(side, digits):
+    # x = 1 + 5/10**(digits+1) +- sqrt(2)/10**40: past its last place it
+    # reads 4 and a run of 9s, or 5 and a run of 0s; the one floor at
+    # digits + 1 places rounds it as the 80-digit decimal module does
+    x = make_quad(1 + Fraction(5, 10 ** (digits + 1)), Fraction(side, 10 ** 40), 2)
+    with localcontext() as ctx:
+        ctx.prec = 80
+        value = 1 + Decimal(5).scaleb(-digits - 1) + side * Decimal(2).sqrt().scaleb(-40)
+        want = format(value.quantize(Decimal(1).scaleb(-digits)), "f")
+    assert to_decimal(x, digits) == want == "1." + "0" * (digits - 1) + ("1" if side > 0 else "0")
+    assert to_decimal(-x, digits) == "-" + want
 
 
 def test_to_decimal_half_even():

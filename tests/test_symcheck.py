@@ -161,6 +161,10 @@ def test_harmonic_family_residual_failure_names_the_family(monkeypatch):
 def test_dimension_count():
     assert len(ladder_basis(2, 4)) == len(ladder_basis(2, 2)) + 1
     assert len(ladder_basis(1, 2)) == 2  # kernel line + one shifted generator
+    # at every height, so verify_decomposition needs no count of its own
+    for k in (0, 1, 5):
+        for j in range(2, 40):
+            assert len(ladder_basis(k, j)) == len(ladder_basis(k, j - 2)) + 1 == j // 2 + 1
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

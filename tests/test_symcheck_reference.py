@@ -261,6 +261,18 @@ def test_harmonic_ladder_matches_the_elimination_reference(n):
 
 
 @pytest.mark.parametrize("n, k, j", [(3, 1, 2), (4, 0, 3), (5, 2, 6)])
+def test_a_wrong_shifted_generator_is_refused(monkeypatch, n, k, j):
+    # (r^2 + z^2) times the last shifted monomial computed one r-power high:
+    # it is no longer the sum of two neighbouring basis vectors
+    multiply = symcheck.mul_monomial
+    last = ladder_basis(k, j - 2)[-1]
+    monkeypatch.setattr(symcheck, "mul_monomial", lambda f, p, q, coeff=1: multiply(
+        f, p + 1 if (p, q) == last else p, q, coeff))
+    with pytest.raises(DecompositionFailed, match=f"shifted generator {len(ladder_basis(k, j - 2)) - 1} "):
+        verify_decomposition(n, k, j)
+
+
+@pytest.mark.parametrize("n, k, j", [(3, 1, 2), (4, 0, 3), (5, 2, 6)])
 def test_a_family_inside_the_shifted_ladder_is_refused(monkeypatch, n, k, j):
     # (r^2 + z^2) r^k z^(j-2) lies in the shifted span, so the sum is not direct
     inside = LaurentPoly2.from_terms({(k + 2, j - 2): 1, (k, j): 1})

@@ -26,6 +26,8 @@ ROOT = Path(__file__).resolve().parent.parent
 RECORDS = ("tests/test_records.py",)
 CONEMAPS = ("tests/test_conemaps.py",)
 RADIAL = ("tests/test_radialoracle.py",)
+EXACT = ("tests/test_exactreal.py", "tests/test_exactreal_reference.py")
+SYMBOLIC = ("tests/test_symcheck.py", "tests/test_symcheck_reference.py")
 
 #: name -> (source file, old text, new text, test files)
 MUTANTS = {
@@ -65,9 +67,58 @@ MUTANTS = {
     "the class ends one line early": (
         "src/sinecone/conemaps.py", "size = last + 1 - least", "size = last - least", CONEMAPS),
     "a class's seeds keep their feed order": (
-        "src/sinecone/conemaps.py", "        seeds.sort(key=_tag)\n", "        pass\n", CONEMAPS),
+        "src/sinecone/conemaps.py", "    seeds.sort(key=_tag)\n", "", CONEMAPS),
+    "_norm reduces by gcd(p, d) alone": (
+        "src/sinecone/exactreal.py", "g = gcd(p, q, d)", "g = gcd(p, d)", EXACT),
+    "_floor_scaled floors -sqrt to -isqrt": (
+        "src/sinecone/exactreal.py", "(root if q > 0 else -root - 1)", "(root if q > 0 else -root)", EXACT),
+    "to_decimal rounds up from 6": (
+        "src/sinecone/exactreal.py", "(_floor_scaled(x, digits + 1) + 5) // 10", "(_floor_scaled(x, digits + 1) + 4) // 10",
+        EXACT),
+    "Miller-Rabin is asked below its floor": (
+        "src/sinecone/exactreal.py", "if _MR_FLOOR < m < _MR_LIMIT", "if 1 < m < _MR_LIMIT", EXACT),
+    "Miller-Rabin is trusted at psi_13 and above": (
+        "src/sinecone/exactreal.py", "< m < _MR_LIMIT and", "< m and", EXACT),
+    "Miller-Rabin is asked twice about a refused cofactor": (
+        "src/sinecone/exactreal.py", " and m != refused:", ":", EXACT),
+    "an irrational shifted cutoff on the least rung's grid point is dropped": (
+        "src/sinecone/conemaps.py", "low < 250000 * (1 - n * n)", "low <= 250000 * (1 - n * n)", CONEMAPS),
+    "an irrational source cutoff equal to its requirement is refused": (
+        "src/sinecone/conemaps.py", "required_source_cutoff(n, cutoff, out, inner)) < 0",
+        "required_source_cutoff(n, cutoff, out, inner)) <= 0", CONEMAPS),
+    "the part's isqrt bound is one degree high": (
+        "src/sinecone/conemaps.py", "math.isqrt(4 * c + n * n) - n if", "math.isqrt(4 * c + n * n) - n + 2 if",
+        CONEMAPS),
+    "the sphere's top degree is one high": (
+        "src/sinecone/catalog.py", "(math.isqrt(disc) - n + 1) // 2", "(math.isqrt(disc) - n + 3) // 2",
+        ("tests/test_catalog.py",)),
+    "line_spectrum keys an irrational on its rational part": (
+        "src/sinecone/spectra.py", "else exactreal._floor_scaled(v, 3), v, m, origins)", "else v.p * 1000 // v.d, v, m, origins)",
+        ("tests/test_spectra.py", "tests/test_conemaps.py")),
+    "line_spectrum keys a rational by the general floor": (
+        "src/sinecone/spectra.py", "(v.p * 1000 // v.d if v.q == 0 else exactreal._floor_scaled(v, 3), v, m, origins)",
+        "(exactreal._floor_scaled(v, 3), v, m, origins)", ("tests/test_spectra.py",)),
+    "solve_zero_equation misses the degree 0": (
+        "src/sinecone/rigidity.py", "sign(m) <= 0", "sign(m) < 0", ("tests/test_rigidity.py",)),
+    "solve_zero_equation skips its defining-equation check": (
+        "src/sinecone/rigidity.py", "if m.is_rational() and degree_eigenvalue(n, m) != kappa:", "if False:",
+        ("tests/test_rigidity.py",)),
+    "build_harmonic_family's recurrence drops a factor": (
+        "src/sinecone/symcheck.py", "((j - 2 * m + 2) * (j - 2 * m + 1))", "((j - 2 * m + 2) * (j - 2 * m))", SYMBOLIC),
+    "verify_decomposition's sum does not alternate": (
+        "src/sinecone/symcheck.py", "* (-1) ** l for l, key", "* 1 for l, key", SYMBOLIC),
+    "verify_decomposition skips its shifted-generator check": (
+        "src/sinecone/symcheck.py", "if mul_monomial(s2, p, q)._d != {", "if False and mul_monomial(s2, p, q)._d != {",
+        SYMBOLIC),
+    "_class_lines' integer class takes the general value": (
+        "src/sinecone/conemaps.py", "if big_q == 0 and dd == 1:", "if False:", CONEMAPS),
+    "_class_lines' one column takes the general origins path": (
+        "src/sinecone/conemaps.py", "if len(columns) == 1:", "if False:", CONEMAPS),
     "solve_radial returns sigma - 1/mu": (
         "src/sinecone/radialoracle.py", "sigma + 1.0 / float(mu)", "sigma - 1.0 / float(mu)", RADIAL),
+    "solve_radial shifts by -(n^2/4 + 10) again": (
+        "src/sinecone/radialoracle.py", "sigma = m * (m + problem.n) - 1.0", "sigma = -(problem.n ** 2 / 4 + 10.0)",
+        ("tests/test_cli.py",)),
     "solve_radial ignores a positive dpttrf info": (
         "src/sinecone/radialoracle.py", "if info != 0:", "if info < 0:", ("tests/test_cli.py",)),
     "grid_start keeps the weight above 1e-300": (
@@ -87,10 +138,24 @@ MUTANTS = {
         "            pass\n", RECORDS),
 }
 
-#: name -> why the mutant cannot change any result
+#: name -> why the mutant cannot change any result; a fast path that gives
+#: what its general path gives is kept only with the time its removal cost
+#: (CPU time of the removal over the tree, in one process with the workload
+#: ops interleaved, 16 alternations on 2-core x86-64 under CPython 3.11: median
+#: [3rd lowest, 3rd highest])
 EQUIVALENT = {
     "_falls_short's first clause admits A = 0": (
         "at A = 0 the second clause reads r hd^2 < 0, false for every r >= 0"),
+    "_class_lines' integer class takes the general value": (
+        "the general value reduces by gcd(p, 0, 1) = 1 to the same integer line; without the "
+        "fast path ladder-deep one-forms ops read 1.076 [1.026, 1.136], einstein 1.049 [0.986, 1.150]"),
+    "_class_lines' one column takes the general origins path": (
+        "one padded column with no leading None is its own origins; without the fast path "
+        "ladder-deep ops read 1.034 [0.977, 1.097], crosscheck-sweep base ops 1.070 [0.920, 1.178]"),
+    "line_spectrum keys a rational by the general floor": (
+        "_floor_scaled(v, 3) is p*1000 // d for a rational; it costs 239-314 ns a line against "
+        "114-174 inline (timeit, 5,000 rational lines), and ladder-deep, whose lines are all "
+        "rational, read 119.8 -> 112.9 ops/s without the inline key (10 end-to-end pairs)"),
 }
 
 
