@@ -377,13 +377,13 @@ def sign(x: QuadReal) -> int:
 
 def _floor_scaled(x: QuadReal, k: int) -> int:
     """floor(x * 10**k), exactly, via integer square roots."""
-    scale = 10 ** k
-    p, q = x.p * scale, x.q * scale
+    p, q, scale = x.p, x.q, 10 ** k
     if q == 0:
-        return p // x.d
+        return p * scale // x.d
     # q^2 s is never a square, so floor(q sqrt(s)) is isqrt or -(isqrt + 1)
+    q *= scale
     root = math.isqrt(q * q * x.s)
-    return (p + (root if q > 0 else -root - 1)) // x.d
+    return (p * scale + (root if q > 0 else -root - 1)) // x.d
 
 
 def to_decimal(x: QuadReal, digits: int) -> str:

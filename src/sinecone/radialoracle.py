@@ -16,13 +16,14 @@ form by second-order finite differences on a uniform grid over
 unless the weight underflows there (:func:`grid_start`).  Without the gauge the
 natural condition at eps mixes in the other branch, which at the
 Hardy-critical coupling c = -(n-1)^2/4 is sin^m log(sin) and costs
-O(1/log(1/eps)).  The pencil is a tridiagonal stiffness against a diagonal
-mass.  It is solved by spectral-transformation Lanczos: K - sigma*M, positive
-definite for the shift sigma below the form's lower bound, is factored once by
-LAPACK's tridiagonal LDL^T (dpttrf), and ARPACK finds the largest eigenvalues
-mu of the symmetric operator M^(1/2) (K - sigma*M)^(-1) M^(1/2), with pencil
-values sigma + 1/mu.  So the wanted low modes come out to good relative
-accuracy despite the near-pole weight degeneration.
+O(1/log(1/eps)).  In the gauge the pencil is a tridiagonal stiffness K against
+a diagonal mass M plus the constant m(m+n).  It is solved by
+spectral-transformation Lanczos: K + M, positive definite as K is positive
+semidefinite, is factored once by LAPACK's tridiagonal LDL^T (dpttrf), and
+ARPACK finds the largest eigenvalues mu of the symmetric operator
+M^(1/2) (K + M)^(-1) M^(1/2), with pencil values m(m+n) + (1/mu - 1).  No
+coefficient of order n^2 enters the matrices, so the wanted low modes come out
+to good relative accuracy despite the near-pole weight degeneration.
 
 Floating point lives only here; results feed pass/fail reports, never the
 exact machinery.
@@ -80,18 +81,19 @@ class RadialProblem(Record):
         _set(self, "boundary_offset", boundary_offset)
 
 
-def _exponents(problem: RadialProblem) -> tuple[float, float, float]:
-    """(c, m, k): the coupling, its larger indicial root (the Friedrichs
-    branch; the clamp absorbs roundoff) and the gauged weight's k = n + 2m."""
-    c, half = float(problem.coupling), (problem.n - 1) / 2
-    m = -half + math.sqrt(max(half * half + c, 0.0))
-    return c, m, problem.n + 2 * m
+def _exponents(problem: RadialProblem) -> tuple[float, float]:
+    """(m, k): the coupling's larger indicial root m = c / ((n-1)/2 + root),
+    root = sqrt((n-1)^2/4 + c) (the Friedrichs branch), and the gauged
+    weight's k = n + 2m = 1 + 2 root.  The radicand is summed exactly and the
+    root is not subtracted from (n-1)/2, so neither cancels at large n."""
+    root = math.sqrt(Fraction(problem.n - 1, 2) ** 2 + problem.coupling)
+    return float(problem.coupling) / ((problem.n - 1) / 2 + root), 1 + 2 * root
 
 
 def grid_start(problem: RadialProblem) -> float:
     """The first grid point theta0 = max(eps, asin(10**(-250/k))): the weight
     sin^k stays above 10**-250 on [theta0, pi - theta0], never 0 in floats."""
-    k = _exponents(problem)[2]
+    k = _exponents(problem)[1]
     theta0 = max(problem.boundary_offset, math.asin(10.0 ** (-250 / k)))
     if theta0 >= math.pi / 2:  # 10**(-250/k) rounds to 1
         raise ConvergenceFailure(f"the weight sin^{k:.6g} is below 10**-250 off the equator")
@@ -99,7 +101,7 @@ def grid_start(problem: RadialProblem) -> float:
 
 
 def _assemble(problem: RadialProblem):
-    """The stiffness diagonal and off-diagonal and the diagonal mass."""
+    """The gauged stiffness diagonal and off-diagonal and the diagonal mass."""
     # Ground-state gauge phi = sin^m psi: integrating the cross term by parts
     # turns the pencil into
     #     stiffness  integral(psi'^2 sin^k)
@@ -107,24 +109,22 @@ def _assemble(problem: RadialProblem):
     #     mass       integral(psi^2 sin^k),          k = n + 2m,
     # exactly for any m (m = 0 is the plain form).  With m the indicial root
     # the sin^(k-2) coefficient vanishes and psi is regular at the poles, so
-    # the natural condition at eps does not mix in the second branch.
-    n = problem.n
-    c, m, k = _exponents(problem)
+    # the natural condition at eps does not mix in the second branch; what is
+    # left is integral(psi'^2 sin^k) against the mass, shifted by m(m+n).
+    k = _exponents(problem)[1]
     N = problem.grid_points
     theta0 = grid_start(problem)
     h = (math.pi - 2 * theta0) / N
     theta = theta0 + h * np.arange(N + 1)
     mid = theta[:-1] + h / 2
     s_mid = np.sin(mid) ** k
-    s = np.sin(theta)
     w = np.full(N + 1, h)
     w[0] = w[-1] = h / 2
     diag = np.zeros(N + 1)
     diag[:-1] += s_mid / h
     diag[1:] += s_mid / h
-    diag += w * ((c - m * (m + n - 1)) * s ** (k - 2) + m * (m + n) * s ** k)
     off = -s_mid / h
-    return diag, off, w * s ** k
+    return diag, off, w * np.sin(theta) ** k
 
 
 def solve_radial(problem: RadialProblem, modes: int) -> list[float]:
@@ -137,14 +137,13 @@ def solve_radial(problem: RadialProblem, modes: int) -> list[float]:
             f"{problem.grid_points} modes, got {modes}"
         )
     diag, off, mass = _assemble(problem)
-    # the gauged discrete Rayleigh quotient is at least m(m+n), so K - sigma*M
-    # is positive definite for sigma one below it and dpttrf needs no pivoting;
-    # a shift that close keeps sigma + 1/mu from cancelling the low modes
-    m = _exponents(problem)[1]
-    sigma = m * (m + problem.n) - 1.0
-    d, e, info = dpttrf(diag - sigma * mass, off)
+    # the gauged stiffness K is positive semidefinite, so K + shift*M is
+    # positive definite and dpttrf needs no pivoting; a shift of 1 keeps
+    # 1/mu - shift from cancelling the low modes
+    shift = 1.0
+    d, e, info = dpttrf(diag + shift * mass, off)
     if info != 0:
-        raise ConvergenceFailure(f"K - sigma*M is not positive definite (dpttrf info {info})")
+        raise ConvergenceFailure(f"K + M is not positive definite (dpttrf info {info})")
     r = np.sqrt(mass)
     size = diag.shape[0]
     op = LinearOperator(
@@ -157,7 +156,9 @@ def solve_radial(problem: RadialProblem, modes: int) -> list[float]:
         )
     except (ArpackError, ArpackNoConvergence) as exc:
         raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
-    return sorted(sigma + 1.0 / float(mu) for mu in mus)
+    # m(m+n) = c + m, as m solves m(m+n-1) = c
+    lower = float(problem.coupling) + _exponents(problem)[0]
+    return sorted(lower + (1.0 / float(mu) - shift) for mu in mus)
 
 
 def closed_form_values(n: int, coupling: Fraction, modes: int) -> list[QuadReal]:

@@ -189,17 +189,13 @@ def line_spectrum(lines: Iterable[tuple[QuadReal, int, tuple[Origin, ...]]], cut
     yields them class by class, sort in time linear in the lines.
 
     The values are sorted on ``(floor(1000 v), v)``; the floor is exact
-    and monotone, ``p*1000 // d`` inline for a rational and one integer
-    square root for an irrational, so ``compare`` (through
+    integer arithmetic and monotone, so ``compare`` (through
     ``QuadReal.__lt__``) runs only for two values with one floor, in the
-    sort and in the check of strict ascent.  Each line is built once; a value above the cutoff is refused,
-    not dropped.
+    sort and in the check of strict ascent.  Each line is built once; a
+    value above the cutoff is refused, not dropped.
     """
     # (floor, value, multiplicity, origins): values are distinct, so nothing after them is compared
-    entries = [
-        (v.p * 1000 // v.d if v.q == 0 else exactreal._floor_scaled(v, 3), v, m, origins)
-        for v, m, origins in lines
-    ]
+    entries = [(exactreal._floor_scaled(v, 3), v, m, origins) for v, m, origins in lines]
     entries.sort()
     if any(f == g and compare(v, w) >= 0 for (f, v, _, _), (g, w, _, _) in zip(entries, entries[1:])):
         raise InvariantViolation("spectrum lines must be strictly ascending")

@@ -194,10 +194,11 @@ def test_verify_radial_starts_the_grid_where_the_weight_is_representable(capsys,
     assert max(row["rel_error"] for row in report["modes"]) < 1e-6
 
 
-@pytest.mark.parametrize("n", [10 ** 7, 10 ** 9])
+@pytest.mark.parametrize("n", [10 ** 7, 10 ** 8, 2 * 10 ** 8, 5 * 10 ** 8, 10 ** 9])
 def test_verify_radial_keeps_the_low_modes_at_a_large_dimension(capsys, n):
     # a shift of -(n^2/4 + 10) cancelled sigma + 1/mu against modes near 3
-    # (10**7 was off by 1.0e-1); one below the gauged bound m(m+n) keeps them
+    # (off by 1.0e-1 at 10**7, by 1 to 2.3e2 from 10**8 on); shifting the
+    # gauged stiffness alone by 1 keeps them
     code, out, _ = _capture(
         capsys, ["--output", "json", "verify-radial", "--n", str(n), "--coupling", "3"]
     )

@@ -1,3 +1,4 @@
+import decimal
 import math
 from fractions import Fraction
 
@@ -136,11 +137,36 @@ def test_tt_block_critical_case_converges_slowly():
         assert all(abs(g - t) < 1e-3 for g, t in zip(got, targets)), got
 
 
-@pytest.mark.parametrize("n,c,modes", [(9, -16, 5), (5, -4, 3), (9, -15, 5)])
+def _coupling(n, block, above):
+    return (Fraction(-((n - 1) ** 2), 4) if block == "tt" else 0) + above
+
+
+@pytest.mark.parametrize("n,c,modes", [
+    (9, -16, 5), (5, -4, 3), (9, -15, 5),
+    (10 ** 7, _coupling(10 ** 7, "tt", 3), 4), (10 ** 9, _coupling(10 ** 9, "tt", 0), 4),
+    (10 ** 9, _coupling(10 ** 9, "tt", 3), 4),
+])
 def test_verify_line_tt_couplings(n, c, modes):
-    # Hardy-critical couplings (9, -16) and (5, -4), and one just above (9, -15)
+    # Hardy-critical couplings (9, -16) and (5, -4), and one just above (9, -15);
+    # at 10**9 m(m+n) - 1 rounds to m(m+n), so no shift of a matrix holding
+    # m(m+n) M can stay one below the form's bound
     report = verify_line(n, "tt", Fraction(c), modes=modes, tol=1e-3)
     assert report["passed"]
+
+
+@pytest.mark.parametrize("n, block, above", [(10 ** 9, "function", 3), (10 ** 9, "tt", 3)])
+def test_exponents_keep_the_indicial_root_at_a_large_dimension(n, block, above):
+    # m = -(n-1)/2 + sqrt((n-1)^2/4 + c) cancels in floats twice: the radicand
+    # near the Hardy bound (n^2/4 + c rounds to n^2/4), and the subtraction for
+    # small c (m rounds to 0.0 from about n = 3*10**8 on)
+    coupling = _coupling(n, block, above)
+    m, k = radialoracle._exponents(RadialProblem(n, coupling, block))
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        half = decimal.Decimal(n - 1) / 2
+        root = (half * half + decimal.Decimal(coupling.numerator) / coupling.denominator).sqrt()
+        assert m == pytest.approx(float(root - half), rel=1e-12)
+        assert k == pytest.approx(float(1 + 2 * root), rel=1e-12)
 
 
 #: ``solve_radial`` at the default grid on the lines ``verify-engines`` and the

@@ -93,11 +93,8 @@ MUTANTS = {
         "src/sinecone/catalog.py", "(math.isqrt(disc) - n + 1) // 2", "(math.isqrt(disc) - n + 3) // 2",
         ("tests/test_catalog.py",)),
     "line_spectrum keys an irrational on its rational part": (
-        "src/sinecone/spectra.py", "else exactreal._floor_scaled(v, 3), v, m, origins)", "else v.p * 1000 // v.d, v, m, origins)",
+        "src/sinecone/spectra.py", "(exactreal._floor_scaled(v, 3), v, m, origins)", "(v.p * 1000 // v.d, v, m, origins)",
         ("tests/test_spectra.py", "tests/test_conemaps.py")),
-    "line_spectrum keys a rational by the general floor": (
-        "src/sinecone/spectra.py", "(v.p * 1000 // v.d if v.q == 0 else exactreal._floor_scaled(v, 3), v, m, origins)",
-        "(exactreal._floor_scaled(v, 3), v, m, origins)", ("tests/test_spectra.py",)),
     "solve_zero_equation misses the degree 0": (
         "src/sinecone/rigidity.py", "sign(m) <= 0", "sign(m) < 0", ("tests/test_rigidity.py",)),
     "solve_zero_equation skips its defining-equation check": (
@@ -114,11 +111,17 @@ MUTANTS = {
         "src/sinecone/conemaps.py", "if big_q == 0 and dd == 1:", "if False:", CONEMAPS),
     "_class_lines' one column takes the general origins path": (
         "src/sinecone/conemaps.py", "if len(columns) == 1:", "if False:", CONEMAPS),
-    "solve_radial returns sigma - 1/mu": (
-        "src/sinecone/radialoracle.py", "sigma + 1.0 / float(mu)", "sigma - 1.0 / float(mu)", RADIAL),
-    "solve_radial shifts by -(n^2/4 + 10) again": (
-        "src/sinecone/radialoracle.py", "sigma = m * (m + problem.n) - 1.0", "sigma = -(problem.n ** 2 / 4 + 10.0)",
-        ("tests/test_cli.py",)),
+    "solve_radial returns lower - 1/mu": (
+        "src/sinecone/radialoracle.py", "lower + (1.0 / float(mu) - shift)", "lower + (-1.0 / float(mu) - shift)",
+        RADIAL),
+    "solve_radial shifts by n^2/4 + 10 again": (
+        "src/sinecone/radialoracle.py", "shift = 1.0", "shift = problem.n ** 2 / 4 + 10.0", ("tests/test_cli.py",)),
+    "_exponents subtracts (n-1)/2 from the root": (
+        "src/sinecone/radialoracle.py", "float(problem.coupling) / ((problem.n - 1) / 2 + root)",
+        "root - (problem.n - 1) / 2", RADIAL),
+    "_exponents sums the radicand in floats": (
+        "src/sinecone/radialoracle.py", "Fraction(problem.n - 1, 2) ** 2 + problem.coupling",
+        "((problem.n - 1) / 2) ** 2 + float(problem.coupling)", RADIAL),
     "solve_radial ignores a positive dpttrf info": (
         "src/sinecone/radialoracle.py", "if info != 0:", "if info < 0:", ("tests/test_cli.py",)),
     "grid_start keeps the weight above 1e-300": (
@@ -152,10 +155,6 @@ EQUIVALENT = {
     "_class_lines' one column takes the general origins path": (
         "one padded column with no leading None is its own origins; without the fast path "
         "ladder-deep ops read 1.034 [0.977, 1.097], crosscheck-sweep base ops 1.070 [0.920, 1.178]"),
-    "line_spectrum keys a rational by the general floor": (
-        "_floor_scaled(v, 3) is p*1000 // d for a rational; it costs 239-314 ns a line against "
-        "114-174 inline (timeit, 5,000 rational lines), and ladder-deep, whose lines are all "
-        "rational, read 119.8 -> 112.9 ops/s without the inline key (10 end-to-end pairs)"),
 }
 
 
