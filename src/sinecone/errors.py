@@ -69,10 +69,3 @@ class IdentityFailed(VerificationFailed):
 
 class DecompositionFailed(VerificationFailed):
     pass
-
-
-class SolverDisagreement(SineconeError, AssertionError):
-    """A harmonic degree failed its defining equation degree_eigenvalue(n, m)
-    == kappa during zero-mode detection (implementation bug)."""
-
-    exit_code = 2

@@ -1,22 +1,20 @@
 """Infinitesimal-Einstein-deformation finder for sine-cones.
 
 Zeros of the TT block of the cone Einstein operator come only from TT ladders
-of the base.  A TT eigenvalue kappa of degree m = harmonic_degree(n, kappa)
-contributes the ladder
-
-    degree_eigenvalue(n+1, m + j) = (j + m)(j + m + n),    j = 0, 1, 2, ...
-
-whose roots are -m and -m - n.  Since m >= -(n-1)/2 > -n, a zero exists iff m
-is a nonpositive integer, at j = -m; the deformation is bounded iff j = 0
-(m = 0, kappa = 0).  The one runtime check is the degree's defining equation
-degree_eigenvalue(n, m) == kappa for every rational m (SolverDisagreement).
+of the base.  A TT eigenvalue kappa of a dim-n base is the source of a zero
+mode exactly when kappa = -j(n-1-j) for an integer 0 <= j <= (n-1)/2, that
+is, when (n-1)^2 + 4 kappa is the square of n-1-2j; the cone ladder of kappa
+then vanishes at index j, and the deformation is bounded iff j = 0 (kappa =
+0).  One integer square root decides it; no radicand is factored.
 """
 
 from __future__ import annotations
 
+from math import isqrt
+
 from .catalog import ProductMarker, product_geometric_spectrum, product_tt_marker
-from .conemaps import degree_eigenvalue, harmonic_degree, require_bounded_below
-from .errors import InsufficientBaseCutoff, SolverDisagreement, UnboundedBelow
+from .conemaps import hardy_bound, require_bounded_below
+from .errors import BelowHardyBound, InsufficientBaseCutoff, UnboundedBelow
 from .exactreal import QuadReal, sign
 from .spectra import GeometricSpectrum, Record
 
@@ -43,16 +41,15 @@ class IEDCertificate(Record):
 
 def solve_zero_equation(n: int, kappa: QuadReal) -> list[int]:
     """Ladder indices where the cone TT ladder of the base eigenvalue kappa
-    vanishes: [-m] when m = harmonic_degree(n, kappa) is a nonpositive integer,
-    else [].  A rational m is first checked against its defining equation."""
-    if not kappa.is_rational():
-        return []  # an irrational kappa never has an integral ladder degree
-    m = harmonic_degree(n, kappa)
-    if m.is_rational() and degree_eigenvalue(n, m) != kappa:
-        raise SolverDisagreement(
-            f"harmonic degree {m} of kappa={kappa}, n={n} does not solve m(m+n-1) = kappa"
-        )
-    return [-m.p] if m.is_integer() and sign(m) <= 0 else []
+    vanishes: [j] when (n-1)^2 + 4 kappa is the square of an r <= n-1, with
+    j = (n-1-r)/2 exact since r has the parity of n-1; else []."""
+    if kappa.q != 0 or kappa.d != 1:
+        return []  # an integral degree m gives the integer kappa = m(m+n-1)
+    radicand = (n - 1) ** 2 + 4 * kappa.p
+    if radicand < 0:
+        raise BelowHardyBound(f"eigenvalue {kappa} lies below -(n-1)^2/4 = {hardy_bound(n)}")
+    r = isqrt(radicand)
+    return [(n - 1 - r) // 2] if r * r == radicand and r <= n - 1 else []
 
 
 def find_ieds(gs: GeometricSpectrum) -> list[IEDCertificate]:

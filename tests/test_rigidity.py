@@ -1,14 +1,14 @@
 import json
 from fractions import Fraction
-from math import isqrt
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-import sinecone.rigidity as rigidity
 from sinecone.catalog import ProductMarker, product_geometric_spectrum
 from sinecone.cli import run
 from sinecone.conemaps import degree_eigenvalue, harmonic_degree
-from sinecone.errors import InvariantViolation, SolverDisagreement, UnboundedBelow
+from sinecone.errors import BelowHardyBound, InvariantViolation, UnboundedBelow
 from sinecone.exactreal import from_rational, sign
 from sinecone.rigidity import (
     IEDCertificate,
@@ -63,6 +63,15 @@ def test_solve_zero_equation_examples():
     assert solve_zero_equation(9, q(-16)) == [4]
     assert solve_zero_equation(12, q(-22)) == []  # degree (-11 + sqrt(33))/2 irrational
     assert harmonic_degree(12, -22).s == 33
+    # a fraction is never a source, though its numerator may be one: -2 at
+    # n = 4 and -16 at n = 9 are sources, -2/3 and -16/3 are not
+    assert solve_zero_equation(4, q(-2)) == [1]
+    assert solve_zero_equation(4, q(Fraction(-2, 3))) == []
+    assert solve_zero_equation(9, q(Fraction(-16, 3))) == []
+    # below the Hardy bound find_ieds refuses the base first (UnboundedBelow);
+    # a direct call meets the negative radicand itself
+    with pytest.raises(BelowHardyBound):
+        solve_zero_equation(9, q(-17))
 
 
 def test_solve_zero_equation_irrational_kappa():
@@ -96,17 +105,63 @@ def test_equivalence_of_criteria_on_dense_grid(n):
 
 
 def test_pythagorean_dimensions():
-    # sqrt((n-9)(n-1)) is integral only at 9 and 10 within 4..64, and both
-    # dimensions yield an integral ladder index for the product line
-    integral = [
-        n for n in range(4, 65)
-        if (n - 9) * (n - 1) >= 0 and isqrt((n - 9) * (n - 1)) ** 2 == (n - 9) * (n - 1)
-    ]
-    assert integral == [9, 10]
-    with_ied = [
-        n for n in range(9, 65) if solve_zero_equation(n, q(-2 * (n - 1)))
-    ]
-    assert with_ied == [9, 10]
+    # the product line -2(n-1) is a source exactly when (n-1)(n-9) =
+    # (n-5)^2 - 16 is a square, which for n >= 4 it is only at 9 and 10
+    rows = product_rigidity_scan(4, 3000)
+    assert [(r.n, [c.j for c in r.certificates]) for r in rows if r.has_ied] == [(9, [4]), (10, [3])]
+
+
+def _source(n, j):
+    return -j * (n - 1 - j)
+
+
+_sizes = st.integers(min_value=2, max_value=10 ** 15).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(min_value=0, max_value=(n - 1) // 2)))
+
+
+@given(_sizes, st.integers(min_value=1, max_value=5))
+@example((2, 0), 1)
+@example((3, 1), 2)
+@example((9, 4), 1)
+@example((10 ** 15 + 1, 5 * 10 ** 14), 3)
+@settings(max_examples=200, deadline=None)
+def test_constructed_zero_modes_at_any_size(size, mult):
+    # kappa = -j(n-1-j) is a source at index j; its neighbour kappa + 1 is
+    # one only at n = 2j + 1, where it is -(j-1)(j+1), the source at j - 1
+    n, j = size
+    kappa = _source(n, j)
+    gs = tt_only_base(n, [(kappa, mult), (kappa + 1, 1)], cut=max(0, kappa + 1))
+    expected = [IEDCertificate(kappa=q(kappa), j=j, bounded=(j == 0), multiplicity=mult)]
+    if n == 2 * j + 1 and j > 0:
+        assert kappa + 1 == _source(n, j - 1)
+        expected.append(IEDCertificate(kappa=q(kappa + 1), j=j - 1, bounded=(j == 1), multiplicity=1))
+    assert find_ieds(gs) == expected
+
+
+def test_a_line_at_a_large_dimension_is_answered_without_factoring(tmp_path, capsys):
+    # (n-1)^2 + 12 at n = 10^13 has a cofactor no factoring can certify;
+    # it is not a square, so the line 3 is no source
+    base = {
+        "n": 10 ** 13,
+        "spec0": [{"value": 0, "mult": 1}],
+        "specE_TT": [{"value": 3, "mult": 1}],
+        "cutoff": {"spec0": 0, "spec1D": -1, "specE_TT": 5},
+    }
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps(base))
+    assert run(["rigidity", "--input", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert "none: the cone TT block has no zero modes" in captured.out
+    assert captured.err == ""
+
+
+def test_the_product_scan_answers_at_any_dimension(capsys):
+    assert run(["scan-products", "--from", "123456789012345678", "--to", "123456789012345680"]) == 0
+    captured = capsys.readouterr()
+    rows = [line.split() for line in captured.out.splitlines()[2:]]
+    assert [int(row[0]) for row in rows] == [123456789012345678, 123456789012345679, 123456789012345680]
+    assert all(row[2] == "rigid" for row in rows)
+    assert captured.err == ""
 
 
 def test_boundedness_flags():
@@ -145,21 +200,3 @@ def test_scan_ranges_outside_the_products():
     with pytest.raises(InvariantViolation, match="product factors must each have dimension >= 2"):
         product_rigidity_scan(3, 5)
     assert product_rigidity_scan(6, 5) == []
-
-
-def test_a_wrong_harmonic_degree_is_a_solver_disagreement(monkeypatch, capsys):
-    # the defining equation degree_eigenvalue(n, m) == kappa is the one
-    # runtime check of the detection: an off-by-one degree must not pass
-    true_degree = rigidity.harmonic_degree
-
-    def off_by_one(n, kappa):
-        m = true_degree(n, kappa)
-        return m - 1 if (n, m) == (9, q(-4)) else m  # kappa = -16 has degree -4
-
-    monkeypatch.setattr(rigidity, "harmonic_degree", off_by_one)
-    with pytest.raises(SolverDisagreement):
-        find_ieds(product_geometric_spectrum(ProductMarker(4, 5)))
-    assert run(["rigidity", "--product", "4,5"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert json.loads(captured.err)["error"] == "SolverDisagreement"

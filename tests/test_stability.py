@@ -1,6 +1,8 @@
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
+import pytest
+
 from sinecone.catalog import ProductMarker, product_geometric_spectrum
 from sinecone.exactreal import from_rational, make_quad, to_decimal
 from sinecone.spectra import GeometricSpectrum, empty_spectrum, merge
@@ -73,6 +75,39 @@ def test_classify_tangential_gap():
     assert r.tangential.holds and r.tangential.strict
     above = base_with(n, [(0, 1), (2 * n + 3, 1)], [], [(1, 1)])
     assert classify(above).tangential.holds
+
+
+def _base_with_cutoffs(n, scalars, scalar_cut, hypothesis_override=False):
+    """A base with the given scalar lines complete to ``scalar_cut``, no
+    one-form data and an empty TT spectrum complete to 0."""
+    return GeometricSpectrum(
+        n=n,
+        spec0=merge([(q(v), m, ("b0", i, 0)) for i, (v, m) in enumerate(scalars)], scalar_cut),
+        spec1D=empty_spectrum(q(-1)),
+        specE_TT=merge([], q(0)),
+        hypothesis_override=hypothesis_override,
+    )
+
+
+def test_classify_tangential_gap_is_open_at_the_dimension():
+    # a scalar line below the dimension (outside the usual hypotheses) lies
+    # below the gap (m, 2(m+1)), so the line 3 at m = 4 keeps tangential
+    # stability strict
+    with pytest.warns(UserWarning, match="below the dimension bound"):
+        gs = _base_with_cutoffs(4, [(0, 1), (3, 2), (12, 1)], q(12), hypothesis_override=True)
+    for report in (classify(gs), predict_cone(gs)):
+        assert (report.tangential.holds, report.tangential.strict) == (True, True)
+        assert report.tangential.witness_value == q(3)
+
+
+def test_transfer_is_decided_by_a_cutoff_exactly_at_its_threshold():
+    # scalar lines complete exactly to t = 10 - 2 sqrt(3) decide the
+    # transferred linear verdict at m = 4: the line 6 lies below t
+    t = linear_transfer_threshold(4)
+    assert t == make_quad(10, -2, 3)
+    gs = _base_with_cutoffs(4, [(0, 1), (6, 2)], t)
+    linear = predict_cone(gs).linear
+    assert (linear.holds, linear.strict, linear.witness_value) == (False, False, q(6))
 
 
 def test_implication_chain(rng):

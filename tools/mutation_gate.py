@@ -28,6 +28,8 @@ CONEMAPS = ("tests/test_conemaps.py",)
 RADIAL = ("tests/test_radialoracle.py",)
 EXACT = ("tests/test_exactreal.py", "tests/test_exactreal_reference.py")
 SYMBOLIC = ("tests/test_symcheck.py", "tests/test_symcheck_reference.py")
+STABILITY = ("tests/test_stability.py",)
+RIGIDITY = ("tests/test_rigidity.py",)
 
 #: name -> (source file, old text, new text, test files)
 MUTANTS = {
@@ -52,10 +54,20 @@ MUTANTS = {
         CONEMAPS),
     "classify breaks linear stability at the bound": (
         "src/sinecone/stability.py", "lambda v: compare(v, lin_bound) < 0,",
-        "lambda v: compare(v, lin_bound) <= 0,", ("tests/test_stability.py",)),
+        "lambda v: compare(v, lin_bound) <= 0,", STABILITY),
+    "the tangential gap loses its low edge": (
+        "src/sinecone/stability.py", "return compare(v, dim_value) > 0 and compare(v, gap_hi) < 0",
+        "return compare(v, gap_hi) < 0", STABILITY),
+    "the tangential gap admits its low edge": (
+        "src/sinecone/stability.py", "compare(v, dim_value) > 0 and", "compare(v, dim_value) >= 0 and", STABILITY),
+    "the tangential gap admits its high edge": (
+        "src/sinecone/stability.py", "compare(v, gap_hi) < 0", "compare(v, gap_hi) <= 0", STABILITY),
+    "predict_cone needs the scalar cutoff above the transfer threshold": (
+        "src/sinecone/stability.py", "t_known = compare(gs.spec0.cutoff, t) >= 0",
+        "t_known = compare(gs.spec0.cutoff, t) > 0", STABILITY),
     "predict_cone puts the transfer threshold below itself": (
         "src/sinecone/stability.py", "if compare(v, t) < 0]", "if compare(v, t) <= 0]",
-        ("tests/test_stability.py",)),
+        STABILITY),
     "line_spectrum skips its ascent check": (
         "src/sinecone/spectra.py", "if any(f == g and compare(v, w) >= 0", "if any(f == g and compare(v, w) > 0",
         ("tests/test_spectra.py",)),
@@ -95,11 +107,12 @@ MUTANTS = {
     "line_spectrum keys an irrational on its rational part": (
         "src/sinecone/spectra.py", "(exactreal._floor_scaled(v, 3), v, m, origins)", "(v.p * 1000 // v.d, v, m, origins)",
         ("tests/test_spectra.py", "tests/test_conemaps.py")),
-    "solve_zero_equation misses the degree 0": (
-        "src/sinecone/rigidity.py", "sign(m) <= 0", "sign(m) < 0", ("tests/test_rigidity.py",)),
-    "solve_zero_equation skips its defining-equation check": (
-        "src/sinecone/rigidity.py", "if m.is_rational() and degree_eigenvalue(n, m) != kappa:", "if False:",
-        ("tests/test_rigidity.py",)),
+    "solve_zero_equation takes every radicand for a square": (
+        "src/sinecone/rigidity.py", "r * r == radicand and", "True and", RIGIDITY),
+    "solve_zero_equation misses the index 0": (
+        "src/sinecone/rigidity.py", "r <= n - 1", "r < n - 1", RIGIDITY),
+    "solve_zero_equation reads a fraction's numerator as an integer": (
+        "src/sinecone/rigidity.py", "if kappa.q != 0 or kappa.d != 1:", "if kappa.q != 0:", RIGIDITY),
     "build_harmonic_family's recurrence drops a factor": (
         "src/sinecone/symcheck.py", "((j - 2 * m + 2) * (j - 2 * m + 1))", "((j - 2 * m + 2) * (j - 2 * m))", SYMBOLIC),
     "verify_decomposition's sum does not alternate": (
@@ -147,6 +160,8 @@ MUTANTS = {
 #: ops interleaved, 16 alternations on 2-core x86-64 under CPython 3.11: median
 #: [3rd lowest, 3rd highest])
 EQUIVALENT = {
+    "the tangential gap admits its low edge": (
+        "_positive_scalars removes the dimension line, so v = m never reaches in_gap"),
     "_falls_short's first clause admits A = 0": (
         "at A = 0 the second clause reads r hd^2 < 0, false for every r >= 0"),
     "_class_lines' integer class takes the general value": (
