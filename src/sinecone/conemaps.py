@@ -400,13 +400,14 @@ def _ladders(base: GeometricSpectrum, part: str, cutoff: QuadReal) -> list:
             )
     classes: dict[tuple[int, int, int, int], list] = {}
     for source, inner, block, rungs in entries:
-        boundary = {from_rational(k[0] * n + k[1]): r for k, r in rungs.items() if k is not None}
+        boundary = {k[0] * n + k[1]: r for k, r in rungs.items() if k is not None}
         other = rungs.get(None, (0, None))
         for i, line in enumerate(getattr(base, source).lines):
-            pattern = boundary.get(line.value, other)
+            v = line.value  # a boundary line is an integer, matched on its numerator
+            pattern = boundary.get(v.p, other) if v.q == 0 and v.d == 1 else other
             if pattern is None:
                 continue
-            degree = harmonic_degree(n, line.value + inner)
+            degree = harmonic_degree(n, v + inner if inner else v)
             big_p, dd = degree.p, degree.d
             seed = (big_p // dd, block, i, *pattern, line.multiplicity)
             classes.setdefault((degree.q, dd, degree.s, big_p % dd), []).append(seed)

@@ -216,12 +216,12 @@ def predict_cone(gs: GeometricSpectrum) -> StabilityReport:
 
 
 def compute_cone(gs: GeometricSpectrum) -> GeometricSpectrum:
-    """One sine-cone step with per-spectrum windows as far as the base
-    supports.  The Einstein transform needs a base of dimension >= 3, so the
-    cone over a surface keeps its TT spectrum unknown."""
-    windows = supported_window(gs, ITERATE_PARTS)
-    parts = ITERATE_PARTS if gs.n >= 3 else ("functions", "coclosed")
-    return cone_step(gs, [from_rational(w) for w in windows], parts)
+    """One sine-cone step, as far as the base supports, of only the spectra
+    :func:`classify` reads: never spec1D, and the TT spectrum only over a base
+    of dimension >= 3, which the Einstein transform needs."""
+    parts = ("functions", "tt") if gs.n >= 3 else ("functions",)
+    windows = dict(zip(parts, supported_window(gs, parts)))
+    return cone_step(gs, [from_rational(windows.get(p, -1)) for p in ITERATE_PARTS], parts)
 
 
 class CrossCheckResult(Record):
@@ -238,8 +238,8 @@ class CrossCheckResult(Record):
 
 
 def cross_check(gs: GeometricSpectrum) -> CrossCheckResult:
-    """Compute the cone spectra, classify them directly, and compare every
-    mutually decidable verdict with the base-data prediction."""
+    """Classify the cone's scalar and TT spectra, all :func:`classify` reads,
+    and compare every mutually decidable verdict with the base prediction."""
     pred = predict_cone(gs)
 
     if pred.bounded_below is False:
@@ -252,8 +252,7 @@ def cross_check(gs: GeometricSpectrum) -> CrossCheckResult:
             False, ("prediction says unbounded below but the cone transform succeeded",), pred, None, False
         )
 
-    cone = compute_cone(gs)
-    direct = classify(cone)
+    direct = classify(compute_cone(gs))
 
     problems = []
     for name in ("eh", "linear", "tangential", "physical"):

@@ -345,6 +345,41 @@ def test_stability_cross_check_on_a_surface(capsys):
         assert result["direct"][notion]["verdict"] is None
 
 
+def _irrational_one_form_base(tmp_path, n, scalars, cutoff):
+    """A base whose one coclosed 1-form line is 3 + sqrt(2): its cone ladder
+    would need the harmonic degree of 4 + sqrt(2), a nested radical."""
+    path = tmp_path / f"base{n}.json"
+    path.write_text(json.dumps({
+        "n": n,
+        "normalized": True,
+        "spec0": [{"value": v, "mult": m} for v, m in scalars],
+        "spec1D": [{"value": {"a": 3, "b": 1, "s": 2}, "mult": 2}],
+        "specE_TT": [],
+        "cutoff": cutoff,
+    }))
+    return str(path)
+
+
+def test_the_cross_check_over_a_surface_builds_no_one_form_ladder(tmp_path, capsys):
+    # the direct path classifies the cone's scalar and TT spectra only, and
+    # over a surface the TT part is not built: the 1-form line is never read
+    path = _irrational_one_form_base(tmp_path, 2, [(0, 1), (2, 3), (6, 5)], 7)
+    code, out, err = _capture(capsys, ["stability", "--input", path, "--cross-check"])
+    assert (code, err) == (0, "")
+    assert "cross-check: consistent" in out
+
+
+def test_the_cross_check_refuses_a_one_form_line_its_tt_part_reads(tmp_path, capsys):
+    # over n >= 3 the cone's TT part is fed by the base's 1-form lines
+    path = _irrational_one_form_base(tmp_path, 3, [(0, 1), (3, 4), (8, 9)], 9)
+    code, out, err = _capture(capsys, ["stability", "--input", path, "--cross-check"])
+    assert (code, out) == (4, "")
+    assert err == (
+        '{"error": "NotRepresentable", "message": "harmonic degree of irrational '
+        'eigenvalue 4 + \\u221a2 leaves the quadratic-irrational system"}\n'
+    )
+
+
 def test_every_error_has_a_documented_exit_code():
     def walk(cls):
         yield cls

@@ -392,6 +392,42 @@ def test_class_lines_match_the_per_rung_reference_on_irrational_degrees(part):
     assert irrational > 0
 
 
+@pytest.mark.parametrize("part", sorted(conemaps.FEEDS))
+def test_a_boundary_numerator_over_a_denominator_is_an_ordinary_line(part):
+    # under the low-spectrum override a scalar line n/d and a coclosed 1-form
+    # line (n-1)/d with d > 1 pass validation: they share a boundary line's
+    # numerator, not its value, so their ladders are the ordinary ones, while
+    # the dimension line 5 and the Killing line 4 keep their boundary rungs
+    n, cut = 5, q(80)
+    with pytest.warns(UserWarning, match="proceeding outside the usual hypotheses"):
+        base = GeometricSpectrum(
+            n=n,
+            spec0=merge([(q(0), 1, ("b0", 0, 0)), (q(Fraction(5, 2)), 2, ("b0", 1, 0)),
+                         (q(5), 3, ("b0", 2, 0))], cut),
+            spec1D=merge([(q(Fraction(4, 3)), 1, ("b1", 0, 0)), (q(4), 2, ("b1", 1, 0))], cut),
+            specE_TT=merge([(q(0), 1, ("bE", 0, 0))], cut),
+            hypothesis_override=True,
+        )
+    for cutoff in (q(40), make_quad(30, 1, 3)):
+        assert _assert_part_matches_reference(base, part, cutoff)
+
+
+@pytest.mark.parametrize("source", ["spec0", "spec1D"])
+def test_an_irrational_line_on_a_boundary_numerator_needs_its_degree(source):
+    # n + sqrt(2) and (n-1) + sqrt(2) are not the dimension and Killing lines
+    # that the TT part skips: their ladders need a nested radical
+    n, cut = 5, q(80)
+    scalars, forms = [(q(0), 1, ("b0", 0, 0))], []
+    if source == "spec0":
+        scalars.append((make_quad(n, 1, 2), 1, ("b0", 1, 0)))
+    else:
+        forms.append((make_quad(n - 1, 1, 2), 1, ("b1", 0, 0)))
+    base = GeometricSpectrum(n=n, spec0=merge(scalars, cut), spec1D=merge(forms, cut),
+                             specE_TT=merge([(q(0), 1, ("bE", 0, 0))], cut))
+    with pytest.raises(NotRepresentable, match="harmonic degree of irrational eigenvalue"):
+        map_einstein(base, q(40), ("tt",))
+
+
 def test_feeds_of_tt_meet_in_one_class_at_a_negative_offset():
     # n = 4, all degrees in 1/2 + Z: scalar 5/2, 1-form 3/2, TT -3/2 (the
     # Hardy bound, class offset -2) and 1/2; every line of the class above

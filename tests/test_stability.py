@@ -1,13 +1,16 @@
 from decimal import Decimal, getcontext
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from sinecone.catalog import ProductMarker, product_geometric_spectrum
+from sinecone.catalog import ProductMarker, load_geometric_spectrum, product_geometric_spectrum
+from sinecone.conemaps import ITERATE_PARTS, cone_step, supported_window
 from sinecone.exactreal import from_rational, make_quad, to_decimal
-from sinecone.spectra import GeometricSpectrum, empty_spectrum, merge
+from sinecone.spectra import UNKNOWN_CUTOFF, GeometricSpectrum, empty_spectrum, merge
 from sinecone.stability import (
     classify,
+    compute_cone,
     cross_check,
     linear_transfer_threshold,
     predict_cone,
@@ -197,6 +200,26 @@ def test_cross_check_unbounded_route():
     assert res.consistent
     assert res.cone_unbounded
     assert res.direct is None
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def test_the_narrowed_cone_classifies_as_the_full_cone_step(rng):
+    # compute_cone builds only the spectra classify reads; the full cone step,
+    # coclosed 1-forms included (and TT only over n >= 3, which the Einstein
+    # transform needs), must give the same verdicts, strictness, witnesses,
+    # witness origins and thresholds
+    bases = [synthetic_base(rng, 2 if k % 4 == 0 else None) for k in range(500)]
+    bases += [load_geometric_spectrum(GOLDEN / name)
+              for name in ("base2-tt-unbounded.json", "base4.json", "base9.json")]
+    for gs in bases:
+        parts = ITERATE_PARTS if gs.n >= 3 else ("functions", "coclosed")
+        windows = [from_rational(w) for w in supported_window(gs, ITERATE_PARTS)]
+        full = classify(cone_step(gs, windows, parts))
+        cone = compute_cone(gs)
+        assert cone.spec1D.lines == () and cone.spec1D.cutoff == UNKNOWN_CUTOFF
+        assert classify(cone) == full, gs
 
 
 def test_cross_check_randomized(rng):

@@ -78,6 +78,15 @@ MUTANTS = {
         "src/sinecone/conemaps.py", "events[double] += mult", "events[double] += 0", CONEMAPS),
     "the class ends one line early": (
         "src/sinecone/conemaps.py", "size = last + 1 - least", "size = last - least", CONEMAPS),
+    "a boundary line is matched on the numerator of a fraction": (
+        "src/sinecone/conemaps.py", "if v.q == 0 and v.d == 1 else other", "if v.q == 0 else other",
+        CONEMAPS),
+    "a boundary line is matched on the rational part of an irrational": (
+        "src/sinecone/conemaps.py", "if v.q == 0 and v.d == 1 else other", "if v.d == 1 else other",
+        CONEMAPS),
+    "compute_cone leaves out the TT part": (
+        "src/sinecone/stability.py", 'parts = ("functions", "tt") if gs.n >= 3', 'parts = ("functions",) if gs.n >= 3',
+        STABILITY),
     "a class's seeds keep their feed order": (
         "src/sinecone/conemaps.py", "    seeds.sort(key=_tag)\n", "", CONEMAPS),
     "_norm reduces by gcd(p, d) alone": (
