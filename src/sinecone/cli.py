@@ -3,10 +3,11 @@
 Subcommands: spectrum, stability, rigidity, verify-radial, verify-symbolic,
 iterate, scan-products.  Exit codes: 0 success / verification pass; 2
 verification failure; 3 unbounded-below regime; 4 invalid input or invariant
-violation.  All errors are also emitted as structured JSON on stderr, and all
-output ordering is deterministic (ascending eigenvalues, then block order).
-Each command imports the modules it runs, so only verify-radial loads numpy
-and scipy, and no command pays for an engine it does not call.
+violation.  All errors and warnings are also emitted as structured JSON on
+stderr, and all output ordering is deterministic (ascending eigenvalues, then
+block order).  Each command imports the modules it runs, so only verify-radial
+loads numpy, only its line check loads scipy, and no command pays for an
+engine it does not call.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import json
 import math
 import re
 import sys
+import warnings
 from fractions import Fraction
 
 from .errors import ParseError, SineconeError, VerificationFailed
@@ -255,7 +257,7 @@ def _cmd_verify_radial(args) -> int:
         epsilons = _parse_flag(
             "--epsilons", _support_sizes, args.epsilons, "comma-separated support sizes in (0, pi)"
         )
-    # the one numerical command: numpy and scipy load here, after its flags parse
+    # the one numerical command: numpy loads here, after its flags parse; scipy only to solve
     from . import radialoracle
 
     if demo:
@@ -399,17 +401,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-        if [] in vars(args).values():  # argparse before Python 3.13 reads --flag=-- as no value
-            raise ParseError("sinecone: '--' attached to a flag, as in --count=--, is not a value")
-        return args.func(args)
-    except (SineconeError, ValueError) as exc:
-        # a package error reports its own name and exit code, any other ValueError as such
-        ours = isinstance(exc, SineconeError)
-        error = {"error": type(exc).__name__ if ours else "ValueError", "message": str(exc)}
+    with warnings.catch_warnings(record=True) as caught:  # the filters in force still apply
+        try:
+            args = build_parser().parse_args(argv)
+            if [] in vars(args).values():  # argparse before Python 3.13 reads --flag=-- as no value
+                raise ParseError("sinecone: '--' attached to a flag, as in --count=--, is not a value")
+            code, error = args.func(args), None
+        except (SineconeError, ValueError) as exc:
+            # a package error reports its own name and exit code, any other ValueError as such
+            ours = isinstance(exc, SineconeError)
+            error = {"error": type(exc).__name__ if ours else "ValueError", "message": str(exc)}
+            code = exc.exit_code if ours else 4
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(json.dumps({"warning": message}), file=sys.stderr)
+    if error:
         print(json.dumps(error, sort_keys=True), file=sys.stderr)
-        return exc.exit_code if ours else 4
+    return code
 
 
 def main() -> None:

@@ -392,7 +392,10 @@ def _ladders(base: GeometricSpectrum, part: str, cutoff: QuadReal) -> list:
         have = getattr(base, source).cutoff
         if (_falls_short(*_requirement(n, x, inner), have) if have.q == 0
                 else compare(have, required_source_cutoff(n, cutoff, out, inner)) < 0):
-            need = required_source_cutoff(n, cutoff, out, inner)
+            try:
+                need = required_source_cutoff(n, cutoff, out, inner)
+            except NotRepresentable:  # a radicand too large to factor: state it unreduced
+                need = "({} - √{})/{}".format(*_requirement(n, x, inner))
             raise InsufficientBaseCutoff(
                 f"{SOURCES[source]} is complete only up to {have} but the requested "
                 f"output window needs completeness up to {need}; refusing to "

@@ -23,7 +23,10 @@ semidefinite, is factored once by LAPACK's tridiagonal LDL^T (dpttrf), and
 ARPACK finds the largest eigenvalues mu of the symmetric operator
 M^(1/2) (K + M)^(-1) M^(1/2), with pencil values m(m+n) + (1/mu - 1).  No
 coefficient of order n^2 enters the matrices, so the wanted low modes come out
-to good relative accuracy despite the near-pole weight degeneration.
+to good relative accuracy despite the near-pole weight degeneration.  ARPACK
+starts from M^(1/2) exp(cos theta), smooth and with a component along every
+degree in cos theta, and applies (K + M)^(-1) about 21 times; a start of ones,
+psi = M^(-1/2), is even about the equator and blows up at both poles: 32-34.
 
 Floating point lives only here; results feed pass/fail reports, never the
 exact machinery.
@@ -37,8 +40,6 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
-from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
 from .conemaps import degree_eigenvalue, hardy_bound, harmonic_degree
 from .errors import ConvergenceFailure, IllPosed, InvariantViolation, ParseError, VerificationFailed
@@ -101,7 +102,7 @@ def grid_start(problem: RadialProblem) -> float:
 
 
 def _assemble(problem: RadialProblem):
-    """The gauged stiffness diagonal and off-diagonal and the diagonal mass."""
+    """The gauged stiffness diagonal and off-diagonal, the diagonal mass, the grid."""
     # Ground-state gauge phi = sin^m psi: integrating the cross term by parts
     # turns the pencil into
     #     stiffness  integral(psi'^2 sin^k)
@@ -124,7 +125,7 @@ def _assemble(problem: RadialProblem):
     diag[:-1] += s_mid / h
     diag[1:] += s_mid / h
     off = -s_mid / h
-    return diag, off, w * np.sin(theta) ** k
+    return diag, off, w * np.sin(theta) ** k, theta
 
 
 def solve_radial(problem: RadialProblem, modes: int) -> list[float]:
@@ -136,7 +137,11 @@ def solve_radial(problem: RadialProblem, modes: int) -> list[float]:
             f"a grid of {problem.grid_points} points resolves at most "
             f"{problem.grid_points} modes, got {modes}"
         )
-    diag, off, mass = _assemble(problem)
+    # scipy loads here, so the Rayleigh demonstrator runs on numpy alone
+    from scipy.linalg.lapack import dpttrf, dpttrs
+    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
+
+    diag, off, mass, theta = _assemble(problem)
     # the gauged stiffness K is positive semidefinite, so K + shift*M is
     # positive definite and dpttrf needs no pivoting; a shift of 1 keeps
     # 1/mu - shift from cancelling the low modes
@@ -151,7 +156,7 @@ def solve_radial(problem: RadialProblem, modes: int) -> list[float]:
     )
     try:
         mus = eigsh(
-            op, k=modes, which="LA", v0=np.ones(size),
+            op, k=modes, which="LA", v0=r * np.exp(np.cos(theta)),
             return_eigenvectors=False, maxiter=5000,
         )
     except (ArpackError, ArpackNoConvergence) as exc:

@@ -10,6 +10,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import scipy.linalg.lapack
+import scipy.sparse.linalg
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.linalg.lapack import dpttrf
@@ -229,7 +231,9 @@ def _no_convergence(*args, **kwargs):
     "name,fake", [("dpttrf", _indefinite_factor), ("eigsh", _no_convergence)]
 )
 def test_verify_radial_solver_failure_is_a_convergence_failure(monkeypatch, capsys, name, fake):
-    monkeypatch.setattr(radialoracle, name, fake)
+    # solve_radial imports its scipy routines when it runs: fake them where they live
+    home = {"dpttrf": scipy.linalg.lapack, "eigsh": scipy.sparse.linalg}[name]
+    monkeypatch.setattr(home, name, fake)
     with pytest.raises(ConvergenceFailure):
         radialoracle.solve_radial(radialoracle.RadialProblem(3, Fraction(3)), 2)
     code, out, err = _capture(
@@ -377,6 +381,45 @@ def test_the_cross_check_refuses_a_one_form_line_its_tt_part_reads(tmp_path, cap
     assert err == (
         '{"error": "NotRepresentable", "message": "harmonic degree of irrational '
         'eigenvalue 4 + \\u221a2 leaves the quadratic-irrational system"}\n'
+    )
+
+
+@pytest.mark.parametrize(
+    "n,need",
+    [(10 ** 6, "500010 - \\u221a250000000010"),
+     (10 ** 13, "(10000000000020 - \\u221a100000000000000000000000040)/2")],
+    ids=["factored", "too-large-to-factor"],
+)
+def test_a_completeness_refusal_states_its_requirement_at_any_dimension(tmp_path, capsys, n, need):
+    # at n = 10**13 the requirement's radicand has a cofactor no trial
+    # division certifies, so it is stated unreduced rather than factored
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps({"n": n, "spec0": [{"value": 0, "mult": 1}],
+                                "cutoff": {"spec0": 0, "spec1D": -1, "specE_TT": -1}}))
+    code, out, err = _capture(capsys, ["spectrum", "--input", str(path), "--cutoff", "10"])
+    assert (code, out) == (4, "")
+    assert err == (
+        '{"error": "InsufficientBaseCutoff", "message": "scalar spectrum is complete only up to 0 '
+        f'but the requested output window needs completeness up to {need}; refusing to truncate '
+        'silently"}\n'
+    )
+
+
+def test_a_warning_is_one_json_line_on_stderr(tmp_path, capsys):
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps({
+        "n": 3,
+        "spec0": [{"value": 0, "mult": 1}, {"value": 3, "mult": 4}, {"value": 8, "mult": 9}],
+        "spec1D": [{"value": 1, "mult": 2}],
+        "specE_TT": [{"value": 2, "mult": 1}],
+        "cutoff": 9,
+    }))
+    code, out, err = _capture(capsys, ["stability", "--input", str(path), "--allow-low-spectrum"])
+    assert code == 0
+    assert "tangential   yes" in out
+    assert err == (
+        '{"warning": "coclosed 1-form eigenvalue 1 below n-1=2 (the Killing bound for this '
+        'normalization); proceeding outside the usual hypotheses"}\n'
     )
 
 
@@ -855,6 +898,29 @@ def test_exact_commands_do_not_load_numpy_or_scipy(statement):
     command = re.match(r"cli\.run\(\['([a-z-]+)'", statement)
     runs = RUNS[command and command.group(1)]
     assert loaded == CLI_CORE | {f"sinecone.{m}" for m in runs}
+
+
+@pytest.mark.parametrize(
+    "args,scipy_loads",
+    [
+        (["--n", "8", "--block", "tt", "--coupling", "-14", "--epsilons", "0.2,0.1"], False),
+        (["--n", "3", "--coupling", "3", "--modes", "2"], True),
+    ],
+    ids=["rayleigh-demonstrator", "line-check"],
+)
+def test_only_the_radial_line_check_loads_scipy(args, scipy_loads):
+    # the demonstrator is numpy quadrature; the line check needs LAPACK and ARPACK
+    script = (
+        "import json, sys; import sinecone.cli as cli; "
+        f"code = cli.run(['verify-radial', *{args!r}]); "
+        "print(json.dumps([code, sorted({m.split('.')[0] for m in sys.modules})]))"
+    )
+    proc = _fresh_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    code, roots = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0
+    assert "numpy" in roots
+    assert ("scipy" in roots) is scipy_loads
 
 
 def _sinecone_modules_after(module):

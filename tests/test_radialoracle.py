@@ -2,7 +2,9 @@ import decimal
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+import scipy.linalg.lapack
 
 from sinecone import radialoracle
 from sinecone.errors import ConvergenceFailure, IllPosed, InvariantViolation, VerificationFailed
@@ -210,6 +212,52 @@ def test_solve_radial_reproduces_the_pinned_values(n, block, coupling):
     got = solve_radial(RadialProblem(n, Fraction(coupling), block), len(want))
     for g, w in zip(got, want):
         assert abs(g - w) <= 1e-9 * max(abs(w), 1.0), (got, want)
+
+
+@pytest.mark.parametrize("grid", [100, 400])
+@pytest.mark.parametrize("modes", [1, 4, 10, 25])
+@pytest.mark.parametrize(
+    "n,block,coupling",
+    [(3, "function", "8"), (6, "function", "5/2"), (6, "tt", "2"),
+     (5, "tt", "-4"), (9, "tt", "-16")],
+    ids=["function-3", "function-6", "tt-6", "tt-5-hardy", "tt-9-hardy"],
+)
+def test_solve_radial_skips_no_mode(grid, modes, n, block, coupling):
+    # the lowest values of the dense operator M^(1/2) (K + M)^(-1) M^(1/2) on
+    # the same grid: a start vector without a component along some mode (the
+    # grid is symmetric about the equator, so an even start lacks every odd
+    # mode) would let the eigensolve return a higher one in its place
+    problem = RadialProblem(n, Fraction(coupling), block, grid_points=grid)
+    diag, off, mass, _ = radialoracle._assemble(problem)
+    r = np.sqrt(mass)
+    pencil = np.diag(diag + mass) + np.diag(off, 1) + np.diag(off, -1)
+    mus = np.linalg.eigvalsh(r[:, None] * np.linalg.inv(pencil) * r[None, :])[::-1][:modes]
+    lower = float(problem.coupling) + radialoracle._exponents(problem)[0]
+    want = [lower + (1.0 / mu - 1.0) for mu in mus]
+    got = solve_radial(problem, modes)
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-10 * max(abs(w), 1.0), (got, want)
+
+
+def test_solve_radial_starts_near_the_wanted_modes(monkeypatch):
+    # each Lanczos step applies (K + M)^(-1) once, by dpttrs; a start vector
+    # rich in the smooth low modes needs 21 on every pinned line, where
+    # np.ones (psi = M^(-1/2), singular at both poles) needed 32 to 34
+    solves = []
+    factor = scipy.linalg.lapack.dpttrs
+
+    def counted(*args, **kwargs):
+        solves[-1] += 1
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dpttrs", counted)
+    counts = {}
+    for (n, block, coupling), want in sorted(PINNED_VALUES.items()):
+        solves.append(0)
+        solve_radial(RadialProblem(n, Fraction(coupling), block), len(want))
+        counts[n, block, coupling] = solves[-1]
+    # at least one application per mode: the count sees the solves
+    assert all(len(PINNED_VALUES[key]) < c <= 26 for key, c in counts.items()), counts
 
 
 def test_rayleigh_demo_blowdown_n8():

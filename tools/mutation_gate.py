@@ -148,6 +148,10 @@ MUTANTS = {
         "src/sinecone/radialoracle.py", "if info != 0:", "if info < 0:", ("tests/test_cli.py",)),
     "grid_start keeps the weight above 1e-300": (
         "src/sinecone/radialoracle.py", "10.0 ** (-250 / k)", "10.0 ** (-300 / k)", RADIAL),
+    "solve_radial starts ARPACK from ones": (
+        "src/sinecone/radialoracle.py", "v0=r * np.exp(np.cos(theta))", "v0=np.ones(size)", RADIAL),
+    "solve_radial's start drops the sqrt(mass) weight": (
+        "src/sinecone/radialoracle.py", "v0=r * np.exp(np.cos(theta))", "v0=np.exp(np.cos(theta))", RADIAL),
     "the compiled constructor takes its fields in reverse": (
         "src/sinecone/spectra.py", "def __init__(self, {', '.join(fields)})",
         "def __init__(self, {', '.join(reversed(fields))})", RECORDS),
