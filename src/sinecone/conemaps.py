@@ -24,7 +24,7 @@ y^2 + (k-1) y = x at y = harmonic_degree(k, x),
 
 so a window top and a requirement are each a rational plus or minus the
 square root of a rational, settled by one ``math.isqrt`` (:func:`_grid_bound`);
-a transform finds a rational source cutoff short by an integer inequality
+a transform finds a source cutoff short by an integer inequality
 (:func:`_falls_short`).  No radicand is factored on this round trip.
 
 All enumeration is exact and completeness-aware: a transform refuses to run
@@ -61,6 +61,7 @@ from .exactreal import (
     _floor_scaled,
     _make,
     _norm,
+    _sign_two,
     compare,
     from_rational,
     make_quad,
@@ -209,10 +210,14 @@ def _grid_bound(p: int, sign: int, r: int, d: int, up: bool = False) -> tuple[in
 
 
 def _falls_short(p: int, r: int, d: int, have: QuadReal) -> bool:
-    """Whether a rational ``have`` = hn/hd lies below (p - sqrt(r))/d: with
-    A = p hd - d hn, iff A > 0 and r hd^2 < A^2.  For a
-    :func:`_requirement`, A is 2 xd hd (x + n/2 - inner_shift - have)."""
+    """Whether ``have`` = (hn + hq sqrt(u))/hd lies below (p - sqrt(r))/d,
+    r unreduced.  With A = p hd - d hn, a rational ``have`` does iff A > 0
+    and r hd^2 < A^2 (for a :func:`_requirement`, A is
+    2 xd hd (x + n/2 - inner_shift - have)); an irrational one iff
+    -A + d hq sqrt(u) + hd sqrt(r) < 0, signed as ``compare`` signs it."""
     a = p * have.d - d * have.p
+    if have.q:
+        return _sign_two(-a, d * have.q, have.s, -have.d, r) < 0
     return a > 0 and r * have.d * have.d < a * a
 
 
@@ -381,17 +386,15 @@ def _ladders(base: GeometricSpectrum, part: str, cutoff: QuadReal) -> list:
     feed's block.  Every feed of a part has one output shift, and
     y -> y (y + n) is injective above -n/2, so two rungs of a part coincide
     exactly when their seed degrees differ by an integer: the seeds group on
-    the class key (Q, D, s, P mod D), at offset P div D.  A rational source
-    cutoff is checked by :func:`_falls_short` in integers; the QuadReal of
-    :func:`required_source_cutoff` is built only against an irrational
-    source cutoff and to word a refusal."""
+    the class key (Q, D, s, P mod D), at offset P div D.  Each source cutoff
+    is checked by :func:`_falls_short` in integers, so no radicand is
+    factored unless a refusal is worded."""
     n = base.n
     out, entries = _feeds(part, n)
     x = _shifted_cutoff(n, cutoff, out)
     for source, inner, _, _ in entries if x is not None else ():
         have = getattr(base, source).cutoff
-        if (_falls_short(*_requirement(n, x, inner), have) if have.q == 0
-                else compare(have, required_source_cutoff(n, cutoff, out, inner)) < 0):
+        if _falls_short(*_requirement(n, x, inner), have):
             try:
                 need = required_source_cutoff(n, cutoff, out, inner)
             except NotRepresentable:  # a radicand too large to factor: state it unreduced

@@ -361,13 +361,18 @@ def compare(x: QuadReal, y: QuadReal) -> int:
         return _sign(a, -yq * xd, y.s)
     if yq == 0:
         return _sign(a, xq * yd, u)
-    # u != v and B, C != 0; A + B*sqrt(u) is irrational, so never 0
-    b, c = xq * yd, yq * xd
+    return _sign_two(a, xq * yd, u, yq * xd, y.s)
+
+
+def _sign_two(a: int, b: int, u: int, c: int, v: int) -> int:
+    """Exact sign of a + b*sqrt(u) - c*sqrt(v) for integers, u squarefree >= 2
+    and b != 0, v >= 0 any integer (it need not be reduced)."""
+    # a + b*sqrt(u) is irrational, so never 0
     left = _sign(a, b, u)
     if left != ((c > 0) - (c < 0)):
         return left
-    # same sign: compare squares, (A + B*sqrt(u))^2 vs C^2 v
-    t = _sign(a * a + b * b * u - c * c * y.s, 2 * a * b, u)
+    # same sign: compare squares, (a + b*sqrt(u))^2 vs c^2 v
+    t = _sign(a * a + b * b * u - c * c * v, 2 * a * b, u)
     return t if left > 0 else -t
 
 

@@ -326,6 +326,8 @@ def _spectrum_from_json(obj: dict, key: str, cutoff: QuadReal) -> Spectrum:
             mult = json_int(entry["mult"], "mult")
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad spectrum entry {entry!r}: {exc}") from exc
+        if mult <= 0:
+            raise ParseError(f"{key} entry {entry!r} has mult {mult}; a multiplicity must be positive")
         if compare(value, cutoff) > 0:
             raise ParseError(f"{key} line {value} lies above its declared cutoff {cutoff}")
         if value in seen:

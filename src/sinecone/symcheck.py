@@ -9,9 +9,11 @@ V = r dz - z dr with the weighted flat Laplacian
 the harmonic ladder spaces, built from their two-term recurrence, and their
 direct-sum decomposition, and the three coupled first-order systems whose
 closure makes the 1-form and tensor ladders work.  Everything is exact: a
-coefficient is a Python int, and only a division makes a Fraction, which is
-stored as an int again once its denominator is 1.  No float is ever accepted.
-A verification passes only when the residual is the zero polynomial.
+coefficient is a Python int, or a Fraction handed in from outside, stored as
+an int again once its denominator is 1.  No float is ever accepted.  The
+coupled systems run on their unknowns scaled by their denominators, so every
+polynomial they build has int coefficients.  A verification passes only when
+the residual is the zero polynomial.
 """
 
 from __future__ import annotations
@@ -322,17 +324,19 @@ def verify_formulas1(n: int, k: int, j: int) -> dict:
 
         L_n Q + (lam + n) r^-2 Q - 2 lam r^-2 R       = 0
         L_n R + (lam + 2 - n) r^-2 R - 2 r^-2 Q       = 0
+
+    Both are checked on the integer unknown lam R, the second times lam > 0.
     """
     if k < 1:
         raise InvariantViolation("need k >= 1 so the seed eigenvalue is positive")
     lam = k * (k + n - 1)
     P = build_harmonic_family(n, k, j)
     Q = _tilt(P)
-    R = _lift(P, Q, n).scale(Fraction(1, lam))
+    R = _lift(P, Q, n)  # lam R
     lap = lambda f: hat_laplacian(n, f)
     residuals = {
-        "second-component": lap(Q) + _r2(Q, lam + n) + _r2(R, -2 * lam),
-        "third-component": lap(R) + _r2(R, lam + 2 - n) + _r2(Q, -2),
+        "second-component": lap(Q) + _r2(Q, lam + n) + _r2(R, -2),
+        "third-component": lap(R) + _r2(R, lam + 2 - n) + _r2(Q, -2 * lam),
     }
     out = _raise_residuals(f"one-form system (n={n}, k={k}, j={j})", residuals)
     out.update({"n": n, "k": k, "j": j, "lam": str(lam)})
@@ -347,17 +351,20 @@ def verify_formulas2(n: int, l: int, j: int) -> dict:
 
         L_n Q + (mu + n + 3) r^-2 Q - (mu + 1 - n) r^-2 R  = 0
         L_n R + (mu + 1 - n) r^-2 R - 4 r^-2 Q             = 0
+
+    Both are checked on the integer unknown (mu - (n-1))/2 * R, the second
+    times (mu - (n-1))/2 > 0.
     """
     if l < 2:
         raise InvariantViolation("need l >= 2 so the seed clears the Killing bound")
     mu = l * (l + n - 1) - 1
     P = build_harmonic_family(n, l, j)  # kernel of L_n + (mu+1) r^-2
     Q = _tilt(P)
-    R = _lift(P, Q, n + 1).scale(Fraction(2, mu - (n - 1)))
+    R = _lift(P, Q, n + 1)  # (mu - (n-1))/2 * R
     lap = lambda f: hat_laplacian(n, f)
     residuals = {
-        "second-component": lap(Q) + _r2(Q, mu + n + 3) + _r2(R, -(mu + 1 - n)),
-        "third-component": lap(R) + _r2(R, mu + 1 - n) + _r2(Q, -4),
+        "second-component": lap(Q) + _r2(Q, mu + n + 3) + _r2(R, -2),
+        "third-component": lap(R) + _r2(R, mu + 1 - n) + _r2(Q, -2 * (mu + 1 - n)),
     }
     out = _raise_residuals(f"tensor one-form system (n={n}, l={l}, j={j})", residuals)
     out.update({"n": n, "l": l, "j": j, "mu": str(mu)})
@@ -374,7 +381,11 @@ def verify_formulas3(n: int, k: int, j: int) -> dict:
         (n-1)(lam-n) R = r dz Q1 + r dr Q2 + (n+1) Q2 + S,
 
     check that the second defining route to Q2 is consistent, and that all
-    six second-order closure equations hold identically.
+    six second-order closure equations hold identically.  They are checked
+    on the integer unknowns n S, lam Q1, lam Q2 and n lam (n-1)(lam-n) R:
+    the mixed-gradient equation times lam, trace-partner times n,
+    radial-gradient times n lam and hessian-component times
+    n lam (n-1)(lam-n), all nonzero; the others as they stand.
     """
     if k < 2:
         raise InvariantViolation("need k >= 2 so the seed clears the dimension bound")
@@ -382,23 +393,23 @@ def verify_formulas3(n: int, k: int, j: int) -> dict:
     P1 = build_harmonic_family(n, k, j)
     P2 = _tilt(P1)
     P3 = mul_monomial(P1, -2, 2)
-    S = (P1 + P3).scale(Fraction(-1, n))
-    Q1 = _lift(P1, P2, n).scale(Fraction(1, lam))
-    Q2 = _tilt(Q1)
-    R = (_lift(Q1, Q2, n + 1) + S).scale(Fraction(1, (n - 1) * (lam - n)))
+    S = (P1 + P3).scale(-1)  # n S
+    Q1 = _lift(P1, P2, n)  # lam Q1
+    Q2 = _tilt(Q1)  # lam Q2
+    R = _lift(Q1, Q2, n + 1).scale(n) + S.scale(lam)  # n lam (n-1)(lam-n) R
     lap = lambda f: hat_laplacian(n, f)
     residuals = {
-        "q2-definition-consistency": Q2.scale(lam) - _lift(P2, P3, n) + S.scale(n),
-        "mixed-component": lap(P2) + _r2(P2, lam + n) + _r2(Q1, -2 * lam),
-        "mixed-gradient": lap(Q1) + _r2(Q1, lam - n + 2) + _r2(P2, -2),
-        "radial-radial": lap(P3) + _r2(P3, lam + 2 * n) + _r2(S, -2 * n) + _r2(Q2, -4 * lam),
-        "trace-partner": lap(S) + _r2(S, lam + 2) + _r2(P3, -2) + _r2(Q2, Fraction(4 * lam, n)),
-        "radial-gradient": lap(Q2)
-        + _r2(Q2, lam + 4)
-        + _r2(P3, -2)
-        + _r2(S, 2)
-        + _r2(R, 2 * (n - 1) * (n - lam)),
-        "hessian-component": lap(R) + _r2(R, lam - 2 * n + 2) + _r2(Q2, Fraction(-4, n)),
+        "q2-definition-consistency": Q2 - _lift(P2, P3, n) + S,
+        "mixed-component": lap(P2) + _r2(P2, lam + n) + _r2(Q1, -2),
+        "mixed-gradient": lap(Q1) + _r2(Q1, lam - n + 2) + _r2(P2, -2 * lam),
+        "radial-radial": lap(P3) + _r2(P3, lam + 2 * n) + _r2(S, -2) + _r2(Q2, -4),
+        "trace-partner": lap(S) + _r2(S, lam + 2) + _r2(P3, -2 * n) + _r2(Q2, 4),
+        "radial-gradient": lap(Q2).scale(n)
+        + _r2(Q2, n * (lam + 4))
+        + _r2(P3, -2 * n * lam)
+        + _r2(S, 2 * lam)
+        + _r2(R, -2),
+        "hessian-component": lap(R) + _r2(R, lam - 2 * n + 2) + _r2(Q2, -4 * (n - 1) * (lam - n)),
     }
     out = _raise_residuals(f"tensor scalar system (n={n}, k={k}, j={j})", residuals)
     out.update({"n": n, "k": k, "j": j, "lam": str(lam)})

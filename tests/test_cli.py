@@ -405,6 +405,56 @@ def test_a_completeness_refusal_states_its_requirement_at_any_dimension(tmp_path
     )
 
 
+@pytest.mark.parametrize(
+    "n,need",
+    [(10 ** 6, "500010 - \\u221a250000000010"),
+     (10 ** 13, "(10000000000020 - \\u221a100000000000000000000000040)/2")],
+    ids=["factored", "too-large-to-factor"],
+)
+def test_an_irrational_declared_cutoff_is_decided_at_any_dimension(tmp_path, capsys, n, need):
+    # spec0 complete to sqrt(2): falling short is decided in integers, so the
+    # unfactorable radicand at n = 10**13 only changes how the need is worded
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps({"n": n, "spec0": [{"value": 0, "mult": 1}],
+                                "cutoff": {"spec0": {"a": 0, "b": 1, "s": 2}, "spec1D": -1, "specE_TT": -1}}))
+    code, out, err = _capture(capsys, ["spectrum", "--input", str(path), "--cutoff", "10"])
+    assert (code, out) == (4, "")
+    assert err == (
+        '{"error": "InsufficientBaseCutoff", "message": "scalar spectrum is complete only up to '
+        f'\\u221a2 but the requested output window needs completeness up to {need}; refusing to '
+        'truncate silently"}\n'
+    )
+
+
+@pytest.mark.parametrize("mult", [0, -1])
+def test_a_nonpositive_input_multiplicity_is_a_parse_error(tmp_path, capsys, mult):
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps({"n": 4, "spec0": [{"value": 0, "mult": 1}, {"value": 8, "mult": mult}],
+                                "cutoff": 9}))
+    code, out, err = _capture(capsys, ["spectrum", "--input", str(path), "--cutoff", "3"])
+    assert (code, out) == (4, "")
+    assert err == (
+        f'{{"error": "ParseError", "message": "spec0 entry {{\'value\': 8, \'mult\': {mult}}} has mult '
+        f'{mult}; a multiplicity must be positive"}}\n'
+    )
+
+
+def test_iterate_refuses_an_irrational_base_line_by_its_harmonic_degree(tmp_path, capsys):
+    # the first step maps the base itself: its irrational line is refused by
+    # the degree it would need, not by the rational-lines check later steps run
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps({"n": 4, "spec0": [{"value": 0, "mult": 1},
+                                                  {"value": {"a": 5, "b": 1, "s": 2}, "mult": 1}],
+                                "cutoff": 7}))
+    code, out, err = _capture(capsys, ["iterate", "--input", str(path), "--count", "1",
+                                       "--cutoff", "3", "--parts", "functions"])
+    assert (code, out) == (4, "")
+    assert err == (
+        '{"error": "NotRepresentable", "message": "harmonic degree of irrational eigenvalue '
+        '5 + \\u221a2 leaves the quadratic-irrational system"}\n'
+    )
+
+
 def test_a_warning_is_one_json_line_on_stderr(tmp_path, capsys):
     path = tmp_path / "base.json"
     path.write_text(json.dumps({

@@ -977,6 +977,33 @@ def test_falls_short_matches_the_quadreal_comparison(case, inner, offset):
                 n, window, out, inner, have)
 
 
+@given(_requirement_windows(), st.integers(min_value=0, max_value=2),
+       st.fractions(min_value=-30, max_value=30, max_denominator=12),
+       st.fractions(min_value=-3, max_value=3, max_denominator=10 ** 6).filter(bool),
+       st.sampled_from([2, 3, 5, 7, 30]))
+# n^2 + 4x = 9 at x = -7/4: the requirement is the rational -5/4, r the square 36
+@example(case=(4, {"functions": q(Fraction(-7, 4))}), inner=0, offset=Fraction(0),
+         tilt=Fraction(1, 10 ** 6), s=2)
+@settings(max_examples=100)
+def test_falls_short_decides_an_irrational_have_as_compare_does(case, inner, offset, tilt, s):
+    # haves: the requirement itself when it is irrational, and the
+    # requirement or its rational floor moved by an irrational tilt, in the
+    # requirement's own field and in another
+    n, windows = case
+    for part, window in windows.items():
+        out = conemaps._feeds(part, n)[0]
+        need = required_source_cutoff(n, window, out, inner)
+        if need is None:
+            continue
+        p, r, d = conemaps._requirement(n, conemaps._shifted_cutoff(n, window, out), inner)
+        tilts = [make_quad(offset, tilt, s)] + ([make_quad(offset, tilt, need.s)] if need.q else [])
+        haves = [need] * (need.q != 0) + [need + t for t in tilts if need.s in (1, t.s)]
+        haves += [q(rational_floor(need)) + t for t in tilts]
+        for have in haves:
+            assert conemaps._falls_short(p, r, d, have) == (compare(have, need) < 0), (
+                n, window, out, inner, have)
+
+
 @given(st.integers(min_value=2, max_value=14),
        st.fractions(min_value=0, max_value=200, max_denominator=6),
        st.sampled_from([-1, 0, 1]), st.integers(min_value=0, max_value=8))

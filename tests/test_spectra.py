@@ -253,6 +253,14 @@ def test_public_constructors_still_validate():
         Spectrum((low, high), q(1))
 
 
+def test_a_line_at_its_cutoff_is_accepted():
+    # completeness up to the cutoff includes the cutoff itself
+    one = Origin("A", 0, 0, 1)
+    lines = (SpectralLine(q(1), 1, (one,)), SpectralLine(make_quad(2, 1, 3), 1, (one,)))
+    assert Spectrum(lines, make_quad(2, 1, 3)).lines == lines
+    assert Spectrum(lines[:1], q(1)).cutoff == q(1)
+
+
 def test_merged_lines_are_interchangeable_with_public_ones():
     rng = random.Random(0x5107)
     values = _many_families(rng) + _mixed_fields(rng)

@@ -214,7 +214,8 @@ def _exact_coefficients(f):
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_families_and_closure_systems_stay_exact(monkeypatch, n):
     # every polynomial the closure checks hand to the Laplacian, R and S among
-    # them, keeps int or Fraction coefficients: no float enters by 1 / int
+    # them, has int coefficients: the systems run on their unknowns scaled by
+    # their denominators, so no Fraction (and no float by 1 / int) enters
     seen = []
     laplacian = symcheck.hat_laplacian
 
@@ -231,7 +232,7 @@ def test_families_and_closure_systems_stay_exact(monkeypatch, n):
             for check in checks:
                 assert check(n, k, j)["passed"]
     assert seen and all(_exact_coefficients(f) for f in seen)
-    assert any(type(c) is Fraction for f in seen for _, c in f.terms)
+    assert all(type(c) is int for f in seen for _, c in f.terms)
 
 
 @pytest.mark.parametrize(

@@ -105,8 +105,9 @@ MUTANTS = {
     "an irrational shifted cutoff on the least rung's grid point is dropped": (
         "src/sinecone/conemaps.py", "low < 250000 * (1 - n * n)", "low <= 250000 * (1 - n * n)", CONEMAPS),
     "an irrational source cutoff equal to its requirement is refused": (
-        "src/sinecone/conemaps.py", "required_source_cutoff(n, cutoff, out, inner)) < 0",
-        "required_source_cutoff(n, cutoff, out, inner)) <= 0", CONEMAPS),
+        "src/sinecone/conemaps.py", "have.s, -have.d, r) < 0", "have.s, -have.d, r) <= 0", CONEMAPS),
+    "iterate runs the rational-lines check on the base itself": (
+        "src/sinecone/conemaps.py", "if step > 0:", "if step >= 0:", ("tests/test_cli.py",)),
     "the part's isqrt bound is one degree high": (
         "src/sinecone/conemaps.py", "math.isqrt(4 * c + n * n) - n if", "math.isqrt(4 * c + n * n) - n + 2 if",
         CONEMAPS),
@@ -122,6 +123,11 @@ MUTANTS = {
         "src/sinecone/rigidity.py", "r <= n - 1", "r < n - 1", RIGIDITY),
     "solve_zero_equation reads a fraction's numerator as an integer": (
         "src/sinecone/rigidity.py", "if kappa.q != 0 or kappa.d != 1:", "if kappa.q != 0:", RIGIDITY),
+    "the one-form system's lam R enters the second component as R": (
+        "src/sinecone/symcheck.py", '"second-component": lap(Q) + _r2(Q, lam + n) + _r2(R, -2)',
+        '"second-component": lap(Q) + _r2(Q, lam + n) + _r2(R, -2 * lam)', SYMBOLIC),
+    "the scalar tensor system's R takes n S for lam S": (
+        "src/sinecone/symcheck.py", "S.scale(lam)", "S.scale(n)", SYMBOLIC),
     "build_harmonic_family's recurrence drops a factor": (
         "src/sinecone/symcheck.py", "((j - 2 * m + 2) * (j - 2 * m + 1))", "((j - 2 * m + 2) * (j - 2 * m))", SYMBOLIC),
     "verify_decomposition's sum does not alternate": (
@@ -152,6 +158,13 @@ MUTANTS = {
         "src/sinecone/radialoracle.py", "v0=r * np.exp(np.cos(theta))", "v0=np.ones(size)", RADIAL),
     "solve_radial's start drops the sqrt(mass) weight": (
         "src/sinecone/radialoracle.py", "v0=r * np.exp(np.cos(theta))", "v0=np.exp(np.cos(theta))", RADIAL),
+    "solve_radial keeps ARPACK's default basis": (
+        "src/sinecone/radialoracle.py", "ncv=min(size, 2 * modes + 4), ", "", RADIAL),
+    "solve_radial runs ARPACK to machine precision": (
+        "src/sinecone/radialoracle.py", "tol=1e-12", "tol=0", RADIAL),
+    "a spectrum refuses a line at its cutoff": (
+        "src/sinecone/spectra.py", "compare(lines[-1].value, cutoff) > 0", "compare(lines[-1].value, cutoff) >= 0",
+        ("tests/test_spectra.py",)),
     "the compiled constructor takes its fields in reverse": (
         "src/sinecone/spectra.py", "def __init__(self, {', '.join(fields)})",
         "def __init__(self, {', '.join(reversed(fields))})", RECORDS),
